@@ -99,7 +99,7 @@ def resolution_from_payload(payload: dict):
             shape = gamma_shape(p, n, lam)
             summands.append(Summand(lam, shape, offset))
             offset += shape.dim
-        stages.append(Stage(summands, n))
+        stages.append(Stage(summands, p, n))
     diffs = [{_comp_parse(comp): decode_matrix(block, p)
               for comp, block in stage_diff.items()}
              for stage_diff in payload["diffs"]]

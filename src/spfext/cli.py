@@ -16,8 +16,8 @@ from . import young
 from .cache import ENV_CACHE_DIR, default_cache_dir
 from .errors import (AdmissibilityError, BudgetExceededError, DegreeMismatchError,
                      ParseError, SemanticError, UnsupportedExpressionError)
-from .functors import as_node, degree
-from .homology import ext, resolve_expression
+from .functors import as_node, check_field, degree
+from .homology import default_depth, ext, resolve_expression
 from .suites import SUITE_NAMES, run_suite
 
 LARGE_DEGREE_LIMIT = 6
@@ -27,17 +27,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_BUDGET = 4
-
-
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    f = 2
-    while f * f <= x:
-        if x % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -101,10 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolved(args) -> tuple[int, int]:
     p = 2 if args.p is None else args.p
     i = 1 if args.i is None else args.i
-    if not _is_prime(p):
-        raise SemanticError(f"p = {p} is not prime")
-    if i < 1:
-        raise SemanticError("i must be a positive integer")
+    check_field(p, i)
     return p, i
 
 
@@ -212,11 +198,7 @@ def cmd_resolve(args) -> int:
     node = as_node(args.expr)
     D = degree(node, p)
     _validate_degree(args, p, i, D)
-    if args.depth is None:
-        q = p ** i
-        depth = 2 * (q - 1) * (D // q) + 1 if D % q == 0 else D + 1
-    else:
-        depth = args.depth
+    depth = default_depth(p, i, D)[0] if args.depth is None else args.depth
     res = resolve_expression(node, p, depth, sweep=args.sweep,
                              budget=args.mem_budget,
                              cache_dir=default_cache_dir(args.cache_dir))

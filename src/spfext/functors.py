@@ -20,6 +20,8 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from itertools import product
+from math import isqrt
 
 import numpy as np
 
@@ -242,6 +244,14 @@ def to_shape(node: Node, p: int) -> tuple[tuple[Block, ...], int] | None:
     return None
 
 
+def check_field(p: int, i: int = 1) -> None:
+    """Refuse a characteristic that is not prime or a twist order below 1."""
+    if p < 2 or any(p % f == 0 for f in range(2, isqrt(p) + 1)):
+        raise SemanticError(f"p = {p} is not prime")
+    if i < 1:
+        raise SemanticError("i must be a positive integer")
+
+
 _shape_cache: dict[tuple, ShapeModule] = {}
 _eval_cache: dict[tuple, ModuleRep] = {}
 _simple_cache: dict[tuple, ModuleRep] = {}
@@ -263,6 +273,7 @@ def evaluate(expr, p: int, max_param: int = MAX_PARAM,
     By default n = D = degree (the minimal faithful evaluation); tensor
     factors are evaluated over the n of the whole product.
     """
+    check_field(p)
     node = as_node(expr)
     deg = degree(node, p)
     if n is None:
@@ -437,7 +448,7 @@ def _tableau_composite(lam: tuple[int, ...], p: int, check: bool = True,
                 sign = _perm_sign(perm)
                 signed.append((tuple(base[k] for k in perm), sign))
             expansions.append(signed)
-        for combo in _product(expansions):
+        for combo in product(*expansions):
             letters = {}
             sign = 1
             for c, (arranged, s) in enumerate(combo):
@@ -471,15 +482,6 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for rest in _product(lists[1:]):
-            yield (head,) + rest
 
 
 # Schur, Weyl and simple functors -------------------------------------------

@@ -1,10 +1,14 @@
 """Projective resolutions by divided-power summands and Ext tables.
 
-Resolutions are built stage by stage: sweep weights in a fixed total
-order refining dominance, greedily pick kernel vectors not already in
-the submodule generated by earlier picks, and let each pick of weight
-lam contribute a Gamma^lam summand through the Yoneda realization of
-its weight vector.  Every map here is weight-graded, so all linear
+Resolutions are built stage by stage.  A weight-lam vector v of a module
+M generates exactly the image of its Yoneda map Gamma^lam -> M, whose
+columns are the algebra words of Gamma^lam applied to v (S(n,D)xi_lam is
+Gamma^lam).  So each pick of weight lam contributes a Gamma^lam summand
+whose differential columns are those images, and the submodule generated
+so far is, weight by weight, the row space of the differential columns
+picked so far.  Weights are swept in a fixed total order refining
+dominance, and a kernel vector becomes a new pick only when it lies
+outside that row space.  Every map here is weight-graded, so all linear
 algebra is done per weight block.
 
 Ext groups are the cohomology of Hom(P_*, N), whose terms are weight
@@ -19,12 +23,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import fp, young
 from .errors import (AdmissibilityError, DegreeMismatchError, SemanticError,
                      SpfextError, UnsupportedExpressionError)
 from .functors import (Atom, Dual, Ident, Node, Param, Tensor, Twist, as_node,
-                       canon, degree, evaluate, shape_module)
+                       canon, check_field, degree, evaluate, shape_module)
 from .modules import ModuleRep, ShapeModule, hom_space
 from .tensorspace import XiKey
 
@@ -37,85 +42,17 @@ def gamma_shape(p: int, n: int, lam: tuple[int, ...]) -> ShapeModule:
     return shape_module(p, n, tuple(("G", part, 0) for part in lam), 1)
 
 
-def word_key(lam: tuple[int, ...], tup: tuple[tuple[int, ...], ...]) -> XiKey:
-    """The xi-basis element carrying the canonical generator of Gamma^lam
-    onto the basis vector `tup` (block b contributes pairs (letter, b))."""
-    pairs = []
-    for b, letters in enumerate(tup):
-        pairs.extend((t, b) for t in letters)
-    return tuple(sorted(pairs))
+def word_key(comp: tuple[int, ...], tup: tuple[tuple[int, ...], ...]) -> XiKey:
+    """The xi-basis element carrying the canonical generator of Gamma^comp
+    onto the basis vector `tup`: block b pairs its letters with the b-th
+    nonzero letter of comp."""
+    letters = [a for a, part in enumerate(comp) if part]
+    return tuple(sorted((t, letters[b])
+                        for b, block in enumerate(tup) for t in block))
 
 
 def generator_index(shape: ShapeModule, lam: tuple[int, ...]) -> int:
     return shape.basis_index(tuple((b,) * part for b, part in enumerate(lam)))
-
-
-# -- weight spaces and Yoneda ------------------------------------------------
-
-
-def weight_space(module: ModuleRep, comp: tuple[int, ...]) -> fp.Subspace:
-    rows, _ = module.weight_basis(tuple(comp))
-    return fp.Subspace.from_vectors(rows, module.dim, module.p)
-
-
-def hom_from_gamma(comp: tuple[int, ...], module: ModuleRep):
-    """dim Hom(Gamma^comp, M) plus the realization of weight vectors.
-
-    realize(v) is the equivariant matrix Gamma^comp(E) -> M sending the
-    canonical generator to v; column T is the algebra word of T applied
-    to v.
-    """
-    comp = tuple(comp)
-    if len(comp) < module.n:
-        comp = comp + (0,) * (module.n - len(comp))
-    if sum(comp) != module.D:
-        raise SemanticError(f"{comp} does not sum to the degree {module.D}")
-    letters = [i for i, part in enumerate(comp) if part]
-    lam = tuple(comp[i] for i in letters)
-    shape = shape_module(module.p, module.n,
-                         tuple(("G", part, 0) for part in lam), 1)
-    dim = module.weight_dim(comp)
-
-    def realize(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.int64).reshape(-1)
-        refs = []
-        for t in range(shape.dim):
-            tup = shape.basis_tuple(t)
-            pairs = []
-            for b, block_letters in enumerate(tup):
-                pairs.extend((x, letters[b]) for x in block_letters)
-            refs.append(("xi", tuple(sorted(pairs))))
-        outs = _apply_refs_single(module, refs, v)
-        mat = fp.zeros(module.dim, shape.dim)
-        for t, ref in enumerate(refs):
-            mat[:, t] = outs[t]
-        return mat
-
-    return dim, realize
-
-
-def _apply_refs_single(module: ModuleRep, refs, vec: np.ndarray) -> list[np.ndarray]:
-    """Apply many operator refs to one vector, lifting only once for shapes."""
-    vec = np.asarray(vec, dtype=np.int64).reshape(-1)
-    if isinstance(module, ShapeModule):
-        amb = (module.lift_matrix() @ vec.reshape(-1, 1)) % module.p
-        nD = module.n ** module.D
-        u_total = module._u_total
-        proj = module.project_matrix()
-        out = []
-        if u_total == 1:
-            for ref in refs:
-                acted = (module.space.matrix(ref) @ amb) % module.p
-                out.append(((proj @ acted) % module.p).reshape(-1))
-        else:
-            v = np.ascontiguousarray(amb.reshape(u_total, nD).T)
-            for ref in refs:
-                acted = (module.space.matrix(ref) @ v) % module.p
-                back = np.ascontiguousarray(acted.T).reshape(-1, 1)
-                out.append(((proj @ back) % module.p).reshape(-1))
-        return out
-    x = vec.reshape(1, -1)
-    return [module.apply_ref(ref, x)[0] for ref in refs]
 
 
 # -- resolution data ----------------------------------------------------------
@@ -131,8 +68,9 @@ class Summand:
 class Stage:
     """A direct sum of Gamma^lam summands with blocked index bookkeeping."""
 
-    def __init__(self, summands: list[Summand], n: int):
+    def __init__(self, summands: list[Summand], p: int, n: int):
         self.summands = summands
+        self.p = p
         self.n = n
         self.dim = sum(s.shape.dim for s in summands)
         groups: dict[tuple[int, ...], list[np.ndarray]] = {}
@@ -151,39 +89,63 @@ class Stage:
             raise KeyError((comp, global_idx))
         return pos
 
-    def apply_refs_single(self, refs, vec: np.ndarray) -> list[np.ndarray]:
-        """Apply refs to one full stage vector: summands share the plain
-        tensor-space ambient, so all lifts stack into one sparse product."""
-        if not self.summands:
-            return [np.zeros(0, dtype=np.int64) for _ in refs]
-        p = self.summands[0].shape.p
-        space = self.summands[0].shape.space
-        cols = []
-        for s in self.summands:
-            piece = vec[s.offset: s.offset + s.shape.dim]
-            cols.append((s.shape.lift_matrix() @ piece.reshape(-1, 1)) % p)
-        amb = np.concatenate(cols, axis=1)  # (n^D, nsummands)
-        out = []
-        for ref in refs:
-            acted = (space.matrix(ref) @ amb) % p
-            w = np.zeros(self.dim, dtype=np.int64)
-            for k, s in enumerate(self.summands):
-                w[s.offset: s.offset + s.shape.dim] = (
-                    (s.shape.project_matrix() @ acted[:, k]) % p)
-            out.append(w)
+
+# -- weight spaces and Yoneda ------------------------------------------------
+
+
+def yoneda_images(level: ModuleRep | Stage, comp: tuple[int, ...],
+                  v: np.ndarray) -> np.ndarray:
+    """The Yoneda map Gamma^comp -> level sending the canonical generator
+    to the weight-comp vector v: column t is word t of Gamma^comp applied
+    to v.
+
+    A level is a module or a resolution stage.  Shape pieces (a shape
+    module, or each summand of a stage) are lifted to tensor space once,
+    with parameter letters as extra columns; each word operator then acts
+    once on all of them, and each piece is projected back.  Any other
+    module applies the words through its own action rule.
+    """
+    v = np.asarray(v, dtype=np.int64).reshape(-1)
+    p, n = level.p, level.n
+    shape = gamma_shape(p, n, tuple(part for part in comp if part))
+    words = [("xi", word_key(comp, shape.basis_tuple(t)))
+             for t in range(shape.dim)]
+    out = fp.zeros(level.dim, shape.dim)
+    if isinstance(level, Stage):
+        pieces = [(s.shape, s.offset) for s in level.summands]
+    elif isinstance(level, ShapeModule):
+        pieces = [(level, 0)]
+    else:
+        for t, word in enumerate(words):
+            out[:, t] = level.apply_ref(word, v.reshape(1, -1))[0]
         return out
+    nD = shape.space.dim
+    amb = np.concatenate(
+        [((piece.lift_matrix() @ v[off: off + piece.dim]) % p)
+         .reshape(piece._u_total, nD).T for piece, off in pieces], axis=1)
+    proj = sparse.block_diag([piece.project_matrix() for piece, _ in pieces],
+                             format="csr")
+    for t, word in enumerate(words):
+        acted = (shape.space.matrix(word) @ amb) % p
+        out[:, t] = (proj @ acted.T.reshape(-1)) % p
+    return out
 
 
-class _ModuleLevel:
-    """Adapter so the resolved module plays the role of stage -1."""
+def weight_space(module: ModuleRep, comp: tuple[int, ...]) -> fp.Subspace:
+    rows, _ = module.weight_basis(tuple(comp))
+    return fp.Subspace.from_vectors(rows, module.dim, module.p)
 
-    def __init__(self, module: ShapeModule):
-        self.module = module
-        self.dim = module.dim
-        self.groups = module.content_groups()
 
-    def apply_refs_single(self, refs, vec):
-        return _apply_refs_single(self.module, refs, vec)
+def hom_from_gamma(comp: tuple[int, ...], module: ModuleRep):
+    """dim Hom(Gamma^comp, M) plus the realization of weight vectors:
+    realize(v) is the equivariant matrix Gamma^comp(E) -> M sending the
+    canonical generator to v (see yoneda_images)."""
+    comp = tuple(comp)
+    if len(comp) < module.n:
+        comp = comp + (0,) * (module.n - len(comp))
+    if sum(comp) != module.D:
+        raise SemanticError(f"{comp} does not sum to the degree {module.D}")
+    return module.weight_dim(comp), lambda v: yoneda_images(module, comp, v)
 
 
 @dataclass
@@ -223,97 +185,62 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
     if depth < 0:
         raise SemanticError("depth must be nonnegative")
     p, n = module.p, module.n
-    space = module.space
     sweep_parts = young.partitions_of(module.D, max_parts=n)
     if sweep == "reversed":
         sweep_parts = list(reversed(sweep_parts))
     elif sweep != "dominance":
         raise SemanticError(f"unknown sweep {sweep!r}")
-    full_mode = space.uses_full_basis()
-    refs_by_col = space.refs_by_col_content()
     budget = DEFAULT_MEM_BUDGET if budget is None else budget
 
     res = Resolution(source=source, p=p, n=n, module=module, stages=[],
                      diffs=[], depth=depth, sweep=sweep)
-    prev: _ModuleLevel | Stage = _ModuleLevel(module)
+    prev: ShapeModule | Stage = module
+    groups = module.content_groups()
     kernel_blocks = {c: fp.identity(len(ix))
-                     for c, ix in prev.groups.items() if len(ix)}
+                     for c, ix in groups.items() if len(ix)}
     bytes_used = 0
 
     for s in range(depth + 1):
-        gens: list[tuple[tuple[int, ...], np.ndarray]] = []
-        closure: dict[tuple[int, ...], tuple[np.ndarray, list[int]]] = {}
-
-        def fold(w_full: np.ndarray) -> bool:
-            added = False
-            for comp, idxs in prev.groups.items():
-                block = w_full[idxs]
-                if not block.any():
-                    continue
-                rows, piv = closure.get(comp, (fp.zeros(0, idxs.size), []))
-                resid = fp.residual(rows, piv, block, p)
-                if resid.any():
-                    stacked = np.concatenate([rows, resid.reshape(1, -1)])
-                    closure[comp] = fp.basis_rows(stacked, p)
-                    added = True
-            return added
-
-        def close_over(v_full: np.ndarray, col_comp: tuple[int, ...]):
-            if full_mode:
-                refs = refs_by_col.get(col_comp, [])
-                for w in prev.apply_refs_single(refs, v_full):
-                    fold(w)
-            else:
-                gen_refs = refs_by_col[None]
-                frontier = [v_full]
-                while frontier:
-                    x = frontier.pop()
-                    for w in prev.apply_refs_single(gen_refs, x):
-                        if fold(w):
-                            frontier.append(w)
-
+        gens: list[tuple[int, ...]] = []
+        # per weight of prev: the differential's columns picked so far,
+        # and the RREF basis of their span, the submodule generated so far
+        columns: dict[tuple[int, ...], list[np.ndarray]] = {}
+        span: dict[tuple[int, ...], tuple[np.ndarray, list[int]]] = {}
         for lam in sweep_parts:
             comp = comp_of_partition(lam, n)
             kern = kernel_blocks.get(comp)
-            if kern is None or kern.shape[0] == 0:
+            if kern is None:
                 continue
-            idxs = prev.groups[comp]
+            idxs = groups[comp]
             for row in kern:
-                rows, piv = closure.get(comp, (fp.zeros(0, idxs.size), []))
+                rows, piv = span.get(comp, (fp.zeros(0, idxs.size), []))
                 if rows.shape[0] and fp.in_rowspace(rows, piv, row, p):
                     continue
-                v_full = np.zeros(prev.dim, dtype=np.int64)
-                v_full[idxs] = row
-                gens.append((lam, v_full))
-                fold(v_full)
-                close_over(v_full, comp)
+                v = np.zeros(prev.dim, dtype=np.int64)
+                v[idxs] = row
+                images = yoneda_images(prev, comp, v)
+                gens.append(lam)
+                for c, local in gamma_shape(p, n, lam).content_groups().items():
+                    tgt_ix = groups.get(c)
+                    if tgt_ix is None:
+                        if images[:, local].any():
+                            raise SpfextError("image escapes the weight grading")
+                        continue
+                    block = images[np.ix_(tgt_ix, local)]
+                    columns.setdefault(c, []).append(block)
+                    if block.any():
+                        old, _ = span.get(c, (fp.zeros(0, tgt_ix.size), []))
+                        span[c] = fp.basis_rows(np.concatenate([old, block.T]), p)
 
         summands = []
         offset = 0
-        for lam, _ in gens:
+        for lam in gens:
             shape = gamma_shape(p, n, lam)
             summands.append(Summand(lam, shape, offset))
             offset += shape.dim
-        stage = Stage(summands, n)
-
-        diff: dict[tuple[int, ...], np.ndarray] = {}
-        for comp, ix in stage.groups.items():
-            tgt_ix = prev.groups.get(comp)
-            diff[comp] = fp.zeros(0 if tgt_ix is None else tgt_ix.size, ix.size)
-        for (lam, v_full), summand in zip(gens, summands):
-            shape = summand.shape
-            refs = [("xi", word_key(lam, shape.basis_tuple(t)))
-                    for t in range(shape.dim)]
-            outs = prev.apply_refs_single(refs, v_full)
-            for t in range(shape.dim):
-                comp = tuple(int(c) for c in shape.contents[t])
-                pos = stage.group_position(comp, summand.offset + t)
-                tgt_ix = prev.groups.get(comp)
-                if tgt_ix is None:
-                    if outs[t].any():
-                        raise SpfextError("image escapes the weight grading")
-                    continue
-                diff[comp][:, pos] = outs[t][tgt_ix]
+        stage = Stage(summands, p, n)
+        diff = {c: np.concatenate(columns[c], axis=1) if c in groups
+                else fp.zeros(0, ix.size) for c, ix in stage.groups.items()}
 
         # invariant checks: complex property and stage exactness
         for comp, block in diff.items():
@@ -341,13 +268,13 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
         if stage.dim == 0:
             # kernel was zero; the resolution is complete
             for _ in range(s + 1, depth + 1):
-                res.stages.append(Stage([], n))
+                res.stages.append(Stage([], p, n))
                 res.diffs.append({})
             break
         kernel_blocks = {c: fp.kernel_basis(block, p)
                          for c, block in res.diffs[s].items() if block.shape[1]}
         kernel_blocks = {c: k for c, k in kernel_blocks.items() if k.shape[0]}
-        prev = stage
+        prev, groups = stage, stage.groups
     res.meta["stage_dims"] = [st.dim for st in res.stages]
     return res
 
@@ -362,6 +289,7 @@ def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
                        cache_dir: str | None = None) -> Resolution:
     """Resolve the module of an expression, memoized in-process and
     optionally backed by the on-disk cache."""
+    check_field(p)
     node = as_node(expr)
     name = canon(node)
     key = (name, p, depth, sweep, budget)
@@ -517,6 +445,7 @@ def ext(src, tgt, p: int, i: int = 1, depth: int | None = None,
         cache_dir: str | None = None) -> ExtTable:
     """Graded dims of Ext^s(source, target) for s = 0 .. depth-1."""
     t0 = time.perf_counter()
+    check_field(p, i)
     src_node = as_node(src)
     tgt_node = as_node(tgt)
     d_src = degree(src_node, p)
@@ -541,7 +470,8 @@ def ext(src, tgt, p: int, i: int = 1, depth: int | None = None,
 
 
 def kr_cohomology(f_expr, v: int, p: int, i: int,
-                  depth: int | None = None, sweep: str = "dominance") -> ExtTable:
+                  depth: int | None = None, sweep: str = "dominance",
+                  cache_dir: str | None = None) -> ExtTable:
     """Parameterized Ext against the twisted divided power with v slots."""
     node = as_node(f_expr)
     D = degree(node, p)
@@ -550,7 +480,8 @@ def kr_cohomology(f_expr, v: int, p: int, i: int,
         raise SemanticError(f"degree {D} is not divisible by p^i = {q}")
     d = D // q
     source = Param(Twist(Atom("G", (d,)), i), v)
-    return ext(source, node, p, i=i, depth=depth, sweep=sweep)
+    return ext(source, node, p, i=i, depth=depth, sweep=sweep,
+               cache_dir=cache_dir)
 
 
 # -- duality and pairing checks ----------------------------------------------
@@ -617,7 +548,8 @@ def _admissible_source(node: Node, p: int) -> Node:
 
 
 def duality_check(p_expr, f_expr, p: int, i: int = 1,
-                  sweep: str = "dominance") -> DualityReport:
+                  sweep: str = "dominance",
+                  cache_dir: str | None = None) -> DualityReport:
     """Per-degree comparison dim Ext^s(P^(i), F) vs dim Ext^{w-s}(P^(i), F#)."""
     p_node = as_node(p_expr)
     f_node = as_node(f_expr)
@@ -629,8 +561,10 @@ def duality_check(p_expr, f_expr, p: int, i: int = 1,
         raise DegreeMismatchError(
             f"target degree {degree(f_node, p)} != p^i * d = {q * d}")
     src = Twist(realization, i)
-    fwd = ext(src, f_node, p, i=i, depth=window + 1, sweep=sweep)
-    bwd = ext(src, Dual(f_node), p, i=i, depth=window + 1, sweep=sweep)
+    fwd = ext(src, f_node, p, i=i, depth=window + 1, sweep=sweep,
+              cache_dir=cache_dir)
+    bwd = ext(src, Dual(f_node), p, i=i, depth=window + 1, sweep=sweep,
+              cache_dir=cache_dir)
     rows = []
     ok = True
     for s in range(window + 1):

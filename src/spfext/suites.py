@@ -76,7 +76,8 @@ def lemma22_cases(sweep="dominance", cache_dir=None) -> list[Case]:
     # Kunneth squeeze at p = 2, d = 2
     def kr_case(tgt):
         def run():
-            table = kr_cohomology(tgt, 1, 2, 1, sweep=sweep)
+            table = kr_cohomology(tgt, 1, 2, 1, sweep=sweep,
+                                  cache_dir=cache_dir)
             expected = [0, 0, 0, 0, 1]
             return table.dims == expected, str(expected), str(table.dims)
         return Case("lemma22", f"p=2 KR cohomology of {tgt}", 2, 1, run)
@@ -171,7 +172,8 @@ def thm32_cases(sweep="dominance", cache_dir=None) -> list[Case]:
     cases = []
     for tgt in THM32_TARGETS:
         def run(tgt=tgt):
-            rep = duality_check("I*I", tgt, 2, i=1, sweep=sweep)
+            rep = duality_check("I*I", tgt, 2, i=1, sweep=sweep,
+                                cache_dir=cache_dir)
             detail = f"{rep.forward} vs reversed {rep.backward}"
             return rep.passed, "mirror equality on [0,4]", detail
         cases.append(Case("thm32", f"p=2 duality I^2 vs {tgt}", 2, 1, run))

@@ -302,9 +302,6 @@ class TensorSpace:
     def schur_dimension(self) -> int:
         return comb(self.n * self.n + self.D - 1, self.D)
 
-    def uses_full_basis(self) -> bool:
-        return self.schur_dimension() <= FULL_BASIS_LIMIT
-
     def full_basis_keys(self) -> list[XiKey]:
         pairs = [(a, b) for a in range(self.n) for b in range(self.n)]
         return [key for key in combinations_with_replacement(pairs, self.D)]
@@ -312,7 +309,7 @@ class TensorSpace:
     def spanning_refs(self) -> list[OpRef]:
         """Operator refs spanning (full basis) or generating (fallback)
         the image of the Schur algebra in End(E^(x)D)."""
-        if self.uses_full_basis():
+        if self.schur_dimension() <= FULL_BASIS_LIMIT:
             return [("xi", key) for key in self.full_basis_keys()]
         refs: list[OpRef] = [("xi", self.weight_key(c))
                              for c in compositions(self.D, self.n)]
@@ -323,20 +320,6 @@ class TensorSpace:
                 for r in range(1, self.D + 1):
                     refs.append(("div", a, b, r))
         return refs
-
-    def refs_by_col_content(self) -> dict[tuple[int, ...], list[OpRef]]:
-        """Spanning refs grouped by the content of their column multi-index.
-
-        Only meaningful in full-basis mode, where an operator ref has a
-        single column content; the fallback generator set is returned
-        under a None key for closure-style iteration.
-        """
-        if not self.uses_full_basis():
-            return {None: self.spanning_refs()}
-        groups: dict[tuple[int, ...], list[OpRef]] = {}
-        for key in self.full_basis_keys():
-            groups.setdefault(key_col_content(key, self.n), []).append(("xi", key))
-        return groups
 
     def sorted_letters(self, comp: tuple[int, ...]) -> tuple[int, ...]:
         """The canonical multi-index of content comp: letter a repeated comp[a]."""

@@ -165,3 +165,17 @@ def test_jobs_byte_identical(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_resolve_default_depth_matches_library(capsys):
+    from spfext.homology import default_depth
+    code, out, _ = run_cli(capsys, "resolve", "--expr", "twist(I,1)",
+                           "--p", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["depth"] == default_depth(3, 1, 3)[0] == 5
+
+
+def test_resolve_refuses_zero_twist(capsys):
+    code, _, _ = run_cli(capsys, "resolve", "--expr", "twist(I,1)",
+                         "--p", "2", "--i", "0")
+    assert code == 3

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from spfext import fp
@@ -195,3 +196,71 @@ def test_kr_with_parameterized_source():
     assert kr_cohomology("S(2)", 2, 2, 1).dims == [2, 0, 0]
     assert kr_cohomology("L(2)", 2, 2, 1).dims == [0, 2, 0]
     assert kr_cohomology("G(2)", 2, 2, 1).dims == [0, 0, 2]
+
+
+def test_library_refuses_bad_field_and_twist():
+    from spfext.errors import SemanticError
+    with pytest.raises(SemanticError):
+        ext("I*I", "S(2)", 4)
+    with pytest.raises(SemanticError):
+        ext("twist(I,1)", "S(2)", 2, i=0)
+    with pytest.raises(SemanticError):
+        ext("twist(I,1)", "S(2)", 1)
+    with pytest.raises(SemanticError):
+        resolve_expression("I*I", 4, 2)
+    with pytest.raises(SemanticError):
+        evaluate("I*I", 1)
+
+
+def test_ext_above_full_basis_limit():
+    # S(5, 5) has more xi-basis elements than FULL_BASIS_LIMIT
+    from spfext.tensorspace import FULL_BASIS_LIMIT, get_space
+    assert get_space(2, 5, 5).schur_dimension() > FULL_BASIS_LIMIT
+    assert ext("G(5)", "S(5)", 2).dims == [1, 0, 0, 0, 0, 0]
+
+
+def test_generator_selection_pinned():
+    dominance = resolve_expression("twist(I,1)*twist(I,1)", 2, 5)
+    assert dominance.meta["stage_dims"] == [135, 355, 721, 1255, 1290, 625]
+    reversed_ = resolve_expression("twist(I,1)*twist(I,1)", 2, 5,
+                                   sweep="reversed")
+    assert reversed_.meta["stage_dims"] == [100, 576, 1288, 1920, 1700, 1088]
+
+
+def test_yoneda_images_carry_generator_to_v():
+    from spfext.homology import (comp_of_partition, gamma_shape,
+                                 generator_index, yoneda_images)
+    res = resolve_expression("twist(I,1)*twist(I,1)", 2, 5)
+    stage = res.stages[0]
+    cases = [(evaluate("twist(I,1)*twist(I,1)", 2), (2, 2)),
+             (evaluate("param(twist(G(1),1),2)", 2), (2,)),
+             (evaluate("dual(S(2))", 2), (1, 1)),
+             (stage, (2, 2)), (stage, (2, 1, 1))]
+    for level, lam in cases:
+        comp = comp_of_partition(lam, level.n)
+        if isinstance(level, type(stage)):
+            v = np.zeros(level.dim, dtype=np.int64)
+            idxs = level.groups[comp]
+            v[idxs] = np.arange(1, idxs.size + 1) % 2
+        else:
+            v = level.weight_basis(comp)[0][-1]
+        images = yoneda_images(level, comp, v)
+        shape = gamma_shape(2, level.n, lam)
+        assert images.shape == (level.dim, shape.dim)
+        assert (images[:, generator_index(shape, lam)] == v).all()
+
+
+def test_duality_check_reads_disk_cache(tmp_path, monkeypatch):
+    import spfext.homology as homology
+    homology.clear_resolution_memo()
+    cold = duality_check("I", "simple(2)", 2, i=1, cache_dir=str(tmp_path))
+    assert list(tmp_path.glob("*.json"))
+    homology.clear_resolution_memo()
+
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("resolved again instead of reading the cache")
+
+    monkeypatch.setattr(homology, "resolve", no_resolve)
+    warm = duality_check("I", "simple(2)", 2, i=1, cache_dir=str(tmp_path))
+    assert warm == cold
+    homology.clear_resolution_memo()
