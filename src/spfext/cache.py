@@ -2,9 +2,10 @@
 
 Entries are JSON files named by the digest of their context (p, n,
 degree, canonical expression, depth, sweep, schema version).  Matrices
-are stored as rows of base-p digit strings, which round-trip bit
-exactly and diff cleanly.  Writes go through a temporary file and a
-rename so concurrent runs never observe torn entries.
+are stored as rows of digit strings, each entry a fixed-width run of
+len(str(p - 1)) decimal digits, which round-trip bit exactly and diff
+cleanly.  Writes go through a temporary file and a rename so concurrent
+runs never observe torn entries.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-
-from . import fp
 
 SCHEMA_VERSION = 1
 
@@ -33,22 +32,33 @@ def cache_key(context: dict) -> str:
     return hashlib.sha256(stable_json(context).encode("utf-8")).hexdigest()
 
 
+def _place_values(p: int) -> np.ndarray:
+    """Decimal place values of one matrix entry, most significant first;
+    an entry takes len(str(p - 1)) digits, so one digit for p < 10."""
+    return 10 ** np.arange(len(str(p - 1)) - 1, -1, -1, dtype=np.int64)
+
+
 def encode_matrix(mat: np.ndarray, p: int) -> dict:
-    if p >= 10:
-        raise ValueError("digit-string encoding supports p < 10")
     rows, cols = mat.shape
-    data = ["".join(str(int(x)) for x in mat[r]) for r in range(rows)]
+    place = _place_values(p)
+    digits = (np.asarray(mat, dtype=np.int64)[:, :, None] // place) % 10
+    text = (digits + ord("0")).astype(np.uint8).reshape(rows,
+                                                        cols * place.size)
+    data = [line.tobytes().decode("ascii") for line in text]
     return {"rows": rows, "cols": cols, "data": data}
 
 
 def decode_matrix(payload: dict, p: int) -> np.ndarray:
     rows, cols = payload["rows"], payload["cols"]
-    out = fp.zeros(rows, cols)
-    for r, line in enumerate(payload["data"]):
-        if len(line) != cols:
-            raise ValueError("corrupt matrix row in cache entry")
-        out[r] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
-    return out % p
+    place = _place_values(p)
+    lines = payload["data"]
+    if len(lines) != rows or any(len(line) != cols * place.size
+                                 for line in lines):
+        raise ValueError("corrupt matrix row in cache entry")
+    digits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    entries = (digits - ord("0")).astype(np.int64).reshape(rows, cols,
+                                                           place.size)
+    return (entries @ place) % p
 
 
 def _comp_str(comp: tuple[int, ...]) -> str:

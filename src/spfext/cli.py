@@ -222,9 +222,9 @@ def cmd_selftest(args) -> int:
     from .tensorspace import get_space
     checks: list[tuple[str, bool]] = []
     sp = get_space(2, 2, 2)
-    checks.append(("dim S(2,2) = 10", len(sp.spanning_refs()) == 10))
+    checks.append(("dim S(2,2) = 10", len(sp.full_basis_keys()) == 10))
     sp3 = get_space(2, 3, 3)
-    checks.append(("dim S(3,3) = 165", len(sp3.spanning_refs()) == 165))
+    checks.append(("dim S(3,3) = 165", len(sp3.full_basis_keys()) == 165))
     total = None
     for comp in ((2, 0), (1, 1), (0, 2)):
         mat = sp.matrix(("xi", sp.weight_key(comp)))

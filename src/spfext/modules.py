@@ -476,13 +476,13 @@ class TensorModule(ModuleRep):
 # Hom spaces ---------------------------------------------------------------
 
 
-def hom_space(src: ModuleRep, tgt: ModuleRep,
-              refs: list[OpRef] | None = None) -> list[np.ndarray]:
+def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
     """Basis of equivariant maps src -> tgt, as matrices (tgt.dim x src.dim).
 
     Weight compatibility is imposed analytically first (equivariant maps
-    preserve weight spaces), then the remaining spanning operators cut
-    the solution space down by an incremental kernel computation.
+    preserve weight spaces, so they commute with the weight idempotents),
+    then each divided-power generator of `generator_refs` cuts the
+    solution space down by an incremental kernel computation.
     """
     if (src.p, src.n, src.D) != (tgt.p, tgt.n, tgt.D):
         raise ValueError("hom between modules in different categories")
@@ -518,15 +518,11 @@ def hom_space(src: ModuleRep, tgt: ModuleRep,
 
     kernel = fp.identity(nvars)
     mats = [assemble(kernel[k]) for k in range(nvars)]
-    if refs is None:
-        refs = src.space.spanning_refs()
-    idem_keys = {src.space.weight_key(tuple(c))
-                 for c in compositions(src.D, src.n)}
-    for ref in refs:
+    for ref in src.space.generator_refs():
         if kernel.shape[0] == 0:
             break
-        if ref[0] == "xi" and ref[1] in idem_keys:
-            continue  # weight blocks already satisfy idempotent constraints
+        if ref[0] == "xi":
+            continue  # a weight idempotent: the weight blocks satisfy it
         a_src = src.action_matrix(ref)
         a_tgt = tgt.action_matrix(ref)
         cols = []
@@ -549,24 +545,16 @@ def hom_space(src: ModuleRep, tgt: ModuleRep,
     return mats
 
 
-def check_equivariance(matrix: np.ndarray, src: ModuleRep, tgt: ModuleRep,
-                       sample: int = 200) -> None:
+def check_equivariance(matrix: np.ndarray, src: ModuleRep,
+                       tgt: ModuleRep) -> None:
     """Raise EquivarianceError unless `matrix` commutes with the action.
 
-    Exhaustive below the sample size, otherwise a deterministic sample
-    (every weight idempotent plus evenly spaced spanning elements).
+    Every ref of `generator_refs` is checked; commuting with a generating
+    set means commuting with the whole Schur algebra, so a pass is a proof.
     """
-    refs = src.space.spanning_refs()
-    if len(refs) > sample:
-        stride = max(1, len(refs) // sample)
-        chosen = refs[::stride]
-        chosen.extend(("xi", src.space.weight_key(tuple(c)))
-                      for c in compositions(src.D, src.n))
-    else:
-        chosen = refs
     p = src.p
     phi = sparse.csr_matrix(np.asarray(matrix, dtype=np.int64) % p)
-    for ref in chosen:
+    for ref in src.space.generator_refs():
         a_src = src.action_matrix(ref)
         a_tgt = tgt.action_matrix(ref)
         if not sparse.issparse(a_src):

@@ -1,9 +1,14 @@
 """Tensor space E^(x)D over F_p and the Schur algebra acting on it.
 
-The Schur algebra S(n, D) is realized through its xi-basis: orbits of
-pairs of multi-indices under simultaneous place permutation.  An orbit
-is canonically the sorted tuple of per-slot letter pairs, so orbit
+The Schur algebra S(n, D) has the xi-basis: orbits of pairs of
+multi-indices under simultaneous place permutation.  An orbit is
+canonically the sorted tuple of per-slot letter pairs, so orbit
 identity is syntactic.  Letters are 0-based throughout.
+
+The pipeline acts through a generating set instead of the basis: the
+weight idempotents and the divided powers of the root elements
+(Doty-Giaquinto, "Presenting Schur algebras", IMRN 2002).  A linear map
+commuting with every generator commutes with all of S(n, D).
 
 Operators are built lazily as sparse matrices on E^(x)D and memoized per
 space behind a lock, with least-recently-used eviction against a
@@ -22,11 +27,6 @@ import numpy as np
 from scipy import sparse
 
 from .fp import FpMatrix
-
-# Full xi-basis is used while its cardinality stays at or below this;
-# beyond it a Chevalley-style generator set (weight idempotents plus
-# divided root movers) is used instead.
-FULL_BASIS_LIMIT = 10_000
 
 DEFAULT_OP_BUDGET = 512 * 1024 * 1024
 
@@ -264,9 +264,6 @@ class TensorSpace:
     def xi_operator(self, i: tuple[int, ...], j: tuple[int, ...]) -> Operator:
         return self.operator(("xi", xi_key(i, j)))
 
-    def spanning_operators(self) -> list[Operator]:
-        return [self.operator(ref) for ref in self.spanning_refs()]
-
     def weight_key(self, comp: tuple[int, ...]) -> XiKey:
         comp = tuple(comp)
         if len(comp) != self.n or sum(comp) != self.D or any(c < 0 for c in comp):
@@ -297,7 +294,7 @@ class TensorSpace:
         return Operator(self, ("perm", tuple(sigma)), FpMatrix(mat, self.p,
                                                                storage="sparse"))
 
-    # -- spanning sets ----------------------------------------------------
+    # -- basis and generators ---------------------------------------------
 
     def schur_dimension(self) -> int:
         return comb(self.n * self.n + self.D - 1, self.D)
@@ -306,11 +303,9 @@ class TensorSpace:
         pairs = [(a, b) for a in range(self.n) for b in range(self.n)]
         return [key for key in combinations_with_replacement(pairs, self.D)]
 
-    def spanning_refs(self) -> list[OpRef]:
-        """Operator refs spanning (full basis) or generating (fallback)
-        the image of the Schur algebra in End(E^(x)D)."""
-        if self.schur_dimension() <= FULL_BASIS_LIMIT:
-            return [("xi", key) for key in self.full_basis_keys()]
+    def generator_refs(self) -> list[OpRef]:
+        """Operator refs generating S(n, D) as an algebra: every weight
+        idempotent, then ("div", a, b, r) for a != b and 1 <= r <= D."""
         refs: list[OpRef] = [("xi", self.weight_key(c))
                              for c in compositions(self.D, self.n)]
         for a in range(self.n):

@@ -190,8 +190,8 @@ def test_a9_jobs_byte_identical(capsys):
                     reason="degree-6 stretch run is opt-in (SPFEXT_STRETCH=1)")
 def test_stretch_degree_six_duality():
     """Mirror symmetry for a twisted simple-projective source at p = 3,
-    d = 2.  This runs on a 46656-dimensional tensor space, with the Schur
-    target built against the fallback generator set, and may take hours."""
+    d = 2.  This runs on a 46656-dimensional tensor space and may take
+    hours."""
     with criterion("Stretch simple-projective source at D=6", 6 * 3600):
         rep = duality_check("simple(1,1)", "schur(2,2,2)", 3, i=1)
         assert rep.window == 8

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from spfext import cache as ca
 from spfext.homology import clear_resolution_memo, ext, ext_dims, resolve_expression
@@ -14,6 +15,16 @@ def test_matrix_digit_round_trip():
         payload = ca.encode_matrix(mat, p)
         back = ca.decode_matrix(payload, p)
         assert (back == mat).all()
+
+
+def test_matrix_round_trip_two_digit_field():
+    mat = np.array([[10, 0, 3], [1, 10, 7]], dtype=np.int64)
+    payload = ca.encode_matrix(mat, 11)
+    assert payload["data"] == ["100003", "011007"]
+    assert (ca.decode_matrix(payload, 11) == mat).all()
+    payload["data"][1] = "01100"
+    with pytest.raises(ValueError):
+        ca.decode_matrix(payload, 11)
 
 
 def test_cache_key_stability():

@@ -179,3 +179,28 @@ def test_resolve_refuses_zero_twist(capsys):
     code, _, _ = run_cli(capsys, "resolve", "--expr", "twist(I,1)",
                          "--p", "2", "--i", "0")
     assert code == 3
+
+
+def test_ext_cache_round_trip_at_two_digit_prime(capsys, tmp_path,
+                                                monkeypatch):
+    from spfext.cache import ResolutionCache
+    from spfext.homology import clear_resolution_memo
+    loaded = []
+    load = ResolutionCache.load
+
+    def spy(self, *args):
+        loaded.append(load(self, *args))
+        return loaded[-1]
+
+    monkeypatch.setattr(ResolutionCache, "load", spy)
+    argv = ("ext", "--p", "11", "--src", "I*I", "--tgt", "S(2)",
+            "--cache-dir", str(tmp_path))
+    clear_resolution_memo()
+    cold = run_cli(capsys, *argv)
+    assert cold[0] == 0
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    clear_resolution_memo()
+    warm = run_cli(capsys, *argv)
+    clear_resolution_memo()
+    assert loaded[0] is None and loaded[-1] is not None
+    assert warm == cold

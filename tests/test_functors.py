@@ -99,7 +99,7 @@ def test_weight_multiplicities_sum_to_dim():
 
 def test_sampled_action_associativity():
     mod = evaluate("G(2)*I", 2)
-    refs = mod.space.spanning_refs()
+    refs = [("xi", key) for key in mod.space.full_basis_keys()]
     rng = np.random.default_rng(0)
     vecs = rng.integers(0, 2, size=(3, mod.dim))
     for _ in range(50):
@@ -250,6 +250,34 @@ def test_equivariance_checker_catches_garbage():
     bad[0, 1] = 1
     with pytest.raises(EquivarianceError):
         check_equivariance(bad, src, tgt)
+
+
+def test_equivariance_checker_catches_weight_preserving_map_d4():
+    # the weight idempotent of (1,1,1,1) keeps every weight space but does
+    # not commute with the root movers
+    mod = evaluate("I*I*I*I", 2)
+    idem = mod.action_matrix(("xi", mod.space.weight_key((1, 1, 1, 1))))
+    bad = idem.toarray() if hasattr(idem, "toarray") else idem
+    for comp in compositions(4, 4):
+        rows, _ = mod.weight_basis(comp)
+        assert fp.rank(np.vstack([rows, fp.matmul(rows, bad.T, 2)]), 2) \
+            == rows.shape[0]
+    with pytest.raises(EquivarianceError):
+        check_equivariance(bad, mod, mod)
+
+
+def test_equivariance_check_visits_every_generator(monkeypatch):
+    mod = evaluate("I*I*I*I", 2)
+    seen = set()
+    action = mod.action_matrix
+
+    def spy(ref):
+        seen.add(ref)
+        return action(ref)
+
+    monkeypatch.setattr(mod, "action_matrix", spy)
+    check_equivariance(np.eye(mod.dim, dtype=np.int64), mod, mod)
+    assert seen == set(mod.space.generator_refs())
 
 
 # -- Schur, Weyl, simple ------------------------------------------------------

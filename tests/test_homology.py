@@ -213,10 +213,17 @@ def test_library_refuses_bad_field_and_twist():
 
 
 def test_ext_above_full_basis_limit():
-    # S(5, 5) has more xi-basis elements than FULL_BASIS_LIMIT
-    from spfext.tensorspace import FULL_BASIS_LIMIT, get_space
-    assert get_space(2, 5, 5).schur_dimension() > FULL_BASIS_LIMIT
     assert ext("G(5)", "S(5)", 2).dims == [1, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2)])
+def test_friedlander_suslin_twisted_identity(p, r):
+    # Ext^*(I^(r), I^(r)) is F_p in the even degrees 0, 2, ..., 2p^r - 2
+    # (Friedlander-Suslin, Invent. Math. 127, 1997)
+    top = 2 * p ** r - 2
+    expected = [1 if s % 2 == 0 else 0 for s in range(top + 1)]
+    twist = f"twist(I,{r})"
+    assert ext(twist, twist, p, i=r).dims == expected
 
 
 def test_generator_selection_pinned():

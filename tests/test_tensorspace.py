@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from spfext import fp
 from spfext.tensorspace import (TensorSpace, compositions, distinct_permutations,
                                 flip_ref, get_space, key_col_content,
                                 key_row_content, xi_key)
@@ -94,11 +95,15 @@ def test_place_permutation_group_law():
     assert (composed == direct).all()
 
 
+def _xi_basis(ts):
+    return [("xi", key) for key in ts.full_basis_keys()]
+
+
 @pytest.mark.parametrize("n,count", [(2, 10), (3, 165), (4, 3876)])
 def test_spanning_set_counts(n, count):
     ts = get_space(2, n, n)
     assert ts.schur_dimension() == count
-    assert len(ts.spanning_refs()) == count
+    assert len(_xi_basis(ts)) == count
 
 
 def test_xi_commutes_with_place_permutations_small():
@@ -106,7 +111,7 @@ def test_xi_commutes_with_place_permutations_small():
         ts = get_space(p, n, n)
         perms = [ts.place_permutation(s).matrix.tocsr()
                  for s in _transpositions(n)]
-        for ref in ts.spanning_refs():
+        for ref in _xi_basis(ts):
             a = ts.matrix(ref)
             for perm in perms:
                 left = (perm @ a).toarray() % p
@@ -116,7 +121,7 @@ def test_xi_commutes_with_place_permutations_small():
 
 def test_xi_commutes_with_place_permutations_sampled_d4():
     ts = get_space(2, 4, 4)
-    refs = ts.spanning_refs()[::19]
+    refs = _xi_basis(ts)[::19]
     perm = ts.place_permutation((1, 0, 2, 3)).matrix.tocsr()
     cycle = ts.place_permutation((1, 2, 3, 0)).matrix.tocsr()
     for ref in refs:
@@ -137,9 +142,8 @@ def _transpositions(n):
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 3)])
 def test_span_rank_equals_schur_dimension(p, n):
     ts = get_space(p, n, n)
-    from spfext import fp
     flat = np.stack([ts.matrix(ref).toarray().reshape(-1)
-                     for ref in ts.spanning_refs()])
+                     for ref in _xi_basis(ts)])
     assert fp.rank(flat, p) == ts.schur_dimension()
 
 
@@ -148,7 +152,7 @@ def test_sampled_products_stay_orbit_constant_d4():
     basis elements are constant on orbits of index pairs, i.e. lie in the
     span of the basis."""
     ts = get_space(2, 4, 4)
-    refs = ts.spanning_refs()
+    refs = _xi_basis(ts)
     sample = [refs[13], refs[517], refs[1999], refs[3131]]
     letters = ts.letters
     for r1 in sample:
@@ -161,6 +165,41 @@ def test_sampled_products_stay_orbit_constant_d4():
                     assert seen[key] == v
                 else:
                     seen[key] = v
+
+
+def _generated_span(ts):
+    """RREF rows of the algebra generated by `generator_refs`: close the
+    span of the generators under left multiplication by them."""
+    p = ts.p
+    gens = [ts.matrix(ref) for ref in ts.generator_refs()]
+    rows, _ = fp.basis_rows(
+        np.stack([g.toarray().reshape(-1) for g in gens]), p)
+    while True:
+        prods = [(g @ row.reshape(ts.dim, ts.dim)).reshape(-1) % p
+                 for g in gens for row in rows]
+        grown, _ = fp.basis_rows(np.vstack([rows] + prods), p)
+        if grown.shape[0] == rows.shape[0]:
+            return rows
+        rows = grown
+
+
+@pytest.mark.parametrize("p,n,D", [(2, 2, 2), (3, 3, 3), (2, 3, 3)])
+def test_generators_generate_the_schur_algebra(p, n, D):
+    ts = get_space(p, n, D)
+    generated = _generated_span(ts)
+    basis, _ = fp.basis_rows(
+        np.stack([ts.matrix(ref).toarray().reshape(-1)
+                  for ref in _xi_basis(ts)]), p)
+    assert generated.shape[0] == ts.schur_dimension()
+    assert (generated == basis).all()  # RREF is canonical: equal spans
+
+
+@pytest.mark.parametrize("n,count", [(2, 7), (3, 28), (4, 83)])
+def test_generator_count(n, count):
+    ts = get_space(2, n, n)
+    refs = ts.generator_refs()
+    assert len(refs) == len(compositions(n, n)) + n * (n - 1) * n == count
+    assert len(set(refs)) == count
 
 
 def test_flip_ref():
@@ -213,20 +252,13 @@ def test_xi_element_contents_and_canonical_rep():
 
 def test_xi_products_associative_spot_check():
     ts = get_space(2, 2, 2)
-    refs = ts.spanning_refs()
+    refs = _xi_basis(ts)
     trip = [(refs[1], refs[4], refs[7]), (refs[0], refs[5], refs[9])]
     for r1, r2, r3 in trip:
         a, b, c = (ts.matrix(r) for r in (r1, r2, r3))
         left = ((a @ b) @ c).toarray() % 2
         right = (a @ (b @ c)).toarray() % 2
         assert (left == right).all()
-
-
-def test_spanning_operators_wrap_fpmatrix():
-    ts = get_space(2, 2, 2)
-    ops = ts.spanning_operators()
-    assert len(ops) == 10
-    assert all(op.matrix.is_sparse for op in ops)
 
 
 def test_weight_idempotents_orthogonal():
