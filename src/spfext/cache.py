@@ -1,11 +1,12 @@
 """On-disk resolution cache with content-addressed keys.
 
-Entries are JSON files named by the digest of their context (p, n,
-degree, canonical expression, depth, sweep, schema version).  Matrices
-are stored as rows of digit strings, each entry a fixed-width run of
-len(str(p - 1)) decimal digits, which round-trip bit exactly and diff
-cleanly.  Writes go through a temporary file and a rename so concurrent
-runs never observe torn entries.
+Entries are JSON files named by the digest of their context (p, n, the
+expression the source shape renders to, depth, sweep, schema version),
+so every spelling of one module shares an entry.  Matrices are stored
+as rows of digit strings, each entry a fixed-width run of len(str(p - 1))
+decimal digits, which round-trip bit exactly and diff cleanly.  Writes
+go through a temporary file and a rename so concurrent runs never
+observe torn entries; a load that finds a damaged entry reports a miss.
 """
 
 from __future__ import annotations
@@ -56,9 +57,13 @@ def decode_matrix(payload: dict, p: int) -> np.ndarray:
                                  for line in lines):
         raise ValueError("corrupt matrix row in cache entry")
     digits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
-    entries = (digits - ord("0")).astype(np.int64).reshape(rows, cols,
-                                                           place.size)
-    return (entries @ place) % p
+    digits = digits - np.uint8(ord("0"))  # any other character wraps above 9
+    if (digits > 9).any():
+        raise ValueError("non-digit character in cache entry")
+    entries = digits.astype(np.int64).reshape(rows, cols, place.size) @ place
+    if (entries >= p).any():
+        raise ValueError(f"cache entry outside F_{p}")
+    return entries
 
 
 def _comp_str(comp: tuple[int, ...]) -> str:
@@ -94,6 +99,9 @@ def resolution_payload(res) -> dict:
 
 
 def resolution_from_payload(payload: dict):
+    """The resolution a payload stores.  Each block's shape is checked
+    against the weight groups of its source and target stage, which the
+    rebuilt stages already carry; a mismatch raises ValueError."""
     from .functors import evaluate
     from .homology import Resolution, Stage, Summand, gamma_shape
 
@@ -110,9 +118,23 @@ def resolution_from_payload(payload: dict):
             summands.append(Summand(lam, shape, offset))
             offset += shape.dim
         stages.append(Stage(summands, p, n))
-    diffs = [{_comp_parse(comp): decode_matrix(block, p)
-              for comp, block in stage_diff.items()}
-             for stage_diff in payload["diffs"]]
+    if len(payload["diffs"]) != len(stages):
+        raise ValueError("cache entry has not one differential per stage")
+    diffs = []
+    rows_groups = module.content_groups()
+    for stage, stage_diff in zip(stages, payload["diffs"]):
+        diff = {_comp_parse(comp): decode_matrix(block, p)
+                for comp, block in stage_diff.items()}
+        if set(diff) != set(stage.groups):
+            raise ValueError("cache entry's blocks miss the stage's weights")
+        for comp, block in diff.items():
+            above = rows_groups.get(comp)
+            want = (0 if above is None else above.size, stage.groups[comp].size)
+            if block.shape != want:
+                raise ValueError(f"cache block {comp} has shape {block.shape}, "
+                                 f"the stages give {want}")
+        diffs.append(diff)
+        rows_groups = stage.groups
     res = Resolution(source=ctx["expression"], p=p, n=n, module=module,
                      stages=stages, diffs=diffs, depth=ctx["depth"],
                      sweep=ctx["sweep"], truncated=payload["truncated"])
@@ -132,14 +154,22 @@ class ResolutionCache:
         return self.directory / f"{cache_key(context)}.json"
 
     def load(self, source: str, p: int, n: int, depth: int, sweep: str):
-        path = self.path_for(resolution_context(source, p, n, depth, sweep))
+        """The stored resolution, or None on a miss.  A damaged entry (bad
+        JSON, another context, a malformed or misshapen block) is a miss,
+        so the caller recomputes it and the store overwrites the file."""
+        context = resolution_context(source, p, n, depth, sweep)
+        path = self.path_for(context)
         if not path.exists():
             return None
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("version") != SCHEMA_VERSION:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+            if (payload.get("version") != SCHEMA_VERSION
+                    or payload.get("context") != context):
+                return None
+            return resolution_from_payload(payload)
+        except (ValueError, KeyError):
             return None
-        return resolution_from_payload(payload)
 
     def store(self, res) -> Path:
         payload = resolution_payload(res)

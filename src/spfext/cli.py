@@ -16,7 +16,7 @@ from . import young
 from .cache import ENV_CACHE_DIR, default_cache_dir
 from .errors import (AdmissibilityError, BudgetExceededError, DegreeMismatchError,
                      ParseError, SemanticError, UnsupportedExpressionError)
-from .functors import as_node, check_field, degree
+from .functors import as_node, canon, check_field, degree
 from .homology import default_depth, ext, resolve_expression
 from .suites import SUITE_NAMES, run_suite
 
@@ -202,14 +202,16 @@ def cmd_resolve(args) -> int:
     res = resolve_expression(node, p, depth, sweep=args.sweep,
                              budget=args.mem_budget,
                              cache_dir=default_cache_dir(args.cache_dir))
+    # the user's spelling: a shared resolution may carry another one
+    source = canon(node)
     terms = [[young.format_partition(lam) for lam in stage]
              for stage in res.term_partitions()]
     if args.format == "json":
-        print(json.dumps({"source": res.source, "p": res.p, "depth": res.depth,
+        print(json.dumps({"source": source, "p": res.p, "depth": res.depth,
                           "terms": terms, "truncated": res.truncated},
                          sort_keys=True))
     else:
-        print(f"resolution of {res.source} over F_{res.p}, depth {res.depth}")
+        print(f"resolution of {source} over F_{res.p}, depth {res.depth}")
         for s, stage in enumerate(terms):
             body = " + ".join(f"G({t})" for t in stage) if stage else "0"
             print(f"  P_{s} = {body}")

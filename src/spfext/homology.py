@@ -172,16 +172,21 @@ class Resolution:
 DEFAULT_MEM_BUDGET = 1 << 31
 
 
+def _shape_source(module: ModuleRep) -> ShapeModule:
+    if not isinstance(module, ShapeModule):
+        raise UnsupportedExpressionError(
+            "resolution sources must lie in the substitution fragment")
+    return module
+
+
 def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
-            budget: int | None = None, source: str = "?") -> Resolution:
+            budget: int | None = None) -> Resolution:
     """Projective resolution of a shape module to the requested depth.
 
     Exactness of every computed stage and d o d = 0 are verified block
     by block as the stages are built; violations raise immediately.
     """
-    if not isinstance(module, ShapeModule):
-        raise UnsupportedExpressionError(
-            "resolution sources must lie in the substitution fragment")
+    _shape_source(module)
     if depth < 0:
         raise SemanticError("depth must be nonnegative")
     p, n = module.p, module.n
@@ -192,8 +197,8 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
         raise SemanticError(f"unknown sweep {sweep!r}")
     budget = DEFAULT_MEM_BUDGET if budget is None else budget
 
-    res = Resolution(source=source, p=p, n=n, module=module, stages=[],
-                     diffs=[], depth=depth, sweep=sweep)
+    res = Resolution(source=module.expression(), p=p, n=n, module=module,
+                     stages=[], diffs=[], depth=depth, sweep=sweep)
     prev: ShapeModule | Stage = module
     groups = module.content_groups()
     kernel_blocks = {c: fp.identity(len(ix))
@@ -288,11 +293,14 @@ def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
                        budget: int | None = None,
                        cache_dir: str | None = None) -> Resolution:
     """Resolve the module of an expression, memoized in-process and
-    optionally backed by the on-disk cache."""
-    check_field(p)
-    node = as_node(expr)
-    name = canon(node)
-    key = (name, p, depth, sweep, budget)
+    optionally backed by the on-disk cache.
+
+    Both are keyed on the evaluated shape, so every spelling of one module
+    (twist(I*I,1) and twist(I,1)*twist(I,1), or I*I and S(1)*S(1)) shares
+    one entry; the resolution's source is the shape's own expression.
+    """
+    module = _shape_source(evaluate(as_node(expr), p))
+    key = (p, module.n, module.blocks, module.m, depth, sweep, budget)
     with _RES_GUARD:
         hit = _RES_CACHE.get(key)
         if hit is not None:
@@ -303,15 +311,14 @@ def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
             hit = _RES_CACHE.get(key)
             if hit is not None:
                 return hit
-        module = evaluate(node, p)
         res = None
         store = None
         if cache_dir is not None:
             from . import cache as cache_mod
             store = cache_mod.ResolutionCache(cache_dir)
-            res = store.load(name, p, module.n, depth, sweep)
+            res = store.load(module.expression(), p, module.n, depth, sweep)
         if res is None:
-            res = resolve(module, depth, sweep=sweep, budget=budget, source=name)
+            res = resolve(module, depth, sweep=sweep, budget=budget)
             if store is not None and not res.truncated:
                 store.store(res)
         with _RES_GUARD:

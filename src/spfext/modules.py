@@ -368,16 +368,19 @@ class ShapeModule(ModuleRep):
                 self._action_cache[ref] = mat
         return mat
 
-    def describe(self) -> str:
+    def expression(self) -> str:
+        """The shape as a fragment expression that evaluates back to it:
+        a one-letter block prints as I, a twisted block as twist(...,t),
+        and m > 1 wraps the product in param(...,m)."""
         parts = []
         for kind, size, twist in self.blocks:
-            tag = f"{kind}^{size}"
+            tag = "I" if size == 1 else f"{kind}({size})"
             if twist:
-                tag += f"({twist})"
+                tag = f"twist({tag},{twist})"
             parts.append(tag)
         shape = "*".join(parts)
         if self.m > 1:
-            shape += f"[m={self.m}]"
+            shape = f"param({shape},{self.m})"
         return shape
 
 
@@ -493,33 +496,23 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
         wt = tgt.weight_dim(comp)
         if ws and wt:
             blocks.append((tuple(comp), ws, wt))
-    nvars = sum(ws * wt for _, ws, wt in blocks)
-    if nvars == 0:
+    if not blocks:
         return []
 
-    src_hat = {}
-    tgt_rows = {}
+    # the map with a single 1 at entry (i, j) of a weight block is the
+    # outer product of target weight row i and source weight projector row j
+    mats = []
     for comp, ws, wt in blocks:
-        rows, pivots = src.weight_basis(comp)
+        pivots = src.weight_basis(comp)[1]
         idem = ("xi", src.space.weight_key(comp))
         proj = src.apply_ref(idem, fp.identity(src.dim)).T  # column action
-        src_hat[comp] = proj[list(pivots), :]  # (ws, src.dim)
-        tgt_rows[comp] = tgt.weight_basis(comp)[0]
-
-    def assemble(y: np.ndarray) -> np.ndarray:
-        x = fp.zeros(tgt.dim, src.dim)
-        off = 0
-        for comp, ws, wt in blocks:
-            blk = y[off: off + ws * wt].reshape(wt, ws)
-            off += ws * wt
-            x = (x + fp.matmul(fp.matmul(tgt_rows[comp].T, blk, p),
-                               src_hat[comp], p)) % p
-        return x
-
-    kernel = fp.identity(nvars)
-    mats = [assemble(kernel[k]) for k in range(nvars)]
+        src_hat = proj[list(pivots), :]  # (ws, src.dim)
+        tgt_rows = tgt.weight_basis(comp)[0]  # (wt, tgt.dim)
+        outer = tgt_rows[:, None, :, None] * src_hat[None, :, None, :]
+        mats.append(outer.reshape(wt * ws, tgt.dim, src.dim) % p)
+    mats = np.concatenate(mats)
     for ref in src.space.generator_refs():
-        if kernel.shape[0] == 0:
+        if len(mats) == 0:
             break
         if ref[0] == "xi":
             continue  # a weight idempotent: the weight blocks satisfy it
@@ -538,11 +531,13 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
             cols.append(((xa - ax) % p).reshape(-1))
         resid = np.stack(cols, axis=1)
         coeffs = fp.kernel_basis(resid, p)
-        if coeffs.shape[0] == kernel.shape[0]:
+        if coeffs.shape[0] == len(mats):
             continue
-        kernel = fp.matmul(coeffs, kernel, p)
-        mats = [assemble(kernel[k]) for k in range(kernel.shape[0])]
-    return mats
+        # maps depend linearly on their weight-block entries, so the
+        # surviving maps are the kernel coefficients times the current ones
+        mats = fp.matmul(coeffs, mats.reshape(len(mats), -1), p).reshape(
+            -1, tgt.dim, src.dim)
+    return list(mats)
 
 
 def check_equivariance(matrix: np.ndarray, src: ModuleRep,

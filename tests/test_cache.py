@@ -86,3 +86,65 @@ def test_env_override(monkeypatch, tmp_path):
     monkeypatch.delenv(ca.ENV_CACHE_DIR)
     assert ca.default_cache_dir("/elsewhere") == "/elsewhere"
     assert ca.default_cache_dir(None) is None
+
+
+def test_spellings_of_one_module_share_a_resolution():
+    clear_resolution_memo()
+    tensor = resolve_expression("twist(I,1)*twist(I,1)", 2, 2)
+    assert resolve_expression("twist(I*I,1)", 2, 2) is tensor
+    assert tensor.source == "twist(I,1)*twist(I,1)"
+    assert resolve_expression("S(1)*S(1)", 2, 2) is resolve_expression("I*I", 2, 2)
+    clear_resolution_memo()
+
+
+def test_spellings_share_one_cache_file_per_sweep(tmp_path):
+    clear_resolution_memo()
+    tables = {}
+    for sweep in ("dominance", "reversed"):
+        for src in ("twist(I,1)*twist(I,1)", "twist(I*I,1)"):
+            tables[sweep, src] = ext(src, "S(4)", 2, depth=2, sweep=sweep,
+                                     cache_dir=str(tmp_path)).dims
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == 2
+    contexts = [json.loads(f.read_text(encoding="utf-8"))["context"]
+                for f in files]
+    assert {c["expression"] for c in contexts} == {"twist(I,1)*twist(I,1)"}
+    assert {c["sweep"] for c in contexts} == {"dominance", "reversed"}
+    assert len(set(map(tuple, tables.values()))) == 1
+    clear_resolution_memo()
+
+
+def _drop_last_column(payload):
+    block = next(b for diff in payload["diffs"] for b in diff.values()
+                 if b["cols"])
+    block["cols"] -= 1
+    block["data"] = [line[:-1] for line in block["data"]]
+    return json.dumps(payload)
+
+
+def _letter_in_block(payload):
+    block = next(b for diff in payload["diffs"] for b in diff.values()
+                 if b["rows"] and b["cols"])
+    block["data"][0] = "x" + block["data"][0][1:]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_last_column, _letter_in_block,
+    lambda payload: json.dumps(payload)[:-40],
+    lambda payload: json.dumps(dict(payload, context=dict(
+        payload["context"], expression="twist(I,2)")))])
+def test_damaged_entry_is_recomputed(tmp_path, corrupt):
+    clear_resolution_memo()
+    cold = ext("twist(I,1)", "G(2)", 2, cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(corrupt(payload), encoding="utf-8")
+    store = ca.ResolutionCache(tmp_path)
+    assert store.load("twist(I,1)", 2, 2, 3, "dominance") is None
+    clear_resolution_memo()
+    again = ext("twist(I,1)", "G(2)", 2, cache_dir=str(tmp_path))
+    assert again.payload() == cold.payload()
+    # the recomputed resolution overwrote the damaged file
+    assert store.load("twist(I,1)", 2, 2, 3, "dominance") is not None
+    clear_resolution_memo()

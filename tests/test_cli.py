@@ -204,3 +204,17 @@ def test_ext_cache_round_trip_at_two_digit_prime(capsys, tmp_path,
     clear_resolution_memo()
     assert loaded[0] is None and loaded[-1] is not None
     assert warm == cold
+
+
+def test_resolve_prints_the_users_spelling(capsys):
+    from spfext.homology import clear_resolution_memo
+    clear_resolution_memo()
+    for expr in ("twist(I,1)*twist(I,1)", "twist(I*I,1)"):
+        code, out, _ = run_cli(capsys, "resolve", "--expr", expr, "--p", "2",
+                               "--depth", "1")
+        assert code == 0
+        assert out.splitlines()[0] == f"resolution of {expr} over F_2, depth 1"
+        code, out, _ = run_cli(capsys, "resolve", "--expr", expr, "--p", "2",
+                               "--depth", "1", "--format", "json")
+        assert json.loads(out)["source"] == expr
+    clear_resolution_memo()

@@ -359,3 +359,78 @@ def test_frobenius_substitute_entry_point():
     mod = frobenius_substitute("I", 2, 2)
     assert mod.dim == 4
     assert all(max(c) == 4 for c in mod.character())
+
+
+def test_shape_expression_round_trip():
+    cases = {"twist(I*I,1)": "twist(I,1)*twist(I,1)",
+             "twist(I,1)": "twist(I,1)",
+             "S(1)*L(2)": "I*L(2)",
+             "G(1,1)": "I*I",
+             "param(twist(G(2),1),2)": "param(twist(G(2),1),2)",
+             "param(I,2)*param(S(2),2)": "param(I*S(2),2)",
+             "twist(S(2),1)*I": "twist(S(2),1)*I"}
+    for text, rendered in cases.items():
+        mod = evaluate(text, 2)
+        assert mod.expression() == rendered
+        back = evaluate(rendered, 2)
+        assert (back.blocks, back.m, back.n) == (mod.blocks, mod.m, mod.n)
+
+
+def _hom_space_by_assembly(src, tgt):
+    """hom_space as it was first written: after every kernel cut, each
+    surviving coefficient vector is assembled into its map anew."""
+    p = src.p
+    blocks = []
+    for comp in compositions(src.D, src.n):
+        ws, wt = src.weight_dim(comp), tgt.weight_dim(comp)
+        if ws and wt:
+            blocks.append((tuple(comp), ws, wt))
+    src_hat, tgt_rows = {}, {}
+    for comp, _, _ in blocks:
+        pivots = src.weight_basis(comp)[1]
+        idem = ("xi", src.space.weight_key(comp))
+        proj = src.apply_ref(idem, fp.identity(src.dim)).T
+        src_hat[comp] = proj[list(pivots), :]
+        tgt_rows[comp] = tgt.weight_basis(comp)[0]
+
+    def assemble(y):
+        x = fp.zeros(tgt.dim, src.dim)
+        off = 0
+        for comp, ws, wt in blocks:
+            blk = y[off: off + ws * wt].reshape(wt, ws)
+            off += ws * wt
+            x = (x + fp.matmul(fp.matmul(tgt_rows[comp].T, blk, p),
+                               src_hat[comp], p)) % p
+        return x
+
+    kernel = fp.identity(sum(ws * wt for _, ws, wt in blocks))
+    mats = [assemble(row) for row in kernel]
+    for ref in src.space.generator_refs():
+        if ref[0] == "xi" or kernel.shape[0] == 0:
+            continue
+        a_src = src.action_matrix(ref)
+        a_src = a_src.toarray() if hasattr(a_src, "toarray") else a_src
+        a_tgt = tgt.action_matrix(ref)
+        a_tgt = a_tgt.toarray() if hasattr(a_tgt, "toarray") else a_tgt
+        resid = np.stack([((fp.matmul(x, a_src, p) - fp.matmul(a_tgt, x, p))
+                           % p).reshape(-1) for x in mats], axis=1)
+        coeffs = fp.kernel_basis(resid, p)
+        if coeffs.shape[0] < kernel.shape[0]:
+            kernel = fp.matmul(coeffs, kernel, p)
+            mats = [assemble(row) for row in kernel]
+    return mats
+
+
+@pytest.mark.parametrize("src,tgt,p", [
+    ("I*I", "S(2)", 2), ("I*I", "I*I", 3), ("I*I*I", "S(2)*I", 2),
+    ("G(2)*I", "S(3)", 3), ("L(2)*I", "I*I*I", 3), ("weyl(2,1)", "schur(2,1)", 2),
+    ("schur(2,1)", "dual(schur(2,1))", 3)])
+def test_hom_space_matches_assembly_reference(src, tgt, p):
+    """Rebuilding the maps linearly after a kernel cut gives the very same
+    basis, entry for entry, as assembling each one again."""
+    got = hom_space(evaluate(src, p), evaluate(tgt, p))
+    want = _hom_space_by_assembly(evaluate(src, p), evaluate(tgt, p))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        assert a.shape == b.shape and (a == b).all()

@@ -1,0 +1,56 @@
+"""Property tests on small random parameters (degree <= 3, p in {2, 3}):
+Ext tables do not depend on the sweep order that picks generators, and
+twisted projective sources satisfy the mirror duality."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from spfext import young  # noqa: E402
+from spfext.homology import duality_check, ext  # noqa: E402
+
+
+@st.composite
+def fragment(draw, p: int, degree: int) -> str:
+    """A product of G/S/L atoms, possibly with one twisted identity letter."""
+    parts = []
+    left = degree
+    if left >= p and draw(st.booleans()):
+        parts.append("twist(I,1)")
+        left -= p
+    while left:
+        size = draw(st.integers(1, left))
+        parts.append(f"{draw(st.sampled_from('GSL'))}({size})")
+        left -= size
+    return "*".join(parts)
+
+
+def target(p: int, degree: int):
+    labels = st.sampled_from(young.partitions_of(degree)).map(
+        lambda lam: ",".join(map(str, lam)))
+    return st.one_of(
+        fragment(p, degree),
+        fragment(p, degree).map(lambda e: f"dual({e})"),
+        st.tuples(st.sampled_from(("schur", "weyl", "simple")), labels).map(
+            lambda kl: f"{kl[0]}({kl[1]})"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_ext_is_sweep_independent(data):
+    p = data.draw(st.sampled_from((2, 3)), label="p")
+    degree = data.draw(st.integers(1, 3), label="degree")
+    src = data.draw(fragment(p, degree), label="source")
+    tgt = data.draw(target(p, degree), label="target")
+    assert (ext(src, tgt, p, sweep="dominance").dims
+            == ext(src, tgt, p, sweep="reversed").dims)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_mirror_duality_for_twisted_identity(data):
+    p = data.draw(st.sampled_from((2, 3)), label="p")
+    tgt = data.draw(target(p, p), label="target")
+    report = duality_check("I", tgt, p, i=1)
+    assert report.passed, (report.forward, report.backward)
