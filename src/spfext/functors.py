@@ -29,7 +29,8 @@ from . import fp, young
 from .errors import (ParseError, SemanticError, SpfextError,
                      UnsupportedExpressionError)
 from .modules import (Block, DualModule, ModuleRep, ShapeModule, SubmoduleModule,
-                      TensorModule, check_equivariance, hom_space)
+                      TensorModule, canonical_blocks, check_equivariance,
+                      hom_space)
 from .tensorspace import distinct_permutations
 
 MAX_PARAM = 2
@@ -259,7 +260,7 @@ _cache_lock = threading.RLock()
 
 
 def shape_module(p: int, n: int, blocks: tuple[Block, ...], m: int = 1) -> ShapeModule:
-    key = (p, n, blocks, m)
+    key = (p, n, canonical_blocks(blocks), m)
     with _cache_lock:
         if key not in _shape_cache:
             _shape_cache[key] = ShapeModule(p, n, blocks, m)

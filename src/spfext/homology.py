@@ -78,6 +78,14 @@ class Stage:
             for comp, local in s.shape.content_groups().items():
                 groups.setdefault(comp, []).append(local + s.offset)
         self.groups = {c: np.concatenate(parts) for c, parts in groups.items()}
+        self._proj: sparse.csr_matrix | None = None
+
+    def project_matrix(self) -> sparse.csr_matrix:
+        """The summands' projections down the diagonal, built once."""
+        if self._proj is None:
+            self._proj = sparse.block_diag(
+                [s.shape.project_matrix() for s in self.summands], format="csr")
+        return self._proj
 
     def partitions(self) -> list[tuple[int, ...]]:
         return [s.partition for s in self.summands]
@@ -123,8 +131,7 @@ def yoneda_images(level: ModuleRep | Stage, comp: tuple[int, ...],
     amb = np.concatenate(
         [((piece.lift_matrix() @ v[off: off + piece.dim]) % p)
          .reshape(piece._u_total, nD).T for piece, off in pieces], axis=1)
-    proj = sparse.block_diag([piece.project_matrix() for piece, _ in pieces],
-                             format="csr")
+    proj = level.project_matrix()
     for t, word in enumerate(words):
         acted = (shape.space.matrix(word) @ amb) % p
         out[:, t] = (proj @ acted.T.reshape(-1)) % p

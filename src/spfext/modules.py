@@ -5,8 +5,14 @@ rule for applying operator refs to batches of row vectors.  The
 workhorse is ShapeModule: a product of divided/symmetric/exterior power
 blocks over an alphabet of (parameter, basis-vector) letters, each
 letter occupying p^twist tensor slots.  Such modules carry explicit
-sparse lift/project maps to tensor space, so the algebra action is
-(project) o (tensor-space operator) o (lift).
+sparse lift/project maps to tensor space, both read off one numpy decode
+of the ambient basis, so the algebra action is (project) o (tensor-space
+operator) o (lift).
+
+generator_action stacks the action of every Schur-algebra generator into
+one sparse matrix (for a shape module, three products against the
+stacked generator matrices), and check_equivariance proves a map
+equivariant with one product against that stack.
 
 Duals act through the flip anti-automorphism, submodules through an
 RREF basis of a stable subspace, and binary tensor products through
@@ -16,15 +22,14 @@ splitting operator orbits across the two factors.
 from __future__ import annotations
 
 import threading
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 from scipy import sparse
 
 from . import fp
 from .errors import BudgetExceededError, EquivarianceError
-from .tensorspace import (OpRef, compositions, distinct_permutations,
-                          flip_ref, get_space)
+from .tensorspace import OpRef, compositions, flip_ref, get_space
 
 AMBIENT_CAP = 1 << 22
 
@@ -33,6 +38,24 @@ AMBIENT_CAP = 1 << 22
 _ACTION_CACHE_DIM = 220
 
 Block = tuple[str, int, int]  # (kind in {G, S, L}, size, twist order)
+
+
+def canonical_blocks(blocks) -> tuple[Block, ...]:
+    """Blocks as a ShapeModule stores them: a one-letter block is G."""
+    return tuple(("G" if size == 1 else kind, size, twist)
+                 for kind, size, twist in blocks)
+
+
+def diagonal_copies(a, copies: int) -> sparse.csr_matrix:
+    """kron(I_copies, a): `copies` copies of a down the diagonal, built
+    straight from a's CSR arrays."""
+    a = sparse.csr_matrix(a)
+    rows, cols = a.shape
+    shift = np.arange(copies)[:, None]
+    indptr = np.concatenate([[0], (a.indptr[1:] + shift * a.nnz).reshape(-1)])
+    return sparse.csr_matrix(
+        (np.tile(a.data, copies), (a.indices + shift * cols).reshape(-1), indptr),
+        shape=(copies * rows, copies * cols))
 
 
 class ModuleRep:
@@ -67,6 +90,14 @@ class ModuleRep:
             with self._lock:
                 self._action_cache[ref] = mat
         return mat
+
+    def generator_action(self) -> tuple[list[OpRef], sparse.csr_matrix]:
+        """(refs, A) for refs = space.generator_refs(): A stacks the action
+        matrices, so rows g*dim .. (g+1)*dim - 1 are action_matrix(refs[g])."""
+        refs = self.space.generator_refs()
+        return refs, sparse.vstack(
+            [sparse.csr_matrix(self.action_matrix(ref)) for ref in refs],
+            format="csr")
 
     def weight_basis(self, comp: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
         """RREF rows (and pivots) spanning the weight space of `comp`."""
@@ -109,21 +140,6 @@ def _block_basis(kind: str, size: int, alphabet: int) -> list[tuple[int, ...]]:
     raise ValueError(f"unknown block kind {kind!r}")
 
 
-def _sort_with_sign(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Sort, counting inversions; None when a letter repeats."""
-    arr = list(letters)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and arr[j - 1] == arr[j]:
-            return None
-    return tuple(arr), sign
-
-
 class ShapeModule(ModuleRep):
     """A product of power blocks evaluated on (k^m (x) E), E = k^n.
 
@@ -134,8 +150,7 @@ class ShapeModule(ModuleRep):
     """
 
     def __init__(self, p: int, n: int, blocks: tuple[Block, ...], m: int = 1):
-        blocks = tuple(("G" if size == 1 else kind, size, twist)
-                       for kind, size, twist in blocks)
+        blocks = canonical_blocks(blocks)
         D = sum(size * p ** twist for _, size, twist in blocks)
         self.blocks = blocks
         self.m = m
@@ -214,116 +229,81 @@ class ShapeModule(ModuleRep):
         rows[np.arange(idxs.size), idxs] = 1
         return rows, tuple(int(i) for i in idxs)
 
-    # ambient encoding ----------------------------------------------------
+    # tensor-space bridge -------------------------------------------------
 
-    def _ambient_index(self, letters: tuple[int, ...]) -> int:
-        """Ambient index of a full letter arrangement (one entry per letter)."""
-        u_idx = 0
-        e_idx = 0
+    def _build_bridge(self) -> None:
+        """Build the lift and the projection from one decode of the ambient.
+
+        An ambient index is a parameter digit per letter (base m) followed
+        by a letter per tensor slot (base n); it lies over the module when
+        each letter's p^twist slots agree.  Sorting each block's letters
+        names the basis element: the lift takes every arrangement of a G
+        block and the canonical one of an S or L block, the projection
+        every arrangement of an S block, the sorted one of a G block, and
+        repeat-free ones of an L block, signed by their inversion parity.
+        """
+        n, m, nD = self.n, self.m, self.space.dim
+        reps = [self.p ** twist for _, size, twist in self.blocks
+                for _ in range(size)]
+        slot_letter = np.repeat(np.arange(self.nletters), reps)
+        first_slot = np.cumsum([0] + reps[:-1])
+        e_digits = self.space.letters
+        pure = (e_digits == e_digits[:, first_slot[slot_letter]]).all(axis=1)
+        e_index = np.flatnonzero(pure)
+        u_digits = np.zeros((self._u_total, self.nletters), dtype=np.int64)
+        rem = np.arange(self._u_total)
+        for k in range(self.nletters - 1, -1, -1):
+            u_digits[:, k] = rem % m
+            rem //= m
+        letters = (u_digits[:, None, :] * n
+                   + e_digits[e_index][:, first_slot][None, :, :]).reshape(
+                       -1, self.nletters)
+        amb = (np.arange(self._u_total)[:, None] * nD
+               + e_index[None, :]).reshape(-1)
+        idx = np.zeros(amb.size, dtype=np.int64)
+        lifts = np.ones(amb.size, dtype=bool)
+        projects = np.ones(amb.size, dtype=bool)
+        odd = np.zeros(amb.size, dtype=bool)
         pos = 0
-        for b, (_, size, twist) in enumerate(self.blocks):
-            reps = self.p ** twist
-            for _ in range(size):
-                letter = letters[pos]
-                u, a = divmod(letter, self.n)
-                u_idx = u_idx * self.m + u
-                for _ in range(reps):
-                    e_idx = e_idx * self.n + a
-                pos += 1
-        return u_idx * (self.n ** self.D) + e_idx
+        for (kind, size, _), basis in zip(self.blocks, self.block_bases):
+            block = letters[:, pos: pos + size]
+            pos += size
+            ordered = (np.diff(block, axis=1) >= 0).all(axis=1)
+            canon = np.sort(block, axis=1)
+            if kind == "G":
+                projects &= ordered
+            elif kind == "S":
+                lifts &= ordered
+            else:
+                distinct = (np.diff(canon, axis=1) > 0).all(axis=1)
+                lifts &= ordered & distinct
+                projects &= distinct
+                for i, j in combinations(range(size), 2):
+                    odd ^= block[:, i] > block[:, j]
+            weights = self.alphabet ** np.arange(size - 1, -1, -1)
+            codes = np.array(basis, dtype=np.int64) @ weights
+            idx = idx * len(basis) + np.searchsorted(codes, canon @ weights)
+        self._lift = sparse.csr_matrix(
+            (np.ones(int(lifts.sum()), dtype=np.int64), (amb[lifts], idx[lifts])),
+            shape=(self._amb, self.dim))
+        self._proj = sparse.csr_matrix(
+            (np.where(odd[projects], self.p - 1, 1).astype(np.int64),
+             (idx[projects], amb[projects])), shape=(self.dim, self._amb))
 
     def lift_matrix(self) -> sparse.csr_matrix:
         """Section of the subquotient: orbit sums on G blocks, canonical
         representatives on S and L blocks."""
-        if self._lift is not None:
-            return self._lift
-        rows, cols, vals = [], [], []
-        for idx in range(self.dim):
-            tup = self.basis_tuple(idx)
-            expansions = []
-            for b, (kind, _, _) in enumerate(self.blocks):
-                if kind == "G":
-                    expansions.append(list(distinct_permutations(tup[b])))
-                else:
-                    expansions.append([tup[b]])
-            for arrangement in product(*expansions):
-                flat = tuple(x for part in arrangement for x in part)
-                rows.append(self._ambient_index(flat))
-                cols.append(idx)
-                vals.append(1)
-        mat = sparse.csr_matrix(
-            (np.array(vals, dtype=np.int64), (rows, cols)),
-            shape=(self._amb, self.dim))
-        mat.data %= self.p
-        self._lift = mat
-        return mat
+        if self._lift is None:
+            self._build_bridge()
+        return self._lift
 
     def project_matrix(self) -> sparse.csr_matrix:
         """Coordinates of an ambient vector known to lie over the module:
         groups must be pure powers, G blocks are gathered at their sorted
         representative, S blocks sort, L blocks sort with sign."""
-        if self._proj is not None:
-            return self._proj
-        nD = self.n ** self.D
-        rows, cols, vals = [], [], []
-        for u_idx in range(self._u_total):
-            u_digits = []
-            rem = u_idx
-            for _ in range(self.nletters):
-                u_digits.append(rem % self.m)
-                rem //= self.m
-            u_digits.reverse()
-            for e_idx in range(nD):
-                coeff = 1
-                tup_blocks = []
-                rem = e_idx
-                e_digits = []
-                for _ in range(self.D):
-                    e_digits.append(rem % self.n)
-                    rem //= self.n
-                e_digits.reverse()
-                pos_letter = 0
-                pos_slot = 0
-                ok = True
-                for kind, size, twist in self.blocks:
-                    reps = self.p ** twist
-                    letters = []
-                    for _ in range(size):
-                        group = e_digits[pos_slot: pos_slot + reps]
-                        pos_slot += reps
-                        if any(g != group[0] for g in group[1:]):
-                            ok = False
-                            break
-                        letters.append(u_digits[pos_letter] * self.n + group[0])
-                        pos_letter += 1
-                    if not ok:
-                        break
-                    if kind == "G":
-                        if any(letters[i] > letters[i + 1] for i in range(len(letters) - 1)):
-                            ok = False
-                            break
-                        tup_blocks.append(tuple(letters))
-                    elif kind == "S":
-                        tup_blocks.append(tuple(sorted(letters)))
-                    else:
-                        sorted_sign = _sort_with_sign(tuple(letters))
-                        if sorted_sign is None:
-                            ok = False
-                            break
-                        tup_blocks.append(sorted_sign[0])
-                        coeff *= sorted_sign[1]
-                if not ok:
-                    continue
-                rows.append(self.basis_index(tuple(tup_blocks)))
-                cols.append(u_idx * nD + e_idx)
-                vals.append(coeff % self.p)
-        mat = sparse.csr_matrix(
-            (np.array(vals, dtype=np.int64), (rows, cols)),
-            shape=(self.dim, self._amb))
-        mat.data %= self.p
-        mat.eliminate_zeros()
-        self._proj = mat
-        return mat
+        if self._proj is None:
+            self._build_bridge()
+        return self._proj
 
     # action --------------------------------------------------------------
 
@@ -345,28 +325,40 @@ class ShapeModule(ModuleRep):
         out = (self.project_matrix() @ acted) % self.p
         return out.T
 
-    def decorated_operator(self, ref: OpRef) -> sparse.csr_matrix:
-        """The operator on the parameter-decorated ambient (identity on the
-        parameter letters, the tensor-space matrix on the E slots)."""
-        a = self.space.matrix(ref)
-        if self._u_total == 1:
-            return a
-        return sparse.kron(sparse.identity(self._u_total, dtype=np.int64,
-                                           format="csr"), a, format="csr")
-
     def action_matrix(self, ref: OpRef):
         with self._lock:
             hit = self._action_cache.get(ref)
         if hit is not None:
             return hit
-        mat = (self.project_matrix() @ self.decorated_operator(ref)
-               @ self.lift_matrix()).tocsr()
+        # the operator acts on the E slots, as the identity on parameter letters
+        a = diagonal_copies(self.space.matrix(ref), self._u_total)
+        mat = (self.project_matrix() @ a @ self.lift_matrix()).tocsr()
         mat.data %= self.p
         mat.eliminate_zeros()
         if self.dim <= _ACTION_CACHE_DIM or mat.nnz * 3 <= self.dim * 40:
             with self._lock:
                 self._action_cache[ref] = mat
         return mat
+
+    def generator_action(self) -> tuple[list[OpRef], sparse.csr_matrix]:
+        """All generators at once: kron(I_R, P) @ (G @ L), where G stacks
+        the R generator matrices on the ambient in (generator, parameter
+        word, tensor slot) row order."""
+        refs = self.space.generator_refs()
+        gens = self.space.matrix(("gens",))
+        if self._u_total > 1:
+            R, U, N = len(refs), self._u_total, self.space.dim
+            # the U diagonal copies of G have their rows in (word, generator,
+            # slot) order; take them in (generator, word, slot) order
+            order = (np.arange(R)[:, None, None] * N
+                     + np.arange(U)[None, :, None] * (R * N)
+                     + np.arange(N)[None, None, :]).reshape(-1)
+            gens = diagonal_copies(gens, U)[order]
+        proj = diagonal_copies(self.project_matrix(), len(refs))
+        mat = (proj @ (gens @ self.lift_matrix())).tocsr()
+        mat.data %= self.p
+        mat.eliminate_zeros()
+        return refs, mat
 
     def expression(self) -> str:
         """The shape as a fragment expression that evaluates back to it:
@@ -544,20 +536,21 @@ def check_equivariance(matrix: np.ndarray, src: ModuleRep,
                        tgt: ModuleRep) -> None:
     """Raise EquivarianceError unless `matrix` commutes with the action.
 
-    Every ref of `generator_refs` is checked; commuting with a generating
-    set means commuting with the whole Schur algebra, so a pass is a proof.
+    Every ref of `generator_refs` is checked at once, as the stacked
+    products kron(I_R, phi) @ A_src and A_tgt @ phi of generator_action;
+    commuting with a generating set means commuting with the whole Schur
+    algebra, so a pass is a proof.  The error names the first failing ref.
     """
+    if src.space is not tgt.space:
+        raise ValueError("equivariance between modules in different categories")
     p = src.p
     phi = sparse.csr_matrix(np.asarray(matrix, dtype=np.int64) % p)
-    for ref in src.space.generator_refs():
-        a_src = src.action_matrix(ref)
-        a_tgt = tgt.action_matrix(ref)
-        if not sparse.issparse(a_src):
-            a_src = sparse.csr_matrix(a_src)
-        if not sparse.issparse(a_tgt):
-            a_tgt = sparse.csr_matrix(a_tgt)
-        diff = phi @ a_src - a_tgt @ phi
-        diff.data %= p
-        diff.eliminate_zeros()
-        if diff.nnz:
-            raise EquivarianceError(f"map fails to commute with {ref!r}")
+    refs, a_src = src.generator_action()
+    _, a_tgt = tgt.generator_action()
+    diff = (diagonal_copies(phi, len(refs)) @ a_src - a_tgt @ phi).tocsr()
+    diff.data %= p
+    diff.eliminate_zeros()
+    if diff.nnz:
+        row = int(np.flatnonzero(np.diff(diff.indptr))[0])
+        raise EquivarianceError(
+            f"map fails to commute with {refs[row // tgt.dim]!r}")

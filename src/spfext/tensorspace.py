@@ -196,6 +196,9 @@ class TensorSpace:
             return self._build_xi(ref[1])
         if kind == "div":
             return self._build_divided(*ref[1:])
+        if kind == "gens":  # every generator, stacked in generator_refs order
+            return sparse.vstack([self.matrix(r) for r in self.generator_refs()],
+                                 format="csr")
         raise ValueError(f"unknown operator ref {ref!r}")
 
     def _build_xi(self, key: XiKey) -> sparse.csr_matrix:
@@ -315,13 +318,6 @@ class TensorSpace:
                 for r in range(1, self.D + 1):
                     refs.append(("div", a, b, r))
         return refs
-
-    def sorted_letters(self, comp: tuple[int, ...]) -> tuple[int, ...]:
-        """The canonical multi-index of content comp: letter a repeated comp[a]."""
-        out: list[int] = []
-        for a, mult in enumerate(comp):
-            out.extend([a] * mult)
-        return tuple(out)
 
 
 _SPACES: dict[tuple[int, int, int], TensorSpace] = {}

@@ -1,7 +1,10 @@
+import re
+from itertools import product
 from math import comb
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from spfext import fp
 from spfext.errors import (EquivarianceError, ParseError, SemanticError,
@@ -10,8 +13,9 @@ from spfext.functors import (Atom, Dual, Ident, Tensor, canon,
                              canonical_map, character, evaluate,
                              frobenius_substitute, kuhn_dual, parse,
                              schur_weyl_simple)
-from spfext.modules import check_equivariance, hom_space
-from spfext.tensorspace import compositions
+from spfext.modules import (ModuleRep, ShapeModule, check_equivariance,
+                            hom_space)
+from spfext.tensorspace import compositions, distinct_permutations
 
 
 # -- parser -------------------------------------------------------------------
@@ -266,18 +270,46 @@ def test_equivariance_checker_catches_weight_preserving_map_d4():
         check_equivariance(bad, mod, mod)
 
 
-def test_equivariance_check_visits_every_generator(monkeypatch):
-    mod = evaluate("I*I*I*I", 2)
-    seen = set()
-    action = mod.action_matrix
+def test_equivariance_check_visits_every_generator():
+    """check_equivariance multiplies by the stacked generator action: one
+    block per generator ref, in order, each the ref's action matrix."""
+    shape = evaluate("param(L(2)*I,2)", 3)
+    dual = evaluate("dual(S(2)*I)", 2)
+    assert isinstance(shape, ShapeModule) and shape.m == 2
+    for mod in (shape, dual):
+        refs, stacked = mod.generator_action()
+        assert refs == mod.space.generator_refs()
+        assert stacked.shape == (len(refs) * mod.dim, mod.dim)
+        for g, ref in enumerate(refs):
+            want = mod.action_matrix(ref)
+            want = want.toarray() if sparse.issparse(want) else want
+            got = stacked[g * mod.dim: (g + 1) * mod.dim].toarray()
+            assert (got == want).all(), ref
 
-    def spy(ref):
-        seen.add(ref)
-        return action(ref)
 
-    monkeypatch.setattr(mod, "action_matrix", spy)
-    check_equivariance(np.eye(mod.dim, dtype=np.int64), mod, mod)
-    assert seen == set(mod.space.generator_refs())
+def test_equivariance_check_refuses_modules_of_two_categories():
+    with pytest.raises(ValueError):
+        check_equivariance(np.eye(4, dtype=np.int64), evaluate("I*I", 2),
+                           evaluate("I*I", 3))
+
+
+def test_equivariance_error_names_the_last_generator():
+    """A twin of I*I*I whose action differs only on the last generator:
+    the identity commutes with every other one, and the error names it."""
+    mod = evaluate("I*I*I", 2)
+    last = mod.space.generator_refs()[-1]
+
+    class Twin(ModuleRep):
+        def __init__(self):
+            super().__init__(mod.p, mod.n, mod.D, mod.dim)
+
+        def action_matrix(self, ref):
+            a = mod.action_matrix(ref)
+            a = a.toarray() if sparse.issparse(a) else a
+            return (a + 1) % mod.p if ref == last else a
+
+    with pytest.raises(EquivarianceError, match=re.escape(repr(last))):
+        check_equivariance(np.eye(mod.dim, dtype=np.int64), mod, Twin())
 
 
 # -- Schur, Weyl, simple ------------------------------------------------------
@@ -376,6 +408,16 @@ def test_shape_expression_round_trip():
         assert (back.blocks, back.m, back.n) == (mod.blocks, mod.m, mod.n)
 
 
+def test_spellings_of_one_shape_share_one_module():
+    """Keyed on its normalized blocks, one shape is one module, with one
+    set of lift, projection and action caches."""
+    for spellings in [("I*I", "S(1)*S(1)", "L(1)*G(1)", "G(1,1)"),
+                      ("twist(I*I,1)", "twist(S(1),1)*twist(I,1)")]:
+        first = evaluate(spellings[0], 2)
+        for text in spellings[1:]:
+            assert evaluate(text, 2) is first
+
+
 def _hom_space_by_assembly(src, tgt):
     """hom_space as it was first written: after every kernel cut, each
     surviving coefficient vector is assembled into its map anew."""
@@ -434,3 +476,129 @@ def test_hom_space_matches_assembly_reference(src, tgt, p):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == np.int64
         assert a.shape == b.shape and (a == b).all()
+
+
+# -- tensor-space bridge against the loop reference ---------------------------
+
+
+def _ambient_index_by_loop(mod, letters):
+    u_idx = e_idx = pos = 0
+    for _, size, twist in mod.blocks:
+        for _ in range(size):
+            u, a = divmod(letters[pos], mod.n)
+            u_idx = u_idx * mod.m + u
+            for _ in range(mod.p ** twist):
+                e_idx = e_idx * mod.n + a
+            pos += 1
+    return u_idx * (mod.n ** mod.D) + e_idx
+
+
+def _sort_with_sign_by_loop(letters):
+    arr = list(letters)
+    sign = 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j - 1] > arr[j]:
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            sign = -sign
+            j -= 1
+        if j > 0 and arr[j - 1] == arr[j]:
+            return None
+    return tuple(arr), sign
+
+
+def _lift_by_loop(mod):
+    """ShapeModule.lift_matrix as it was first written: one basis element
+    and one arrangement of its G blocks at a time."""
+    rows, cols = [], []
+    for idx in range(mod.dim):
+        tup = mod.basis_tuple(idx)
+        expansions = [list(distinct_permutations(tup[b])) if kind == "G"
+                      else [tup[b]] for b, (kind, _, _) in enumerate(mod.blocks)]
+        for arrangement in product(*expansions):
+            flat = tuple(x for part in arrangement for x in part)
+            rows.append(_ambient_index_by_loop(mod, flat))
+            cols.append(idx)
+    return sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                             shape=(mod.m ** mod.nletters * mod.n ** mod.D,
+                                    mod.dim))
+
+
+def _project_by_loop(mod):
+    """ShapeModule.project_matrix as it was first written: one ambient
+    index at a time, decoded digit by digit."""
+    nD = mod.n ** mod.D
+    rows, cols, vals = [], [], []
+    for u_idx in range(mod.m ** mod.nletters):
+        u_digits = []
+        rem = u_idx
+        for _ in range(mod.nletters):
+            u_digits.append(rem % mod.m)
+            rem //= mod.m
+        u_digits.reverse()
+        for e_idx in range(nD):
+            e_digits = []
+            rem = e_idx
+            for _ in range(mod.D):
+                e_digits.append(rem % mod.n)
+                rem //= mod.n
+            e_digits.reverse()
+            coeff, tup_blocks, slot, pos, ok = 1, [], 0, 0, True
+            for kind, size, twist in mod.blocks:
+                reps = mod.p ** twist
+                letters = []
+                for _ in range(size):
+                    group = e_digits[slot: slot + reps]
+                    slot += reps
+                    if any(g != group[0] for g in group[1:]):
+                        ok = False
+                        break
+                    letters.append(u_digits[pos] * mod.n + group[0])
+                    pos += 1
+                if not ok:
+                    break
+                if kind == "G":
+                    if any(letters[i] > letters[i + 1]
+                           for i in range(len(letters) - 1)):
+                        ok = False
+                        break
+                    tup_blocks.append(tuple(letters))
+                elif kind == "S":
+                    tup_blocks.append(tuple(sorted(letters)))
+                else:
+                    sorted_sign = _sort_with_sign_by_loop(tuple(letters))
+                    if sorted_sign is None:
+                        ok = False
+                        break
+                    tup_blocks.append(sorted_sign[0])
+                    coeff *= sorted_sign[1]
+            if ok:
+                rows.append(mod.basis_index(tuple(tup_blocks)))
+                cols.append(u_idx * nD + e_idx)
+                vals.append(coeff % mod.p)
+    return sparse.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)),
+                             shape=(mod.dim, mod.m ** mod.nletters * nD))
+
+
+BRIDGE_SHAPES = [
+    (2, (("G", 2, 0), ("L", 2, 0)), 1), (2, (("S", 2, 0), ("L", 2, 0)), 1),
+    (2, (("G", 2, 1),), 2), (2, (("S", 2, 1),), 1), (2, (("L", 2, 1),), 2),
+    (2, (("L", 3, 0),), 2), (2, (("G", 2, 0), ("G", 1, 1)), 1),
+    (3, (("G", 3, 0),), 1), (3, (("L", 2, 0), ("S", 1, 0)), 2),
+    (3, (("S", 1, 1),), 2), (3, (("S", 2, 0), ("L", 1, 1)), 1),
+    (3, (("L", 2, 1),), 1), (5, (("S", 2, 0), ("L", 2, 0)), 2),
+    (5, (("G", 1, 1),), 2), (5, (("L", 3, 0), ("G", 2, 0)), 1),
+]
+
+
+@pytest.mark.parametrize("p,blocks,m", BRIDGE_SHAPES)
+def test_bridge_matches_loop_reference(p, blocks, m):
+    """The vectorised lift and projection equal the digit-by-digit loops
+    entry for entry, with the same stored entries."""
+    D = sum(size * p ** twist for _, size, twist in blocks)
+    mod = ShapeModule(p, D, blocks, m)
+    for got, want in [(mod.lift_matrix(), _lift_by_loop(mod)),
+                      (mod.project_matrix(), _project_by_loop(mod))]:
+        assert got.shape == want.shape
+        assert got.nnz == want.nnz
+        assert (got != want).nnz == 0

@@ -1,6 +1,8 @@
 """Property tests on small random parameters (degree <= 3, p in {2, 3}):
 Ext tables do not depend on the sweep order that picks generators, and
-twisted projective sources satisfy the mirror duality."""
+twisted projective sources satisfy the mirror duality.  Random block
+tuples (degree <= 4) check the vectorised tensor-space bridge against its
+loop reference."""
 
 import pytest
 
@@ -9,6 +11,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from spfext import young  # noqa: E402
 from spfext.homology import duality_check, ext  # noqa: E402
+from spfext.modules import ShapeModule  # noqa: E402
+from test_functors import _lift_by_loop, _project_by_loop  # noqa: E402
 
 
 @st.composite
@@ -54,3 +58,22 @@ def test_mirror_duality_for_twisted_identity(data):
     tgt = data.draw(target(p, p), label="target")
     report = duality_check("I", tgt, p, i=1)
     assert report.passed, (report.forward, report.backward)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bridge_matches_loop_reference_on_random_blocks(data):
+    p = data.draw(st.sampled_from((2, 3)), label="p")
+    m = data.draw(st.integers(1, 2), label="m")
+    blocks, left = [], 4
+    while left and (not blocks or data.draw(st.booleans())):
+        twist = data.draw(st.integers(0, 1 if left >= p else 0))
+        size = data.draw(st.integers(1, left // p ** twist))
+        blocks.append((data.draw(st.sampled_from("GSL")), size, twist))
+        left -= size * p ** twist
+    D = 4 - left
+    mod = ShapeModule(p, D, tuple(blocks), m)
+    for got, want in [(mod.lift_matrix(), _lift_by_loop(mod)),
+                      (mod.project_matrix(), _project_by_loop(mod))]:
+        assert got.shape == want.shape and got.nnz == want.nnz
+        assert (got != want).nnz == 0
