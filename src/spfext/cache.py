@@ -2,7 +2,10 @@
 
 Entries are JSON files named by the digest of their context (p, n, the
 expression the source shape renders to, depth, sweep, schema version),
-so every spelling of one module shares an entry.  Matrices are stored
+so every spelling of one module shares an entry.  An entry stores each
+stage's partitions and the differential blocks at dominant weights only,
+the blocks a resolution keeps; schema 1 entries held every weight and
+are a miss.  Matrices are stored
 as rows of digit strings, each entry a fixed-width run of len(str(p - 1))
 decimal digits, which round-trip bit exactly and diff cleanly.  Writes
 go through a temporary file and a rename so concurrent runs never
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 ENV_CACHE_DIR = "SPFEXT_CACHE"
 
@@ -100,28 +103,20 @@ def resolution_payload(res) -> dict:
 
 def resolution_from_payload(payload: dict):
     """The resolution a payload stores.  Each block's shape is checked
-    against the weight groups of its source and target stage, which the
-    rebuilt stages already carry; a mismatch raises ValueError."""
+    against the dominant weight groups of its source and target stage,
+    which the rebuilt stages already carry; a mismatch raises ValueError."""
     from .functors import evaluate
-    from .homology import Resolution, Stage, Summand, gamma_shape
+    from .homology import Resolution, Stage, dominant_groups
 
     ctx = payload["context"]
     p, n = ctx["p"], ctx["n"]
     module = evaluate(ctx["expression"], p)
-    stages = []
-    for parts in payload["stages"]:
-        summands = []
-        offset = 0
-        for text in parts:
-            lam = _comp_parse(text)
-            shape = gamma_shape(p, n, lam)
-            summands.append(Summand(lam, shape, offset))
-            offset += shape.dim
-        stages.append(Stage(summands, p, n))
+    stages = [Stage([_comp_parse(text) for text in parts], p, n)
+              for parts in payload["stages"]]
     if len(payload["diffs"]) != len(stages):
         raise ValueError("cache entry has not one differential per stage")
     diffs = []
-    rows_groups = module.content_groups()
+    rows_groups = dominant_groups(module.content_groups())
     for stage, stage_diff in zip(stages, payload["diffs"]):
         diff = {_comp_parse(comp): decode_matrix(block, p)
                 for comp, block in stage_diff.items()}
@@ -138,7 +133,7 @@ def resolution_from_payload(payload: dict):
     res = Resolution(source=ctx["expression"], p=p, n=n, module=module,
                      stages=stages, diffs=diffs, depth=ctx["depth"],
                      sweep=ctx["sweep"], truncated=payload["truncated"])
-    res.meta["stage_dims"] = [st.dim for st in stages]
+    res.meta["stage_dims"] = [st.gamma_dim for st in stages]
     res.meta["cache_key"] = payload["key"]
     return res
 

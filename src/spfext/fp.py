@@ -106,10 +106,8 @@ def kernel_basis(a, p: int) -> np.ndarray:
     if not free:
         return zeros(0, n)
     out = zeros(len(free), n)
-    for k, f in enumerate(free):
-        out[k, f] = 1
-        for r, c in enumerate(pivots):
-            out[k, c] = (-int(reduced[r, f])) % p
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = (-reduced[:len(pivots), free].T) % p
     return basis_rows(out, p)[0]
 
 

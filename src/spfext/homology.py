@@ -11,9 +11,19 @@ dominance, and a kernel vector becomes a new pick only when it lies
 outside that row space.  Every map here is weight-graded, so all linear
 algebra is done per weight block.
 
+Only dominant weights (partitions, padded with zeros) are kept: the
+stages, the differential blocks, the kernels and the Yoneda words all
+live at weights c with c_0 >= c_1 >= ....  The permutation matrices of
+GL_n(F_p) carry each weight space M_c onto M_{sort c} and commute with
+every natural map, so a complex of these modules is exact iff it is
+exact at every dominant weight (Morita truncation to eSe with e the sum
+of the xi_lam, lam a partition: Green, LNM 830, 3; Donkin, J. Algebra
+104, 1986).  The rank and d o d = 0 checks on dominant blocks are
+therefore still a proof of exactness.
+
 Ext groups are the cohomology of Hom(P_*, N), whose terms are weight
-spaces of N and whose differentials are assembled from the action of
-explicit algebra words on those weight spaces.
+spaces of N at partitions and whose differentials are assembled from the
+action of explicit algebra words on those weight spaces.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -55,6 +66,31 @@ def generator_index(shape: ShapeModule, lam: tuple[int, ...]) -> int:
     return shape.basis_index(tuple((b,) * part for b, part in enumerate(lam)))
 
 
+# -- dominant weights ---------------------------------------------------------
+
+
+def dominant_groups(groups: dict[tuple[int, ...], np.ndarray]
+                    ) -> dict[tuple[int, ...], np.ndarray]:
+    """The weight groups at dominant weights (parts never increasing), the
+    only weights a resolution keeps."""
+    return {c: ix for c, ix in groups.items()
+            if all(a >= b for a, b in zip(c, c[1:]))}
+
+
+@lru_cache(maxsize=256)
+def gamma_layout(p: int, n: int, lam: tuple[int, ...]
+                 ) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
+    """The dominant rows of Gamma^lam, ascending, and each dominant
+    weight's positions among them.  Basis vector t of Gamma^lam is also
+    word t, so the rows are the words that land in a dominant weight."""
+    groups = dominant_groups(gamma_shape(p, n, lam).content_groups())
+    rows = np.sort(np.concatenate(list(groups.values())))
+    positions = {c: np.searchsorted(rows, ix) for c, ix in groups.items()}
+    for arr in (rows, *positions.values()):
+        arr.setflags(write=False)  # shared by every caller of the memo
+    return rows, positions
+
+
 # -- resolution data ----------------------------------------------------------
 
 
@@ -62,29 +98,47 @@ def generator_index(shape: ShapeModule, lam: tuple[int, ...]) -> int:
 class Summand:
     partition: tuple[int, ...]
     shape: ShapeModule
-    offset: int
+    offset: int  # the stage coordinate of the first dominant row
+    rows: np.ndarray  # the shape's dominant rows, ascending
+
+    def coordinate(self, local: int) -> int:
+        """The stage coordinate of the shape's dominant basis vector."""
+        return self.offset + int(np.searchsorted(self.rows, local))
 
 
 class Stage:
-    """A direct sum of Gamma^lam summands with blocked index bookkeeping."""
+    """A direct sum of Gamma^lam summands, kept at its dominant rows.
 
-    def __init__(self, summands: list[Summand], p: int, n: int):
-        self.summands = summands
+    The coordinates of a stage are the dominant rows of each summand in
+    turn, so dim counts only those; gamma_dim is the dimension of the
+    whole sum.  groups maps each dominant weight to its coordinates.
+    """
+
+    def __init__(self, partitions: list[tuple[int, ...]], p: int, n: int):
         self.p = p
         self.n = n
-        self.dim = sum(s.shape.dim for s in summands)
+        self.summands: list[Summand] = []
         groups: dict[tuple[int, ...], list[np.ndarray]] = {}
-        for s in summands:
-            for comp, local in s.shape.content_groups().items():
-                groups.setdefault(comp, []).append(local + s.offset)
+        offset = 0
+        for lam in partitions:
+            rows, local_groups = gamma_layout(p, n, lam)
+            self.summands.append(Summand(lam, gamma_shape(p, n, lam), offset,
+                                         rows))
+            for c, local in local_groups.items():
+                groups.setdefault(c, []).append(local + offset)
+            offset += rows.size
+        self.dim = offset
+        self.gamma_dim = sum(s.shape.dim for s in self.summands)
         self.groups = {c: np.concatenate(parts) for c, parts in groups.items()}
         self._proj: sparse.csr_matrix | None = None
 
     def project_matrix(self) -> sparse.csr_matrix:
-        """The summands' projections down the diagonal, built once."""
+        """The summands' projections onto their dominant rows down the
+        diagonal, built once."""
         if self._proj is None:
             self._proj = sparse.block_diag(
-                [s.shape.project_matrix() for s in self.summands], format="csr")
+                [s.shape.project_matrix()[s.rows] for s in self.summands],
+                format="csr")
         return self._proj
 
     def partitions(self) -> list[tuple[int, ...]]:
@@ -102,39 +156,46 @@ class Stage:
 
 
 def yoneda_images(level: ModuleRep | Stage, comp: tuple[int, ...],
-                  v: np.ndarray) -> np.ndarray:
+                  v: np.ndarray, words=None) -> np.ndarray:
     """The Yoneda map Gamma^comp -> level sending the canonical generator
-    to the weight-comp vector v: column t is word t of Gamma^comp applied
-    to v.
+    to the weight-comp vector v: column k is word words[k] of Gamma^comp
+    (its basis vector of that index) applied to v.  The default is every
+    word, the whole map; `resolve` asks only for the dominant ones.
 
-    A level is a module or a resolution stage.  Shape pieces (a shape
-    module, or each summand of a stage) are lifted to tensor space once,
-    with parameter letters as extra columns; each word operator then acts
-    once on all of them, and each piece is projected back.  Any other
-    module applies the words through its own action rule.
+    A level is a module or a resolution stage, whose rows are its
+    dominant coordinates.  Shape pieces (a shape module, or each summand
+    of a stage) are lifted to tensor space once, with parameter letters
+    as extra columns; each word operator then acts once on all of them,
+    and each piece is projected back.  Any other module applies the
+    words through its own action rule.
     """
     v = np.asarray(v, dtype=np.int64).reshape(-1)
     p, n = level.p, level.n
     shape = gamma_shape(p, n, tuple(part for part in comp if part))
-    words = [("xi", word_key(comp, shape.basis_tuple(t)))
-             for t in range(shape.dim)]
-    out = fp.zeros(level.dim, shape.dim)
+    if words is None:
+        words = range(shape.dim)
+    refs = [("xi", word_key(comp, shape.basis_tuple(int(t)))) for t in words]
+    out = fp.zeros(level.dim, len(refs))
     if isinstance(level, Stage):
-        pieces = [(s.shape, s.offset) for s in level.summands]
+        pieces = [(s.shape, s.offset, s.rows) for s in level.summands]
     elif isinstance(level, ShapeModule):
-        pieces = [(level, 0)]
+        pieces = [(level, 0, np.arange(level.dim))]
     else:
-        for t, word in enumerate(words):
-            out[:, t] = level.apply_ref(word, v.reshape(1, -1))[0]
+        for k, ref in enumerate(refs):
+            out[:, k] = level.apply_ref(ref, v.reshape(1, -1))[0]
         return out
     nD = shape.space.dim
-    amb = np.concatenate(
-        [((piece.lift_matrix() @ v[off: off + piece.dim]) % p)
-         .reshape(piece._u_total, nD).T for piece, off in pieces], axis=1)
+    lifted = []
+    for piece, off, rows in pieces:
+        x = np.zeros(piece.dim, dtype=np.int64)
+        x[rows] = v[off: off + rows.size]
+        lifted.append(((piece.lift_matrix() @ x) % p)
+                      .reshape(piece._u_total, nD).T)
+    amb = np.concatenate(lifted, axis=1)
     proj = level.project_matrix()
-    for t, word in enumerate(words):
-        acted = (shape.space.matrix(word) @ amb) % p
-        out[:, t] = (proj @ acted.T.reshape(-1)) % p
+    for k, ref in enumerate(refs):
+        acted = (shape.space.matrix(ref) @ amb) % p
+        out[:, k] = (proj @ acted.T.reshape(-1)) % p
     return out
 
 
@@ -190,8 +251,12 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
             budget: int | None = None) -> Resolution:
     """Projective resolution of a shape module to the requested depth.
 
+    Stages, differentials and kernels are kept at dominant weights only.
     Exactness of every computed stage and d o d = 0 are verified block
-    by block as the stages are built; violations raise immediately.
+    by block as the stages are built, and violations raise immediately;
+    since the Weyl group's permutation matrices carry every weight block
+    onto a dominant one and commute with the maps, checking the dominant
+    blocks proves exactness at every weight.
     """
     _shape_source(module)
     if depth < 0:
@@ -207,7 +272,7 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
     res = Resolution(source=module.expression(), p=p, n=n, module=module,
                      stages=[], diffs=[], depth=depth, sweep=sweep)
     prev: ShapeModule | Stage = module
-    groups = module.content_groups()
+    groups = dominant_groups(module.content_groups())
     kernel_blocks = {c: fp.identity(len(ix))
                      for c, ix in groups.items() if len(ix)}
     bytes_used = 0
@@ -230,9 +295,10 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
                     continue
                 v = np.zeros(prev.dim, dtype=np.int64)
                 v[idxs] = row
-                images = yoneda_images(prev, comp, v)
+                words, local_groups = gamma_layout(p, n, lam)
+                images = yoneda_images(prev, comp, v, words)
                 gens.append(lam)
-                for c, local in gamma_shape(p, n, lam).content_groups().items():
+                for c, local in local_groups.items():
                     tgt_ix = groups.get(c)
                     if tgt_ix is None:
                         if images[:, local].any():
@@ -244,13 +310,7 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
                         old, _ = span.get(c, (fp.zeros(0, tgt_ix.size), []))
                         span[c] = fp.basis_rows(np.concatenate([old, block.T]), p)
 
-        summands = []
-        offset = 0
-        for lam in gens:
-            shape = gamma_shape(p, n, lam)
-            summands.append(Summand(lam, shape, offset))
-            offset += shape.dim
-        stage = Stage(summands, p, n)
+        stage = Stage(gens, p, n)
         diff = {c: np.concatenate(columns[c], axis=1) if c in groups
                 else fp.zeros(0, ix.size) for c, ix in stage.groups.items()}
 
@@ -287,7 +347,7 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
                          for c, block in res.diffs[s].items() if block.shape[1]}
         kernel_blocks = {c: k for c, k in kernel_blocks.items() if k.shape[0]}
         prev, groups = stage, stage.groups
-    res.meta["stage_dims"] = [st.dim for st in res.stages]
+    res.meta["stage_dims"] = [st.gamma_dim for st in res.stages]
     return res
 
 
@@ -409,7 +469,7 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
                 continue
             mu = comp_of_partition(summand_j.partition, n)
             e_idx = generator_index(summand_j.shape, summand_j.partition)
-            col = stage_next.group_position(mu, summand_j.offset + e_idx)
+            col = stage_next.group_position(mu, summand_j.coordinate(e_idx))
             block = res.diffs[s + 1].get(mu)
             if block is None or block.size == 0:
                 continue
@@ -424,12 +484,13 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
                 lam_comp = comp_of_partition(summand_k.partition, n)
                 lo = int(np.searchsorted(group, summand_k.offset))
                 hi = int(np.searchsorted(group, summand_k.offset
-                                         + summand_k.shape.dim))
+                                         + summand_k.rows.size))
                 for pos in range(lo, hi):
                     coeff = int(gvec[pos])
                     if coeff == 0:
                         continue
-                    local_t = int(group[pos]) - summand_k.offset
+                    local_t = int(summand_k.rows[group[pos]
+                                                 - summand_k.offset])
                     ref = ("xi", word_key(summand_k.partition,
                                           summand_k.shape.basis_tuple(local_t)))
                     blockmat = word_block(lam_comp, mu, ref)

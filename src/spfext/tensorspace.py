@@ -162,10 +162,6 @@ class TensorSpace:
         for s in range(D - 1, -1, -1):
             self.letters[:, s] = idx % n
             idx //= n
-        self._weights = np.zeros((self.dim, n), dtype=np.int64)
-        for a in range(n):
-            self._weights[:, a] = (self.letters == a).sum(axis=1)
-        self._content_groups: dict[tuple[int, ...], np.ndarray] | None = None
 
     def encode(self, letters: tuple[int, ...]) -> int:
         idx = 0
@@ -177,16 +173,6 @@ class TensorSpace:
 
     def decode(self, idx: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.letters[idx])
-
-    def content_groups(self) -> dict[tuple[int, ...], np.ndarray]:
-        if self._content_groups is None:
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for idx in range(self.dim):
-                groups.setdefault(tuple(self._weights[idx]), []).append(idx)
-            self._content_groups = {
-                c: np.array(ix, dtype=np.int64) for c, ix in groups.items()
-            }
-        return self._content_groups
 
     # -- operator construction -------------------------------------------
 
@@ -221,19 +207,19 @@ class TensorSpace:
 
     def _build_divided(self, a: int, b: int, r: int) -> sparse.csr_matrix:
         """Divided power of the root mover b -> a: sum over r-subsets of
-        the slots holding letter b, replaced by a."""
+        the slots holding letter b, replaced by a.  Each r-subset of slot
+        positions moves every basis vector holding b at all of them."""
+        place = self.n ** np.arange(self.D - 1, -1, -1)
+        holds_b = self.letters == b
         rows, cols = [], []
-        for idx in range(self.dim):
-            slots = np.flatnonzero(self.letters[idx] == b)
-            if slots.size < r:
-                continue
-            word = self.letters[idx].copy()
-            for subset in combinations(slots.tolist(), r):
-                new = word.copy()
-                new[list(subset)] = a
-                rows.append(self.encode(tuple(new)))
-                cols.append(idx)
-        data = np.ones(len(rows), dtype=np.int64)
+        for subset in combinations(range(self.D), r):
+            subset = list(subset)
+            idx = np.flatnonzero(holds_b[:, subset].all(axis=1))
+            rows.append(idx + (a - b) * int(place[subset].sum()))
+            cols.append(idx)
+        rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
+        data = np.ones(rows.size, dtype=np.int64)
         mat = sparse.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
         mat.data %= self.p
         mat.eliminate_zeros()

@@ -2,8 +2,8 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -s) and
 asserts both the exact expected values and the runtime bound of its
-criterion.  The stretch computation at degree 6 is opt-in through
-SPFEXT_STRETCH=1.
+criterion.  The stretch computations at degree 5 and 6 are opt-in
+through SPFEXT_STRETCH=1.
 """
 
 import json
@@ -184,6 +184,17 @@ def test_a9_jobs_byte_identical(capsys):
                 chunks.append(capsys.readouterr().out)
             outputs[jobs] = "".join(chunks)
         assert outputs["1"] == outputs["4"]
+
+
+@pytest.mark.skipif(not os.environ.get("SPFEXT_STRETCH"),
+                    reason="degree-5 stretch run is opt-in (SPFEXT_STRETCH=1)")
+def test_stretch_degree_five_lemma22():
+    """Lemma 2.2 at p = 5: Ext(I^(1), S(5)) is one F_5 in degree 0.  The
+    resolution lives on a 3125-dimensional tensor space; it took about
+    60 s and 200 MB on a 2-core machine."""
+    with criterion("Stretch Lemma 2.2 at p=5, D=5", 300):
+        table = ext("twist(I,1)", "S(5)", 5, i=1)
+        assert table.dims == [1] + [0] * 8
 
 
 @pytest.mark.skipif(not os.environ.get("SPFEXT_STRETCH"),

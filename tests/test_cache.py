@@ -148,3 +148,42 @@ def test_damaged_entry_is_recomputed(tmp_path, corrupt):
     # the recomputed resolution overwrote the damaged file
     assert store.load("twist(I,1)", 2, 2, 3, "dominance") is not None
     clear_resolution_memo()
+
+
+# A schema 1 entry of twist(I,1) at p = 2, depth 3, as written before
+# resolutions were cut to dominant weights: it holds the (0,2) blocks too.
+V1_TWISTED_IDENTITY = {
+    "context": {"depth": 3, "expression": "twist(I,1)", "n": 2, "p": 2,
+                "schema": 1, "sweep": "dominance"},
+    "diffs": [{"0,2": {"cols": 1, "data": ["1"], "rows": 1},
+               "1,1": {"cols": 1, "data": [], "rows": 0},
+               "2,0": {"cols": 1, "data": ["1"], "rows": 1}},
+              {"0,2": {"cols": 1, "data": ["0"], "rows": 1},
+               "1,1": {"cols": 2, "data": ["11"], "rows": 1},
+               "2,0": {"cols": 1, "data": ["0"], "rows": 1}},
+              {"0,2": {"cols": 1, "data": ["1"], "rows": 1},
+               "1,1": {"cols": 1, "data": ["1", "1"], "rows": 2},
+               "2,0": {"cols": 1, "data": ["1"], "rows": 1}},
+              {}],
+    "key": "7ed9f24a0cb9abd2522dea374916214568965803235cae18bb710148098b860d",
+    "stages": [["2"], ["1,1"], ["2"], []],
+    "truncated": False, "version": 1}
+
+
+def test_schema_one_entry_is_recomputed(tmp_path):
+    clear_resolution_memo()
+    fresh = ext("twist(I,1)", "G(2)", 2)
+    clear_resolution_memo()
+    v1 = json.dumps(V1_TWISTED_IDENTITY)
+    (tmp_path / f"{V1_TWISTED_IDENTITY['key']}.json").write_text(v1)
+    current = ca.ResolutionCache(tmp_path).path_for(
+        ca.resolution_context("twist(I,1)", 2, 2, 3, "dominance"))
+    current.write_text(v1)  # a schema 1 body even under the current name
+    table = ext("twist(I,1)", "G(2)", 2, cache_dir=str(tmp_path))
+    assert table.payload() == fresh.payload()
+    rewritten = json.loads(current.read_text(encoding="utf-8"))
+    assert rewritten["version"] == ca.SCHEMA_VERSION == 2
+    assert rewritten["context"]["schema"] == 2
+    assert [sorted(d) for d in rewritten["diffs"]] == [
+        ["1,1", "2,0"], ["1,1", "2,0"], ["1,1", "2,0"], []]
+    clear_resolution_memo()

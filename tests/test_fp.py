@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spfext import fp
 from spfext.fp import FpMatrix, Subspace
@@ -57,6 +58,36 @@ def test_rank_nullity_random(p):
         for _ in range(200):
             a = rng.integers(0, p, size=shape)
             assert fp.rank(a, p) + fp.kernel_basis(a, p).shape[0] == shape[1]
+
+
+def _kernel_by_loop(a, p):
+    """The double-loop kernel fill, kept as the reference."""
+    a = fp.as_fp(a, p)
+    n = a.shape[1]
+    reduced, pivots = fp.row_reduce(a, p)
+    free = [c for c in range(n) if c not in set(pivots)]
+    if not free:
+        return fp.zeros(0, n)
+    out = fp.zeros(len(free), n)
+    for k, f in enumerate(free):
+        out[k, f] = 1
+        for r, c in enumerate(pivots):
+            out[k, c] = (-int(reduced[r, f])) % p
+    return fp.basis_rows(out, p)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_fill_matches_loop_reference(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    rows = data.draw(st.integers(0, 8))
+    cols = data.draw(st.integers(1, 10))
+    a = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                                    max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols)
+    got, want = fp.kernel_basis(a, p), _kernel_by_loop(a, p)
+    assert got.shape == want.shape
+    assert (got == want).all()
 
 
 def test_solve_exact_or_outside_image():

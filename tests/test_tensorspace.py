@@ -272,3 +272,36 @@ def test_weight_idempotents_orthogonal():
                 assert (prod == mats[a].toarray() % 3).all()
             else:
                 assert not prod.any()
+
+
+def _divided_by_loop(ts, a, b, r):
+    """The per-basis-vector divided power, kept as the reference."""
+    from itertools import combinations
+    from scipy import sparse
+    rows, cols = [], []
+    for idx in range(ts.dim):
+        slots = np.flatnonzero(ts.letters[idx] == b)
+        if slots.size < r:
+            continue
+        word = ts.letters[idx].copy()
+        for subset in combinations(slots.tolist(), r):
+            new = word.copy()
+            new[list(subset)] = a
+            rows.append(ts.encode(tuple(new)))
+            cols.append(idx)
+    data = np.ones(len(rows), dtype=np.int64)
+    mat = sparse.csr_matrix((data, (rows, cols)), shape=(ts.dim, ts.dim))
+    mat.data %= ts.p
+    mat.eliminate_zeros()
+    return mat
+
+
+@pytest.mark.parametrize("p,n,D", [(2, 2, 2), (3, 3, 3), (2, 4, 4)])
+def test_divided_powers_match_loop_reference(p, n, D):
+    ts = TensorSpace(p, n, D)
+    refs = [ref for ref in ts.generator_refs() if ref[0] == "div"]
+    assert refs
+    for ref in refs:
+        got, want = ts.matrix(ref), _divided_by_loop(ts, *ref[1:])
+        assert got.nnz == want.nnz
+        assert (got != want).nnz == 0
