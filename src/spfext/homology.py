@@ -22,8 +22,11 @@ of the xi_lam, lam a partition: Green, LNM 830, 3; Donkin, J. Algebra
 therefore still a proof of exactness.
 
 Ext groups are the cohomology of Hom(P_*, N), whose terms are weight
-spaces of N at partitions and whose differentials are assembled from the
-action of explicit algebra words on those weight spaces.
+spaces of N at partitions.  Each block of a differential, between the
+summands of partition mu and those of lam, is one product: the
+differential's coefficients on the words of Gamma^lam of weight mu,
+times the stacked action of those words on N_lam read at N_mu.  The
+same stacked words, ("words", lam), give the Yoneda maps of `resolve`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from . import fp, young
 from .errors import (AdmissibilityError, DegreeMismatchError, SemanticError,
@@ -42,7 +44,8 @@ from .errors import (AdmissibilityError, DegreeMismatchError, SemanticError,
 from .functors import (Atom, Dual, Ident, Node, Param, Tensor, Twist, as_node,
                        canon, check_field, degree, evaluate, shape_module)
 from .modules import ModuleRep, ShapeModule, hom_space
-from .tensorspace import XiKey
+from .tensorspace import get_space, is_dominant
+from .tensorspace import word_key  # noqa: F401 (part of this module's API)
 
 
 def comp_of_partition(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -51,15 +54,6 @@ def comp_of_partition(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def gamma_shape(p: int, n: int, lam: tuple[int, ...]) -> ShapeModule:
     return shape_module(p, n, tuple(("G", part, 0) for part in lam), 1)
-
-
-def word_key(comp: tuple[int, ...], tup: tuple[tuple[int, ...], ...]) -> XiKey:
-    """The xi-basis element carrying the canonical generator of Gamma^comp
-    onto the basis vector `tup`: block b pairs its letters with the b-th
-    nonzero letter of comp."""
-    letters = [a for a, part in enumerate(comp) if part]
-    return tuple(sorted((t, letters[b])
-                        for b, block in enumerate(tup) for t in block))
 
 
 def generator_index(shape: ShapeModule, lam: tuple[int, ...]) -> int:
@@ -73,8 +67,7 @@ def dominant_groups(groups: dict[tuple[int, ...], np.ndarray]
                     ) -> dict[tuple[int, ...], np.ndarray]:
     """The weight groups at dominant weights (parts never increasing), the
     only weights a resolution keeps."""
-    return {c: ix for c, ix in groups.items()
-            if all(a >= b for a, b in zip(c, c[1:]))}
+    return {c: ix for c, ix in groups.items() if is_dominant(c)}
 
 
 @lru_cache(maxsize=256)
@@ -101,10 +94,6 @@ class Summand:
     offset: int  # the stage coordinate of the first dominant row
     rows: np.ndarray  # the shape's dominant rows, ascending
 
-    def coordinate(self, local: int) -> int:
-        """The stage coordinate of the shape's dominant basis vector."""
-        return self.offset + int(np.searchsorted(self.rows, local))
-
 
 class Stage:
     """A direct sum of Gamma^lam summands, kept at its dominant rows.
@@ -119,6 +108,7 @@ class Stage:
         self.n = n
         self.summands: list[Summand] = []
         groups: dict[tuple[int, ...], list[np.ndarray]] = {}
+        offsets: dict[tuple[int, ...], list[int]] = {}
         offset = 0
         for lam in partitions:
             rows, local_groups = gamma_layout(p, n, lam)
@@ -126,76 +116,50 @@ class Stage:
                                          rows))
             for c, local in local_groups.items():
                 groups.setdefault(c, []).append(local + offset)
+            offsets.setdefault(lam, []).append(offset)
             offset += rows.size
         self.dim = offset
         self.gamma_dim = sum(s.shape.dim for s in self.summands)
         self.groups = {c: np.concatenate(parts) for c, parts in groups.items()}
-        self._proj: sparse.csr_matrix | None = None
-
-    def project_matrix(self) -> sparse.csr_matrix:
-        """The summands' projections onto their dominant rows down the
-        diagonal, built once."""
-        if self._proj is None:
-            self._proj = sparse.block_diag(
-                [s.shape.project_matrix()[s.rows] for s in self.summands],
-                format="csr")
-        return self._proj
+        # per partition: the common shape and dominant rows, and each offset
+        self.blocks = {lam: (gamma_shape(p, n, lam), gamma_layout(p, n, lam)[0],
+                             np.array(offs, dtype=np.int64))
+                       for lam, offs in offsets.items()}
 
     def partitions(self) -> list[tuple[int, ...]]:
         return [s.partition for s in self.summands]
-
-    def group_position(self, comp: tuple[int, ...], global_idx: int) -> int:
-        arr = self.groups[comp]
-        pos = int(np.searchsorted(arr, global_idx))
-        if pos >= arr.size or arr[pos] != global_idx:
-            raise KeyError((comp, global_idx))
-        return pos
 
 
 # -- weight spaces and Yoneda ------------------------------------------------
 
 
 def yoneda_images(level: ModuleRep | Stage, comp: tuple[int, ...],
-                  v: np.ndarray, words=None) -> np.ndarray:
+                  v: np.ndarray, dominant: bool = False) -> np.ndarray:
     """The Yoneda map Gamma^comp -> level sending the canonical generator
-    to the weight-comp vector v: column k is word words[k] of Gamma^comp
-    (its basis vector of that index) applied to v.  The default is every
-    word, the whole map; `resolve` asks only for the dominant ones.
+    to the weight-comp vector v: column k is the k-th word of Gamma^comp
+    applied to v, over every word (the whole map) or, with `dominant`,
+    over the dominant ones in gamma_layout order, as `resolve` asks.
 
-    A level is a module or a resolution stage, whose rows are its
-    dominant coordinates.  Shape pieces (a shape module, or each summand
-    of a stage) are lifted to tensor space once, with parameter letters
-    as extra columns; each word operator then acts once on all of them,
-    and each piece is projected back.  Any other module applies the
-    words through its own action rule.
+    The words act as one stacked operator, ("words", comp).  A module
+    applies it to v in one call.  On a resolution stage, whose rows are
+    its dominant coordinates, the summands of one partition share a
+    shape, and one product of its stacked action, cut to the dominant
+    rows, serves them all.
     """
     v = np.asarray(v, dtype=np.int64).reshape(-1)
-    p, n = level.p, level.n
-    shape = gamma_shape(p, n, tuple(part for part in comp if part))
-    if words is None:
-        words = range(shape.dim)
-    refs = [("xi", word_key(comp, shape.basis_tuple(int(t)))) for t in words]
-    out = fp.zeros(level.dim, len(refs))
-    if isinstance(level, Stage):
-        pieces = [(s.shape, s.offset, s.rows) for s in level.summands]
-    elif isinstance(level, ShapeModule):
-        pieces = [(level, 0, np.arange(level.dim))]
-    else:
-        for k, ref in enumerate(refs):
-            out[:, k] = level.apply_ref(ref, v.reshape(1, -1))[0]
-        return out
-    nD = shape.space.dim
-    lifted = []
-    for piece, off, rows in pieces:
-        x = np.zeros(piece.dim, dtype=np.int64)
-        x[rows] = v[off: off + rows.size]
-        lifted.append(((piece.lift_matrix() @ x) % p)
-                      .reshape(piece._u_total, nD).T)
-    amb = np.concatenate(lifted, axis=1)
-    proj = level.project_matrix()
-    for k, ref in enumerate(refs):
-        acted = (shape.space.matrix(ref) @ amb) % p
-        out[:, k] = (proj @ acted.T.reshape(-1)) % p
+    ref = ("words", tuple(comp)) if dominant else ("words", tuple(comp), "all")
+    if not isinstance(level, Stage):
+        return level.apply_stack(ref, v.reshape(1, -1))[:, 0, :].T
+    space = get_space(level.p, level.n, sum(comp))
+    T = space.matrix(ref).shape[0] // space.dim
+    out = fp.zeros(level.dim, T)
+    for shape, rows, offsets in level.blocks.values():
+        coords = offsets[None, :] + np.arange(rows.size)[:, None]
+        x = np.zeros((shape.dim, offsets.size), dtype=np.int64)
+        x[rows] = v[coords]
+        keep = (np.arange(T)[:, None] * shape.dim + rows).reshape(-1)
+        images = (shape.stack_matrix(ref)[keep] @ x) % level.p
+        out[coords] = images.reshape(T, rows.size, -1).transpose(1, 2, 0)
     return out
 
 
@@ -295,8 +259,8 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
                     continue
                 v = np.zeros(prev.dim, dtype=np.int64)
                 v[idxs] = row
-                words, local_groups = gamma_layout(p, n, lam)
-                images = yoneda_images(prev, comp, v, words)
+                _, local_groups = gamma_layout(p, n, lam)
+                images = yoneda_images(prev, comp, v, dominant=True)
                 gens.append(lam)
                 for c, local in local_groups.items():
                     tgt_ix = groups.get(c)
@@ -424,86 +388,60 @@ class ExtTable:
 
 
 def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
-    """Graded dimensions of Ext^s for s < built depth, from Hom(P_*, N)."""
-    p = res.p
-    n = res.n
-    built = res.built
-    wdims = []
-    offsets = []
+    """Graded dimensions of Ext^s for s < built depth, from Hom(P_*, N).
+
+    Hom(Gamma^lam, N) is N_lam, so the term of degree s is the sum of N_lam
+    over the summands of stage s, and delta^s sends a map to its
+    composite with the differential.  Rows and columns are grouped by
+    partition, which changes no rank.  For the summands of partition mu
+    in stage s+1 and of lam in stage s, the block is one product
+    G @ W: G holds the differential's coefficients on the words of each
+    lam summand that have weight mu (one row per pair of summands, one
+    column per word), and W is the stacked action of those words on
+    N_lam's basis, read at N_mu's pivots.
+    """
+    p, n = res.p, res.n
+    comp = {lam: comp_of_partition(lam, n)
+            for stage in res.stages for lam in stage.blocks}
+    wdim = {lam: target.weight_dim(c) for lam, c in comp.items()}
+    actions: dict[tuple[int, ...], np.ndarray] = {}  # (words, w_lam, dim)
+    starts = []  # per stage: each partition's first row, and the total
     for stage in res.stages:
-        ws, offs = [], []
-        total = 0
-        for summand in stage.summands:
-            comp = comp_of_partition(summand.partition, n)
-            w = target.weight_dim(comp)
-            ws.append(w)
-            offs.append(total)
-            total += w
-        wdims.append(ws)
-        offsets.append(offs)
-    totals = [sum(ws) for ws in wdims]
-
-    word_cache: dict[tuple, np.ndarray] = {}
-
-    def word_block(lam_comp, mu_comp, ref) -> np.ndarray:
-        hit = word_cache.get(ref)
-        if hit is not None:
-            return hit
-        rows, _ = target.weight_basis(lam_comp)
-        if rows.shape[0] == 0:
-            out = fp.zeros(0, 0)
-        else:
-            acted = target.apply_ref(ref, rows)
-            out = target.weight_coords(mu_comp, acted)
-        word_cache[ref] = out
-        return out
-
+        sizes = {lam: offs.size * wdim[lam]
+                 for lam, (_, _, offs) in stage.blocks.items()}
+        ends = np.cumsum([0] + list(sizes.values())).tolist()
+        starts.append((dict(zip(sizes, ends)), ends[-1]))
     ranks = []
-    for s in range(built):
-        stage_s = res.stages[s]
-        stage_next = res.stages[s + 1]
-        delta = fp.zeros(totals[s + 1], totals[s])
-        for j, summand_j in enumerate(stage_next.summands):
-            wmu = wdims[s + 1][j]
-            if wmu == 0:
+    for s in range(res.built):
+        stage, upper = res.stages[s], res.stages[s + 1]
+        delta = fp.zeros(starts[s + 1][1], starts[s][1])
+        for mu, (shape, rows, gens_at) in upper.blocks.items():
+            block = res.diffs[s + 1].get(comp[mu])
+            group = stage.groups.get(comp[mu])
+            if not wdim[mu] or block is None or not block.size or group is None:
                 continue
-            mu = comp_of_partition(summand_j.partition, n)
-            e_idx = generator_index(summand_j.shape, summand_j.partition)
-            col = stage_next.group_position(mu, summand_j.coordinate(e_idx))
-            block = res.diffs[s + 1].get(mu)
-            if block is None or block.size == 0:
-                continue
-            gvec = block[:, col]
-            group = stage_s.groups.get(mu)
-            if group is None:
-                continue
-            for k, summand_k in enumerate(stage_s.summands):
-                wlam = wdims[s][k]
-                if wlam == 0:
+            gen = int(np.searchsorted(rows, generator_index(shape, mu)))
+            cols = block[:, np.searchsorted(upper.groups[comp[mu]], gens_at + gen)]
+            mu_pivots = list(target.weight_basis(comp[mu])[1])
+            for lam, (_, _, offs) in stage.blocks.items():
+                local = gamma_layout(p, n, lam)[1].get(comp[mu])
+                if not wdim[lam] or local is None:
                     continue
-                lam_comp = comp_of_partition(summand_k.partition, n)
-                lo = int(np.searchsorted(group, summand_k.offset))
-                hi = int(np.searchsorted(group, summand_k.offset
-                                         + summand_k.rows.size))
-                for pos in range(lo, hi):
-                    coeff = int(gvec[pos])
-                    if coeff == 0:
-                        continue
-                    local_t = int(summand_k.rows[group[pos]
-                                                 - summand_k.offset])
-                    ref = ("xi", word_key(summand_k.partition,
-                                          summand_k.shape.basis_tuple(local_t)))
-                    blockmat = word_block(lam_comp, mu, ref)
-                    r0, c0 = offsets[s + 1][j], offsets[s][k]
-                    delta[r0:r0 + wmu, c0:c0 + wlam] = (
-                        delta[r0:r0 + wmu, c0:c0 + wlam]
-                        + coeff * blockmat.T) % p
+                if lam not in actions:
+                    actions[lam] = target.apply_stack(
+                        ("words", comp[lam]), target.weight_basis(comp[lam])[0])
+                pos = np.searchsorted(group, offs[:, None] + local[None, :])
+                G = cols[pos].transpose(2, 0, 1).reshape(-1, local.size)
+                W = actions[lam][local][:, :, mu_pivots].reshape(local.size, -1)
+                piece = fp.matmul(G, W, p).reshape(
+                    cols.shape[1], offs.size, wdim[lam], wdim[mu])
+                r0, c0 = starts[s + 1][0][mu], starts[s][0][lam]
+                delta[r0: r0 + cols.shape[1] * wdim[mu],
+                      c0: c0 + offs.size * wdim[lam]] = piece.transpose(
+                          0, 3, 1, 2).reshape(-1, offs.size * wdim[lam])
         ranks.append(fp.rank(delta, p))
-    dims = []
-    for s in range(built):
-        below = ranks[s - 1] if s > 0 else 0
-        dims.append(totals[s] - ranks[s] - below)
-    return dims
+    return [starts[s][1] - ranks[s] - (ranks[s - 1] if s else 0)
+            for s in range(res.built)]
 
 
 def default_depth(p: int, i: int, D: int) -> tuple[int, int | None]:

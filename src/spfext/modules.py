@@ -1,7 +1,8 @@
 """Concrete Schur-algebra modules realizing strict polynomial functors.
 
-Everything here is a finite-dimensional module over S(n, D) given by a
-rule for applying operator refs to batches of row vectors.  The
+Everything here is a finite-dimensional module over S(n, D) given by
+one rule: the column actions of the operators a tensor-space ref
+stacks, as one matrix, applied to batches of row vectors.  The
 workhorse is ShapeModule: a product of divided/symmetric/exterior power
 blocks over an alphabet of (parameter, basis-vector) letters, each
 letter occupying p^twist tensor slots.  Such modules carry explicit
@@ -10,9 +11,8 @@ of the ambient basis, so the algebra action is (project) o (tensor-space
 operator) o (lift).
 
 generator_action stacks the action of every Schur-algebra generator into
-one sparse matrix (for a shape module, three products against the
-stacked generator matrices), and check_equivariance proves a map
-equivariant with one product against that stack.
+one sparse matrix, built once per module, and check_equivariance proves
+a map equivariant with one product against that stack.
 
 Duals act through the flip anti-automorphism, submodules through an
 RREF basis of a stable subspace, and binary tensor products through
@@ -29,12 +29,13 @@ from scipy import sparse
 
 from . import fp
 from .errors import BudgetExceededError, EquivarianceError
-from .tensorspace import OpRef, compositions, flip_ref, get_space
+from .tensorspace import (OpRef, block_transpose, compositions, flip_ref,
+                          get_space)
 
 AMBIENT_CAP = 1 << 22
 
-# Action matrices are cached per module only below this dimension; big
-# modules recompute through the sparse pipeline instead.
+# One-operator action matrices are cached per module below this
+# dimension; a sparse enough result is cached at any size.
 _ACTION_CACHE_DIM = 220
 
 Block = tuple[str, int, int]  # (kind in {G, S, L}, size, twist order)
@@ -58,8 +59,19 @@ def diagonal_copies(a, copies: int) -> sparse.csr_matrix:
         shape=(copies * rows, copies * cols))
 
 
+def product(a, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for a sparse or dense a and a dense b."""
+    return np.asarray(a @ b) % p if sparse.issparse(a) else fp.matmul(a, b, p)
+
+
 class ModuleRep:
-    """Base class: a module over S(n, D) with a batch action rule."""
+    """Base class: a module over S(n, D) with a stacked action rule.
+
+    Each kind gives one rule, _stack(ref): the column actions of the T
+    operators that a tensor-space ref stacks (T = 1 for one operator), as
+    one (T * dim x dim) matrix.  Acting on rows, the action matrices and
+    the generator action are all read from it.
+    """
 
     p: int
     n: int
@@ -74,30 +86,52 @@ class ModuleRep:
         self.space = get_space(p, n, D)
         self._action_cache: dict[OpRef, np.ndarray] = {}
         self._weight_cache: dict[tuple[int, ...], tuple[np.ndarray, tuple[int, ...]]] = {}
+        self._generators: tuple[list[OpRef], sparse.csr_matrix] | None = None
         self._lock = threading.RLock()
 
-    def apply_ref(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def _stack(self, ref: OpRef):
+        """For a kind that only gives action_matrix: one operator at a time."""
+        return sparse.vstack([sparse.csr_matrix(self.action_matrix(r))
+                              for r in self.space.stack_refs(ref)], format="csr")
 
-    def action_matrix(self, ref: OpRef):
-        """Matrix A with column action v -> A v; cached for small modules."""
+    def stack_matrix(self, ref: OpRef):
+        """(T * dim, dim): block k is the column action v -> A_k v of the
+        k-th operator of ref.  Cached for one operator on a small module,
+        or for a sparse enough result."""
         with self._lock:
             hit = self._action_cache.get(ref)
         if hit is not None:
             return hit
-        mat = self.apply_ref(ref, fp.identity(self.dim)).T
-        if self.dim <= _ACTION_CACHE_DIM:
+        mat = self._stack(ref)
+        if mat.shape[0] == self.dim <= _ACTION_CACHE_DIM or (
+                sparse.issparse(mat) and mat.nnz * 3 <= mat.shape[0] * 40):
             with self._lock:
                 self._action_cache[ref] = mat
         return mat
 
+    action_matrix = stack_matrix  # one operator: A with column action v -> A v
+
+    def apply_stack(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
+        """(T, batch, dim): out[k] is the k-th operator of ref applied to
+        each row of x."""
+        x = np.asarray(x, dtype=np.int64)
+        out = product(self.stack_matrix(ref), x.T, self.p)
+        return out.reshape(-1, self.dim, x.shape[0]).transpose(0, 2, 1)
+
+    def apply_ref(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
+        """The one-operator case of apply_stack: (batch, dim)."""
+        return self.apply_stack(ref, x)[0]
+
     def generator_action(self) -> tuple[list[OpRef], sparse.csr_matrix]:
         """(refs, A) for refs = space.generator_refs(): A stacks the action
-        matrices, so rows g*dim .. (g+1)*dim - 1 are action_matrix(refs[g])."""
-        refs = self.space.generator_refs()
-        return refs, sparse.vstack(
-            [sparse.csr_matrix(self.action_matrix(ref)) for ref in refs],
-            format="csr")
+        matrices, so rows g*dim .. (g+1)*dim - 1 are action_matrix(refs[g]).
+        Built once per module: a Koszul middle term is checked as the
+        target of one map and as the source of the next."""
+        with self._lock:
+            if self._generators is None:
+                self._generators = (self.space.generator_refs(),
+                                    sparse.csr_matrix(self._stack(("gens",))))
+            return self._generators
 
     def weight_basis(self, comp: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
         """RREF rows (and pivots) spanning the weight space of `comp`."""
@@ -116,11 +150,6 @@ class ModuleRep:
 
     def weight_dim(self, comp: tuple[int, ...]) -> int:
         return self.weight_basis(comp)[0].shape[0]
-
-    def weight_coords(self, comp: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-        """Coordinates of rows of x (inside the weight space) in its RREF basis."""
-        _, pivots = self.weight_basis(comp)
-        return x[..., list(pivots)]
 
     def character(self) -> dict[tuple[int, ...], int]:
         out = {}
@@ -283,12 +312,22 @@ class ShapeModule(ModuleRep):
             weights = self.alphabet ** np.arange(size - 1, -1, -1)
             codes = np.array(basis, dtype=np.int64) @ weights
             idx = idx * len(basis) + np.searchsorted(codes, canon @ weights)
+        # each ambient index lifts from, and projects to, at most one
+        # basis element: the maps ambient -> basis of L^T and P, -1 for none
+        self._lifted = np.full(self._amb, -1, dtype=np.int64)
+        self._lifted[amb[lifts]] = idx[lifts]
+        self._projected = np.full(self._amb, -1, dtype=np.int64)
+        self._projected[amb[projects]] = idx[projects]
+        self._sign = np.ones(self._amb, dtype=np.int64)
+        self._sign[amb[odd]] = self.p - 1
+        rows = np.flatnonzero(self._lifted >= 0)
         self._lift = sparse.csr_matrix(
-            (np.ones(int(lifts.sum()), dtype=np.int64), (amb[lifts], idx[lifts])),
+            (np.ones(rows.size, dtype=np.int64), (rows, self._lifted[rows])),
             shape=(self._amb, self.dim))
+        cols = np.flatnonzero(self._projected >= 0)
         self._proj = sparse.csr_matrix(
-            (np.where(odd[projects], self.p - 1, 1).astype(np.int64),
-             (idx[projects], amb[projects])), shape=(self.dim, self._amb))
+            (self._sign[cols], (self._projected[cols], cols)),
+            shape=(self.dim, self._amb))
 
     def lift_matrix(self) -> sparse.csr_matrix:
         """Section of the subquotient: orbit sums on G blocks, canonical
@@ -307,58 +346,29 @@ class ShapeModule(ModuleRep):
 
     # action --------------------------------------------------------------
 
-    def apply_ref(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        batch = x.shape[0]
-        amb = self.lift_matrix() @ x.T  # (_amb, batch)
-        nD = self.n ** self.D
-        a = self.space.matrix(ref)
-        if self._u_total == 1:
-            acted = (a @ amb) % self.p
-        else:
-            v = amb.reshape(self._u_total, nD, batch)
-            v = np.ascontiguousarray(v.transpose(1, 0, 2)).reshape(
-                nD, self._u_total * batch)
-            acted = (a @ v) % self.p
-            acted = acted.reshape(nD, self._u_total, batch).transpose(1, 0, 2)
-            acted = np.ascontiguousarray(acted).reshape(self._amb, batch)
-        out = (self.project_matrix() @ acted) % self.p
-        return out.T
-
-    def action_matrix(self, ref: OpRef):
-        with self._lock:
-            hit = self._action_cache.get(ref)
-        if hit is not None:
-            return hit
-        # the operator acts on the E slots, as the identity on parameter letters
-        a = diagonal_copies(self.space.matrix(ref), self._u_total)
-        mat = (self.project_matrix() @ a @ self.lift_matrix()).tocsr()
+    def _stack(self, ref: OpRef) -> sparse.csr_matrix:
+        """kron(I_T, P) @ S @ L for the T stacked tensor-space operators S
+        of ref, acting on the E slots and as the identity on parameter
+        letters.  L and P each touch an ambient index at most once, so
+        each entry of S, on each parameter word, is one entry of the
+        product: one lift, one pass over S and one projection."""
+        if self._lift is None:
+            self._build_bridge()
+        ops = self.space.matrix(ref).tocoo()
+        N = self.space.dim
+        block, slot = np.divmod(ops.row, N)
+        words = np.arange(self._u_total)[:, None] * N
+        src = self._lifted[(words + ops.col).reshape(-1)]
+        dst = (words + slot).reshape(-1)
+        row = self._projected[dst]
+        keep = (src >= 0) & (row >= 0)
+        mat = sparse.csr_matrix(
+            ((np.tile(ops.data, self._u_total) * self._sign[dst])[keep],
+             ((np.tile(block, self._u_total) * self.dim + row)[keep], src[keep])),
+            shape=(ops.shape[0] // N * self.dim, self.dim))
         mat.data %= self.p
         mat.eliminate_zeros()
-        if self.dim <= _ACTION_CACHE_DIM or mat.nnz * 3 <= self.dim * 40:
-            with self._lock:
-                self._action_cache[ref] = mat
         return mat
-
-    def generator_action(self) -> tuple[list[OpRef], sparse.csr_matrix]:
-        """All generators at once: kron(I_R, P) @ (G @ L), where G stacks
-        the R generator matrices on the ambient in (generator, parameter
-        word, tensor slot) row order."""
-        refs = self.space.generator_refs()
-        gens = self.space.matrix(("gens",))
-        if self._u_total > 1:
-            R, U, N = len(refs), self._u_total, self.space.dim
-            # the U diagonal copies of G have their rows in (word, generator,
-            # slot) order; take them in (generator, word, slot) order
-            order = (np.arange(R)[:, None, None] * N
-                     + np.arange(U)[None, :, None] * (R * N)
-                     + np.arange(N)[None, None, :]).reshape(-1)
-            gens = diagonal_copies(gens, U)[order]
-        proj = diagonal_copies(self.project_matrix(), len(refs))
-        mat = (proj @ (gens @ self.lift_matrix())).tocsr()
-        mat.data %= self.p
-        mat.eliminate_zeros()
-        return refs, mat
 
     def expression(self) -> str:
         """The shape as a fragment expression that evaluates back to it:
@@ -383,11 +393,10 @@ class DualModule(ModuleRep):
         super().__init__(base.p, base.n, base.D, base.dim)
         self.base = base
 
-    def apply_ref(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
-        a = self.base.action_matrix(flip_ref(ref))
-        if sparse.issparse(a):
-            return np.asarray(x @ a) % self.p
-        return fp.matmul(x, a, self.p)
+    def _stack(self, ref: OpRef):
+        # each block is the transpose of the base's block for the flipped
+        # ref; on tensor space the flip of a word is its transpose
+        return block_transpose(self.base.stack_matrix(flip_ref(ref)), self.dim)
 
 
 class SubmoduleModule(ModuleRep):
@@ -402,10 +411,13 @@ class SubmoduleModule(ModuleRep):
         self.rows = rows
         self.pivots = tuple(pivots)
 
-    def apply_ref(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
-        up = fp.matmul(np.asarray(x, dtype=np.int64), self.rows, self.p)
-        acted = self.parent.apply_ref(ref, up)
-        return acted[:, list(self.pivots)]
+    def _stack(self, ref: OpRef):
+        # block k is the parent's block at the pivot rows, on the basis rows
+        mat = self.parent.stack_matrix(ref)
+        pdim = self.parent.dim
+        keep = (np.arange(mat.shape[0] // pdim)[:, None] * pdim
+                + np.array(self.pivots, dtype=np.int64)).reshape(-1)
+        return product(mat[keep], self.rows.T, self.p)
 
 
 class TensorModule(ModuleRep):
@@ -455,17 +467,14 @@ class TensorModule(ModuleRep):
         a = mod.action_matrix(ref)
         return a.toarray() if sparse.issparse(a) else a
 
-    def apply_ref(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
-        batch = x.shape[0]
-        xv = np.asarray(x, dtype=np.int64).reshape(batch, self.left.dim,
-                                                   self.right.dim)
-        out = np.zeros_like(xv)
-        for k1, k2 in self._split_ref(ref):
-            ml = self._factor_matrix(self.left, k1)
-            mr = self._factor_matrix(self.right, k2)
-            t = np.einsum("xl,blr->bxr", ml, xv)
-            out += np.einsum("bxr,yr->bxy", t, mr) % self.p
-        return (out % self.p).reshape(batch, self.dim)
+    def _stack(self, ref: OpRef) -> np.ndarray:
+        # each operator acts as the sum over its orbit splittings of the
+        # Kronecker products of the factors' actions
+        return np.concatenate([
+            sum(np.kron(self._factor_matrix(self.left, k1),
+                        self._factor_matrix(self.right, k2))
+                for k1, k2 in self._split_ref(one)) % self.p
+            for one in self.space.stack_refs(ref)])
 
 
 # Hom spaces ---------------------------------------------------------------
@@ -477,7 +486,8 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
     Weight compatibility is imposed analytically first (equivariant maps
     preserve weight spaces, so they commute with the weight idempotents),
     then each divided-power generator of `generator_refs` cuts the
-    solution space down by an incremental kernel computation.
+    solution space down by an incremental kernel computation.  Every
+    action is read from the two modules' generator_action.
     """
     if (src.p, src.n, src.D) != (tgt.p, tgt.n, tgt.D):
         raise ValueError("hom between modules in different categories")
@@ -493,34 +503,27 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
 
     # the map with a single 1 at entry (i, j) of a weight block is the
     # outer product of target weight row i and source weight projector row j
+    refs, a_src = src.generator_action()
+    _, a_tgt = tgt.generator_action()
     mats = []
     for comp, ws, wt in blocks:
         pivots = src.weight_basis(comp)[1]
-        idem = ("xi", src.space.weight_key(comp))
-        proj = src.apply_ref(idem, fp.identity(src.dim)).T  # column action
-        src_hat = proj[list(pivots), :]  # (ws, src.dim)
+        g = refs.index(("xi", src.space.weight_key(comp)))
+        # rows of the idempotent's column action
+        src_hat = a_src[g * src.dim + np.array(pivots)].toarray()  # (ws, src.dim)
         tgt_rows = tgt.weight_basis(comp)[0]  # (wt, tgt.dim)
         outer = tgt_rows[:, None, :, None] * src_hat[None, :, None, :]
         mats.append(outer.reshape(wt * ws, tgt.dim, src.dim) % p)
     mats = np.concatenate(mats)
-    for ref in src.space.generator_refs():
+    for g, ref in enumerate(refs):
         if len(mats) == 0:
             break
         if ref[0] == "xi":
             continue  # a weight idempotent: the weight blocks satisfy it
-        a_src = src.action_matrix(ref)
-        a_tgt = tgt.action_matrix(ref)
-        cols = []
-        for x in mats:
-            if sparse.issparse(a_src):
-                xa = np.asarray((a_src.T @ x.T).T) % p
-            else:
-                xa = fp.matmul(x, a_src, p)
-            if sparse.issparse(a_tgt):
-                ax = np.asarray(a_tgt @ x) % p
-            else:
-                ax = fp.matmul(a_tgt, x, p)
-            cols.append(((xa - ax) % p).reshape(-1))
+        act_src = a_src[g * src.dim: (g + 1) * src.dim]
+        act_tgt = a_tgt[g * tgt.dim: (g + 1) * tgt.dim]
+        cols = [((np.asarray((act_src.T @ x.T).T) - np.asarray(act_tgt @ x))
+                 % p).reshape(-1) for x in mats]
         resid = np.stack(cols, axis=1)
         coeffs = fp.kernel_basis(resid, p)
         if coeffs.shape[0] == len(mats):

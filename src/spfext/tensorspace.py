@@ -12,7 +12,11 @@ commuting with every generator commutes with all of S(n, D).
 
 Operators are built lazily as sparse matrices on E^(x)D and memoized per
 space behind a lock, with least-recently-used eviction against a
-configurable byte budget.
+configurable byte budget.  A stack of T operators is one (T n^D x n^D)
+matrix: ("gens",) stacks generator_refs, ("words", c) the word operators
+xi(word_key(c, t)) of Gamma^c for its basis vectors t at dominant
+weights, in basis order (("words", c, "all") for every t), and
+("flip", ref) the flipped stack, which is its blockwise transpose.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -70,7 +74,30 @@ def flip_ref(ref: OpRef) -> OpRef:
     if kind == "div":
         _, a, b, r = ref
         return ("div", b, a, r)
+    if kind == "flip":
+        return ref[1]
+    if kind in ("gens", "words"):
+        return ("flip", ref)
     raise ValueError(f"unknown operator ref {ref!r}")
+
+
+def block_transpose(mat, dim: int):
+    """Transpose each (dim x dim) block of a vertical stack of blocks."""
+    if not sparse.issparse(mat):
+        return mat.reshape(-1, dim, dim).transpose(0, 2, 1).reshape(-1, dim)
+    mat = mat.tocoo()
+    block = mat.row - mat.row % dim
+    return sparse.csr_matrix((mat.data, (block + mat.col, mat.row - block)),
+                             shape=mat.shape)
+
+
+def word_key(comp: tuple[int, ...], tup: tuple[tuple[int, ...], ...]) -> XiKey:
+    """The xi-basis element carrying the canonical generator of Gamma^comp
+    onto the basis vector `tup`: block b pairs its letters with the b-th
+    nonzero letter of comp."""
+    letters = [a for a, part in enumerate(comp) if part]
+    return tuple(sorted((t, letters[b])
+                        for b, block in enumerate(tup) for t in block))
 
 
 def key_row_content(key: XiKey, n: int) -> tuple[int, ...]:
@@ -85,6 +112,11 @@ def key_col_content(key: XiKey, n: int) -> tuple[int, ...]:
     for _, b in key:
         counts[b] += 1
     return tuple(counts)
+
+
+def is_dominant(comp: tuple[int, ...]) -> bool:
+    """Parts never increase: a partition, padded with zeros."""
+    return all(a >= b for a, b in zip(comp, comp[1:]))
 
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -185,7 +217,70 @@ class TensorSpace:
         if kind == "gens":  # every generator, stacked in generator_refs order
             return sparse.vstack([self.matrix(r) for r in self.generator_refs()],
                                  format="csr")
+        if kind == "words":
+            return self._build_words(ref[1], every=len(ref) > 2)
+        if kind == "flip":
+            return block_transpose(self.matrix(ref[1]), self.dim)
         raise ValueError(f"unknown operator ref {ref!r}")
+
+    def stack_refs(self, ref: OpRef) -> list[OpRef]:
+        """The single operator refs a ref stacks, in block order."""
+        kind = ref[0]
+        if kind == "gens":
+            return self.generator_refs()
+        if kind == "words":
+            return [("xi", key) for key in self.word_keys(ref[1], len(ref) > 2)]
+        if kind == "flip":
+            return [flip_ref(r) for r in self.stack_refs(ref[1])]
+        return [ref]
+
+    def word_keys(self, comp: tuple[int, ...], every: bool = False) -> list[XiKey]:
+        """The word of each basis vector of Gamma^comp in basis order, at
+        dominant weights only unless `every`."""
+        tuples = product(*(combinations_with_replacement(range(self.n), part)
+                           for part in comp if part))
+        keys = (word_key(comp, tup) for tup in tuples)
+        return [key for key in keys
+                if every or is_dominant(key_row_content(key, self.n))]
+
+    def _build_words(self, comp: tuple[int, ...], every: bool) -> sparse.csr_matrix:
+        """Every word of Gamma^comp stacked, from one decode of the space.
+
+        Against the column J0 = 0^c_0 1^c_1 ..., each row I0 lies in
+        exactly one word: sort I0's letters on each block of J0's slots and
+        encode them as a basis vector of Gamma^comp.  Every other column of
+        weight comp is a place permutation of J0, and its entries sit at
+        the same permutations of the rows.
+        """
+        n, D, N = self.n, self.D, self.dim
+        comp = tuple(comp) + (0,) * (n - len(comp))
+        j0 = np.repeat(np.arange(n), comp)
+        if j0.size != D:
+            raise ValueError(f"{comp} is not a composition of {D}")
+        word = np.zeros(N, dtype=np.int64)
+        for a, part in enumerate(comp):
+            if not part:
+                continue
+            basis = np.array(list(combinations_with_replacement(range(n), part)))
+            weights = n ** np.arange(part - 1, -1, -1)
+            block = np.sort(self.letters[:, j0 == a], axis=1)
+            word = word * len(basis) + np.searchsorted(basis @ weights,
+                                                       block @ weights)
+        content = (self.letters[:, :, None] == np.arange(n)).sum(axis=1)
+        rows0 = (np.arange(N) if every
+                 else np.flatnonzero((np.diff(content, axis=1) <= 0).all(axis=1)))
+        kept = np.unique(word[rows0])
+        cols = np.flatnonzero((content == comp).all(axis=1))
+        # slot s of column J carries slot inv[s] of J0, so (I, J) = sigma (I0, J0)
+        inv = np.argsort(np.argsort(self.letters[cols], axis=1, kind="stable"),
+                         axis=1)
+        place = n ** np.arange(D - 1, -1, -1)
+        rows = (np.searchsorted(kept, word[rows0])[:, None] * N
+                + self.letters[rows0][:, inv] @ place)
+        return sparse.csr_matrix(
+            (np.ones(rows.size, dtype=np.int64),
+             (rows.reshape(-1), np.broadcast_to(cols, rows.shape).reshape(-1))),
+            shape=(kept.size * N, N))
 
     def _build_xi(self, key: XiKey) -> sparse.csr_matrix:
         if len(key) != self.D:

@@ -2,7 +2,8 @@
 Ext tables do not depend on the sweep order that picks generators, and
 twisted projective sources satisfy the mirror duality.  Random block
 tuples (degree <= 4) check the vectorised tensor-space bridge against its
-loop reference."""
+loop reference, and random targets (degree <= 4) the block-assembled Ext
+differentials against theirs."""
 
 import pytest
 
@@ -10,9 +11,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from spfext import young  # noqa: E402
-from spfext.homology import duality_check, ext  # noqa: E402
+from spfext.functors import evaluate  # noqa: E402
+from spfext.homology import (duality_check, ext, ext_dims,  # noqa: E402
+                             resolve_expression)
 from spfext.modules import ShapeModule  # noqa: E402
 from test_functors import _lift_by_loop, _project_by_loop  # noqa: E402
+from test_words import ext_dims_by_loop  # noqa: E402
 
 
 @st.composite
@@ -77,3 +81,16 @@ def test_bridge_matches_loop_reference_on_random_blocks(data):
                       (mod.project_matrix(), _project_by_loop(mod))]:
         assert got.shape == want.shape and got.nnz == want.nnz
         assert (got != want).nnz == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_ext_dims_matches_loop_reference_on_random_targets(data):
+    p = data.draw(st.sampled_from((2, 3)), label="p")
+    degree = data.draw(st.integers(1, 4), label="degree")
+    src = data.draw(fragment(p, degree), label="source")
+    tgt = data.draw(target(p, degree), label="target")
+    sweep = data.draw(st.sampled_from(("dominance", "reversed")), label="sweep")
+    res = resolve_expression(src, p, degree + 1, sweep=sweep)
+    module = evaluate(tgt, p)
+    assert ext_dims(res, module) == ext_dims_by_loop(res, module)
