@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from itertools import product
 from math import isqrt
 
 import numpy as np
@@ -31,7 +30,6 @@ from .errors import (ParseError, SemanticError, SpfextError,
 from .modules import (Block, DualModule, ModuleRep, ShapeModule, SubmoduleModule,
                       TensorModule, canonical_blocks, check_equivariance,
                       hom_space)
-from .tensorspace import distinct_permutations
 
 MAX_PARAM = 2
 
@@ -345,8 +343,8 @@ def _blocks(*sized: tuple[str, int]) -> tuple[Block, ...]:
 
 
 def canonical_map(kind: str, p: int, *, a: int = 0, b: int = 0,
-                  lam: tuple[int, ...] = (), m: int = 1, n: int | None = None,
-                  check: bool = True) -> NaturalMap:
+                  lam: tuple[int, ...] = (), m: int = 1,
+                  n: int | None = None) -> NaturalMap:
     """Explicit equivariant matrices for the structural maps.
 
     kinds: gamma_comult (G^{a+b} -> G^a * G^b), sym_mult (S^a * S^b ->
@@ -356,7 +354,7 @@ def canonical_map(kind: str, p: int, *, a: int = 0, b: int = 0,
     column-to-row slot permutation).
     """
     if kind == "tableau_composite":
-        return _tableau_composite(tuple(lam), p, check=check)
+        return _tableau_composite(tuple(lam), p, n=n)
     D = a + b
     if n is None:
         n = D
@@ -386,10 +384,8 @@ def canonical_map(kind: str, p: int, *, a: int = 0, b: int = 0,
         mat = _lambda_comult_matrix(src, tgt, a, b, p)
     else:
         raise ValueError(f"unknown canonical map kind {kind!r}")
-    nat = NaturalMap(src, tgt, mat)
-    if check:
-        check_equivariance(mat, src, tgt)
-    return nat
+    check_equivariance(mat, src, tgt)
+    return NaturalMap(src, tgt, mat)
 
 
 def _lambda_comult_matrix(src: ShapeModule, tgt: ShapeModule, a: int, b: int,
@@ -414,75 +410,29 @@ def _lambda_comult_matrix(src: ShapeModule, tgt: ShapeModule, a: int, b: int,
     return mat
 
 
-def _tableau_composite(lam: tuple[int, ...], p: int, check: bool = True,
+def _tableau_composite(lam: tuple[int, ...], p: int,
                        n: int | None = None) -> NaturalMap:
+    """Antisymmetrize each column of lam, then multiply along its rows.
+
+    The transposed projection of L^{conjugate(lam)} sends a basis vector
+    to the signed sum of every arrangement of each column's letters, and
+    the projection of S^lam sends every arrangement to its sorted rows
+    with coefficient 1.  Between them, the place permutation moves cell
+    (r, c) from its slot read down columns to its slot read along rows.
+    """
     lam = young.check_partition(lam)
-    d = sum(lam)
     if n is None:
-        n = d
+        n = sum(lam)
     conj = young.conjugate(lam)
     src = shape_module(p, n, _blocks(*(("L", c) for c in conj)))
     tgt = shape_module(p, n, _blocks(*(("S", r) for r in lam)))
-    # slot bookkeeping: source slots read down columns, target slots along rows
-    col_offsets = [0]
-    for c in conj[:-1]:
-        col_offsets.append(col_offsets[-1] + c)
-    row_offsets = [0]
-    for r in lam[:-1]:
-        row_offsets.append(row_offsets[-1] + r)
-    source_slot_of_cell = {}
-    target_slot_of_cell = {}
-    for c, height in enumerate(conj):
-        for r in range(height):
-            source_slot_of_cell[(r, c)] = col_offsets[c] + r
-    for r, width in enumerate(lam):
-        for c in range(width):
-            target_slot_of_cell[(r, c)] = row_offsets[r] + c
-    mat = fp.zeros(tgt.dim, src.dim)
-    for idx in range(src.dim):
-        tup = src.basis_tuple(idx)
-        expansions = []
-        for column in tup:
-            signed = []
-            base = list(column)
-            for perm in distinct_permutations(tuple(range(len(base)))):
-                sign = _perm_sign(perm)
-                signed.append((tuple(base[k] for k in perm), sign))
-            expansions.append(signed)
-        for combo in product(*expansions):
-            letters = {}
-            sign = 1
-            for c, (arranged, s) in enumerate(combo):
-                sign *= s
-                for r, letter in enumerate(arranged):
-                    letters[(r, c)] = letter
-            target_blocks = []
-            for r, width in enumerate(lam):
-                row_letters = tuple(sorted(letters[(r, c)] for c in range(width)))
-                target_blocks.append(row_letters)
-            t_idx = tgt.basis_index(tuple(target_blocks))
-            mat[t_idx, idx] = (mat[t_idx, idx] + sign) % p
-    nat = NaturalMap(src, tgt, mat)
-    if check:
-        check_equivariance(mat, src, tgt)
-    return nat
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    row_start = np.cumsum((0,) + lam[:-1])
+    sigma = tuple(int(row_start[r]) + c
+                  for c, height in enumerate(conj) for r in range(height))
+    mat = (tgt.project_matrix() @ src.space.place_permutation(sigma)
+           @ src.project_matrix().T).toarray() % p
+    check_equivariance(mat, src, tgt)
+    return NaturalMap(src, tgt, mat)
 
 
 # Schur, Weyl and simple functors -------------------------------------------
@@ -501,7 +451,7 @@ def schur_weyl_simple(lam: tuple[int, ...], which: str, p: int,
     if hit is not None:
         return hit
     if which == "schur":
-        nat = _tableau_composite(lam, p, check=True, n=n)
+        nat = _tableau_composite(lam, p, n=n)
         rows = fp.image_basis(nat.matrix, p)
         mod: ModuleRep = SubmoduleModule(nat.target, rows)
     elif which == "weyl":

@@ -45,7 +45,6 @@ from .functors import (Atom, Dual, Ident, Node, Param, Tensor, Twist, as_node,
                        canon, check_field, degree, evaluate, shape_module)
 from .modules import ModuleRep, ShapeModule, hom_space
 from .tensorspace import get_space, is_dominant
-from .tensorspace import word_key  # noqa: F401 (part of this module's API)
 
 
 def comp_of_partition(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -488,10 +487,9 @@ def kr_cohomology(f_expr, v: int, p: int, i: int,
     """Parameterized Ext against the twisted divided power with v slots."""
     node = as_node(f_expr)
     D = degree(node, p)
-    q = p ** i
-    if D % q != 0:
-        raise SemanticError(f"degree {D} is not divisible by p^i = {q}")
-    d = D // q
+    d = default_depth(p, i, D)[1]
+    if d is None:
+        raise SemanticError(f"degree {D} is not divisible by p^i = {p ** i}")
     source = Param(Twist(Atom("G", (d,)), i), v)
     return ext(source, node, p, i=i, depth=depth, sweep=sweep,
                cache_dir=cache_dir)
@@ -569,10 +567,10 @@ def duality_check(p_expr, f_expr, p: int, i: int = 1,
     realization = _admissible_source(p_node, p)
     d = degree(p_node, p)
     q = p ** i
-    window = 2 * (q - 1) * d
     if degree(f_node, p) != q * d:
         raise DegreeMismatchError(
             f"target degree {degree(f_node, p)} != p^i * d = {q * d}")
+    window = default_depth(p, i, q * d)[0] - 1
     src = Twist(realization, i)
     fwd = ext(src, f_node, p, i=i, depth=window + 1, sweep=sweep,
               cache_dir=cache_dir)
@@ -610,8 +608,7 @@ def hom_pairing_check(p_expr, m_expr, p: int) -> PairingReport:
     Hom(M, P) x Hom(P, M) -> End(P)."""
     p_node = as_node(p_expr)
     m_node = as_node(m_expr)
-    if _is_tensor_power_of_identity(p_node) is None:
-        _admissible_source(p_node, p)
+    _admissible_source(p_node, p)
     if degree(p_node, p) != degree(m_node, p):
         raise DegreeMismatchError("pairing requires equal degrees")
     pmod = evaluate(p_node, p)

@@ -402,10 +402,8 @@ class DualModule(ModuleRep):
 class SubmoduleModule(ModuleRep):
     """Submodule spanned by RREF rows of a stable subspace of the parent."""
 
-    def __init__(self, parent: ModuleRep, rows: np.ndarray, pivots=None):
-        if pivots is None:
-            rows, piv = fp.basis_rows(rows, parent.p)
-            pivots = tuple(piv)
+    def __init__(self, parent: ModuleRep, rows: np.ndarray):
+        rows, pivots = fp.basis_rows(rows, parent.p)
         super().__init__(parent.p, parent.n, parent.D, rows.shape[0])
         self.parent = parent
         self.rows = rows

@@ -23,14 +23,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
 
 import numpy as np
 from scipy import sparse
-
-from .fp import FpMatrix
 
 DEFAULT_OP_BUDGET = 512 * 1024 * 1024
 
@@ -58,13 +54,6 @@ def distinct_permutations(items: tuple):
             out.pop()
 
     yield from rec(pool)
-
-
-def xi_key(i: tuple[int, ...], j: tuple[int, ...]) -> XiKey:
-    """Canonical orbit representative of the pair (i, j)."""
-    if len(i) != len(j):
-        raise ValueError("multi-indices of different lengths")
-    return tuple(sorted(zip(i, j)))
 
 
 def flip_ref(ref: OpRef) -> OpRef:
@@ -107,13 +96,6 @@ def key_row_content(key: XiKey, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def key_col_content(key: XiKey, n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for _, b in key:
-        counts[b] += 1
-    return tuple(counts)
-
-
 def is_dominant(comp: tuple[int, ...]) -> bool:
     """Parts never increase: a partition, padded with zeros."""
     return all(a >= b for a, b in zip(comp, comp[1:]))
@@ -136,46 +118,9 @@ def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class XiElement:
-    """Basis element of the Schur algebra: an orbit of index pairs.
-
-    The representative is the lexicographically least pair in the
-    simultaneous place-permutation orbit, i.e. the sorted tuple of
-    per-slot letter pairs.
-    """
-
-    key: XiKey
-    n: int
-
-    @property
-    def row_index(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.key)
-
-    @property
-    def col_index(self) -> tuple[int, ...]:
-        return tuple(b for _, b in self.key)
-
-    @property
-    def content_row(self) -> tuple[int, ...]:
-        return key_row_content(self.key, self.n)
-
-    @property
-    def content_col(self) -> tuple[int, ...]:
-        return key_col_content(self.key, self.n)
-
-
-@dataclass(frozen=True)
-class Operator:
-    """A Schur algebra element as a concrete matrix on tensor space."""
-
-    space: "TensorSpace"
-    ref: OpRef
-    matrix: FpMatrix
-
-
 class TensorSpace:
-    """E^(x)D for E = k^n over F_p, with the xi-operator factory."""
+    """E^(x)D for E = k^n over F_p: its basis, the memoized Schur-algebra
+    operators named by refs, and the place permutations."""
 
     def __init__(self, p: int, n: int, D: int, op_budget: int = DEFAULT_OP_BUDGET):
         if D < 1 or n < D:
@@ -202,9 +147,6 @@ class TensorSpace:
                 raise IndexError(f"letter {a} out of range for n={self.n}")
             idx = idx * self.n + a
         return idx
-
-    def decode(self, idx: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.letters[idx])
 
     # -- operator construction -------------------------------------------
 
@@ -339,15 +281,6 @@ class TensorSpace:
                                         + old.indptr.nbytes)
             return self._ops[ref]
 
-    def operator(self, ref: OpRef) -> Operator:
-        return Operator(self, ref, FpMatrix(self.matrix(ref), self.p, storage="sparse"))
-
-    def xi_element(self, i: tuple[int, ...], j: tuple[int, ...]) -> XiElement:
-        return XiElement(xi_key(i, j), self.n)
-
-    def xi_operator(self, i: tuple[int, ...], j: tuple[int, ...]) -> Operator:
-        return self.operator(("xi", xi_key(i, j)))
-
     def weight_key(self, comp: tuple[int, ...]) -> XiKey:
         comp = tuple(comp)
         if len(comp) != self.n or sum(comp) != self.D or any(c < 0 for c in comp):
@@ -358,37 +291,25 @@ class TensorSpace:
             pairs.extend([(a, a)] * mult)
         return tuple(pairs)
 
-    def weight_idempotent(self, comp: tuple[int, ...]) -> Operator:
-        return self.operator(("xi", self.weight_key(comp)))
-
-    def place_permutation(self, sigma: tuple[int, ...]) -> Operator:
-        """Permutation matrix of e_j -> e_{j o sigma^-1} on slot positions."""
+    def place_permutation(self, sigma: tuple[int, ...]) -> sparse.csr_matrix:
+        """Permutation matrix of e_j -> e_{j o sigma^-1}: the letter in
+        slot s moves to slot sigma[s]."""
         if sorted(sigma) != list(range(self.D)):
             raise ValueError(f"{sigma} is not a permutation of {self.D} letters")
-        inv = [0] * self.D
-        for s, t in enumerate(sigma):
-            inv[t] = s
-        permuted = self.letters[:, inv]
-        rows = np.zeros(self.dim, dtype=np.int64)
-        for s in range(self.D):
-            rows = rows * self.n + permuted[:, s]
-        mat = sparse.csr_matrix(
+        place = self.n ** np.arange(self.D - 1, -1, -1)
+        rows = self.letters[:, np.argsort(sigma)] @ place
+        return sparse.csr_matrix(
             (np.ones(self.dim, dtype=np.int64), (rows, np.arange(self.dim))),
             shape=(self.dim, self.dim))
-        return Operator(self, ("perm", tuple(sigma)), FpMatrix(mat, self.p,
-                                                               storage="sparse"))
 
     # -- basis and generators ---------------------------------------------
-
-    def schur_dimension(self) -> int:
-        return comb(self.n * self.n + self.D - 1, self.D)
 
     def full_basis_keys(self) -> list[XiKey]:
         pairs = [(a, b) for a in range(self.n) for b in range(self.n)]
         return [key for key in combinations_with_replacement(pairs, self.D)]
 
     def generator_refs(self) -> list[OpRef]:
-        """Operator refs generating S(n, D) as an algebra: every weight
+        """Refs of operators generating S(n, D) as an algebra: every weight
         idempotent, then ("div", a, b, r) for a != b and 1 <= r <= D."""
         refs: list[OpRef] = [("xi", self.weight_key(c))
                              for c in compositions(self.D, self.n)]

@@ -221,19 +221,14 @@ def is_p_core(parts: tuple[int, ...], p: int) -> bool:
     return p_core_and_weight(parts, p)[1] == 0
 
 
-def is_single_simple_block(parts: tuple[int, ...], p: int,
-                           experimental_general_e: bool = False) -> bool:
+def is_single_simple_block(parts: tuple[int, ...], p: int) -> bool:
     """Whether the block of the simple labeled by `parts` contains it alone.
 
     Implemented sufficient condition: the diagram is a p-core (blocks are
     classified by p-core and hook count, and a positive hook count always
     admits several labels).  The general criterion for projective simples
-    with e > 0 is not pinned down here; requesting it raises.
+    with e > 0 is not pinned down here.
     """
-    if experimental_general_e:
-        raise NotImplementedError(
-            "general-e projective-simple criterion is not implemented; "
-            "only the e = 0 (p-core) case is certified")
     return is_p_core(parts, p)
 
 
@@ -281,10 +276,6 @@ def enumerate_slicings(parts: tuple[int, ...], p: int) -> list[Slicing]:
         out.append(Slicing(base=parts, hooks=tuple(reversed(order))))
     out.sort(key=lambda s: tuple(h.cells for h in s.hooks))
     return out
-
-
-def slicing_degree(s: Slicing) -> int:
-    return s.degree
 
 
 def poincare_polynomial(parts: tuple[int, ...], p: int) -> list[int]:

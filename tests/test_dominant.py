@@ -18,8 +18,8 @@ from scipy import sparse
 from spfext import cache as ca
 from spfext import fp, young
 from spfext.functors import evaluate
-from spfext.homology import (comp_of_partition, gamma_shape, resolve,
-                             word_key)
+from spfext.homology import comp_of_partition, gamma_shape, resolve
+from spfext.tensorspace import word_key
 
 
 class FullStage:

@@ -164,6 +164,14 @@ def test_pairing_reports():
     assert rep.dim_hom_pm == 2 and rep.passed
 
 
+def test_pairing_refuses_inadmissible():
+    with pytest.raises(AdmissibilityError):
+        hom_pairing_check("G(2)", "I*I", 2)
+    with pytest.raises(AdmissibilityError):
+        # the block of (2) at p = 2 contains more than one simple
+        hom_pairing_check("simple(2)", "I*I", 2)
+
+
 def test_ext_table_payload_shape():
     table = ext("twist(I,1)", "S(2)", 2)
     payload = table.payload()

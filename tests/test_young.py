@@ -66,8 +66,6 @@ def test_single_simple_block():
     assert is_single_simple_block((1,), 5)
     assert is_single_simple_block((2,), 3)
     assert not is_single_simple_block((2,), 2)
-    with pytest.raises(NotImplementedError):
-        is_single_simple_block((2,), 2, experimental_general_e=True)
 
 
 def test_slicings_row_of_four():
@@ -96,9 +94,9 @@ def test_slicings_column_of_four():
 
 def test_slicing_degree_examples():
     row = enumerate_slicings((4,), 2)[0]
-    assert young.slicing_degree(row) == 0
+    assert row.degree == 0
     col = enumerate_slicings((1, 1, 1, 1), 2)[0]
-    assert young.slicing_degree(col) == 2
+    assert col.degree == 2
 
 
 def test_slicing_warning_on_indivisible_weight():
