@@ -86,18 +86,21 @@ def basis_rows(a, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def kernel_basis(a, p: int) -> np.ndarray:
-    """RREF rows spanning the right null space of `a`."""
+    """RREF rows spanning the right null space of `a`, from one elimination:
+    a column leads a kernel vector iff it lies in the span of the columns
+    right of it, so reducing the columns in reverse order leaves free
+    exactly the kernel's RREF pivots."""
     a = as_fp(a, p)
     _, n = a.shape
-    reduced, pivots = row_reduce(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    reduced, rev_pivots = row_reduce(a[:, ::-1], p)
+    pivots = [n - 1 - c for c in rev_pivots]
+    free = sorted(set(range(n)) - set(pivots))
     if not free:
         return zeros(0, n)
     out = zeros(len(free), n)
     out[np.arange(len(free)), free] = 1
-    out[:, pivots] = (-reduced[:len(pivots), free].T) % p
-    return basis_rows(out, p)[0]
+    out[:, pivots] = (-reduced[:len(pivots), ::-1][:, free].T) % p
+    return out
 
 
 def image_basis(a, p: int) -> np.ndarray:

@@ -200,6 +200,11 @@ def as_node(expr) -> Node:
 
 
 def degree(node: Node, p: int) -> int:
+    """The homogeneous degree; it also refuses what the parser would not build."""
+    if isinstance(node, Twist) and node.order < 1:
+        raise SemanticError("twist order must be positive")
+    if isinstance(node, Param) and node.mult < 1:
+        raise SemanticError("param multiplicity must be positive")
     if isinstance(node, Ident):
         return 1
     if isinstance(node, Atom):
@@ -381,33 +386,22 @@ def canonical_map(kind: str, p: int, *, a: int = 0, b: int = 0,
             raise SemanticError("dual_koszul_diff needs an exterior slot to move")
         src = shape_module(p, n, _blocks(("L", a), ("S", b)), m)
         tgt = shape_module(p, n, _blocks(("L", a - 1), ("S", b + 1)), m)
-        mat = _lambda_comult_matrix(src, tgt, a, b, p)
+        # the transpose of koszul_diff(b+1, a-1): G^{b+1} * L^{a-1} ->
+        # G^b * L^a, with the two factors swapped on both sides (G and S
+        # share a basis, and L is its own dual with no sign)
+        kos = (shape_module(p, n, _blocks(("G", b), ("L", a)), m).project_matrix()
+               @ shape_module(p, n, _blocks(("G", b + 1), ("L", a - 1)), m)
+               .lift_matrix()).tocoo()
+        s_src = src.dim // len(src.block_bases[0])  # S^b, 1 when b = 0
+        s_tgt = len(tgt.block_bases[-1])  # S^{b+1}
+        sym_col, ext_col = np.divmod(kos.row, src.dim // s_src)
+        sym_row, ext_row = np.divmod(kos.col, tgt.dim // s_tgt)
+        mat = fp.zeros(tgt.dim, src.dim)  # a sparse product holds no repeats
+        mat[ext_row * s_tgt + sym_row, ext_col * s_src + sym_col] = kos.data % p
     else:
         raise ValueError(f"unknown canonical map kind {kind!r}")
     check_equivariance(mat, src, tgt)
     return NaturalMap(src, tgt, mat)
-
-
-def _lambda_comult_matrix(src: ShapeModule, tgt: ShapeModule, a: int, b: int,
-                          p: int) -> np.ndarray:
-    """Comultiply one letter out of the exterior block into the symmetric
-    one, with the alternating sign that makes the squares cancel."""
-    mat = fp.zeros(tgt.dim, src.dim)
-    for idx in range(src.dim):
-        tup = src.basis_tuple(idx)
-        lam_part = tup[0]
-        sym_part = tup[1] if b > 0 else ()
-        for s, letter in enumerate(lam_part):
-            rest = lam_part[:s] + lam_part[s + 1:]
-            new_sym = tuple(sorted(sym_part + (letter,)))
-            if a - 1 > 0:
-                t_tup = (rest, new_sym)
-            else:
-                t_tup = (new_sym,)
-            sign = 1 if s % 2 == 0 else -1
-            t_idx = tgt.basis_index(t_tup)
-            mat[t_idx, idx] = (mat[t_idx, idx] + sign) % p
-    return mat
 
 
 def _tableau_composite(lam: tuple[int, ...], p: int,

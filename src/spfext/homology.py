@@ -243,22 +243,28 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
     for s in range(depth + 1):
         gens: list[tuple[int, ...]] = []
         # per weight of prev: the differential's columns picked so far,
-        # and the RREF basis of their span, the submodule generated so far
+        # whose span is the submodule generated so far
         columns: dict[tuple[int, ...], list[np.ndarray]] = {}
-        span: dict[tuple[int, ...], tuple[np.ndarray, list[int]]] = {}
         for lam in sweep_parts:
             comp = comp_of_partition(lam, n)
             kern = kernel_blocks.get(comp)
             if kern is None:
                 continue
             idxs = groups[comp]
+            _, local_groups = gamma_layout(p, n, lam)
+            # the span at comp is read only now, so it is reduced once, and
+            # each pick extends it by its own block there, which holds v
+            span, piv = fp.zeros(0, idxs.size), []
+            fresh = columns.get(comp, [])
             for row in kern:
-                rows, piv = span.get(comp, (fp.zeros(0, idxs.size), []))
-                if rows.shape[0] and fp.in_rowspace(rows, piv, row, p):
+                if fresh:
+                    span, piv = fp.basis_rows(
+                        np.concatenate([span] + [b.T for b in fresh]), p)
+                    fresh = []
+                if fp.in_rowspace(span, piv, row, p):
                     continue
                 v = np.zeros(prev.dim, dtype=np.int64)
                 v[idxs] = row
-                _, local_groups = gamma_layout(p, n, lam)
                 images = yoneda_images(prev, comp, v, dominant=True)
                 gens.append(lam)
                 for c, local in local_groups.items():
@@ -267,23 +273,23 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
                         if images[:, local].any():
                             raise SpfextError("image escapes the weight grading")
                         continue
-                    block = images[np.ix_(tgt_ix, local)]
-                    columns.setdefault(c, []).append(block)
-                    if block.any():
-                        old, _ = span.get(c, (fp.zeros(0, tgt_ix.size), []))
-                        span[c] = fp.basis_rows(np.concatenate([old, block.T]), p)
+                    columns.setdefault(c, []).append(images[np.ix_(tgt_ix, local)])
+                fresh = columns[comp][-1:]
 
         stage = Stage(gens, p, n)
         diff = {c: np.concatenate(columns[c], axis=1) if c in groups
                 else fp.zeros(0, ix.size) for c, ix in stage.groups.items()}
+        # one elimination per block: its kernel feeds the next stage, and
+        # the rank it leaves proves this stage exact at that weight
+        kernels = {c: fp.kernel_basis(block, p) for c, block in diff.items()}
 
         # invariant checks: complex property and stage exactness
         for comp, block in diff.items():
-            expected = kernel_blocks.get(comp)
-            want = 0 if expected is None else expected.shape[0]
-            if fp.rank(block, p) != want:
+            want = kernel_blocks.get(comp, fp.zeros(0, 0)).shape[0]
+            rank = block.shape[1] - kernels[comp].shape[0]
+            if rank != want:
                 raise SpfextError(
-                    f"stage {s}: block {comp} spans rank {fp.rank(block, p)} "
+                    f"stage {s}: block {comp} spans rank {rank} "
                     f"but the kernel there has dimension {want}")
             if s > 0:
                 up = res.diffs[s - 1].get(comp)
@@ -306,9 +312,7 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
                 res.stages.append(Stage([], p, n))
                 res.diffs.append({})
             break
-        kernel_blocks = {c: fp.kernel_basis(block, p)
-                         for c, block in res.diffs[s].items() if block.shape[1]}
-        kernel_blocks = {c: k for c, k in kernel_blocks.items() if k.shape[0]}
+        kernel_blocks = {c: k for c, k in kernels.items() if k.shape[0]}
         prev, groups = stage, stage.groups
     res.meta["stage_dims"] = [st.gamma_dim for st in res.stages]
     return res

@@ -220,37 +220,34 @@ class ShapeModule(ModuleRep):
         return idx
 
     def _compute_contents(self) -> np.ndarray:
+        """Row idx is the weight of basis vector idx: one decode of every
+        index into its block digits, and each block's letter contents
+        scaled by p^twist."""
+        digits = np.unravel_index(np.arange(self.dim),
+                                  [len(bb) for bb in self.block_bases])
         contents = np.zeros((self.dim, self.n), dtype=np.int64)
-        per_block = []
-        for b, (_, _, twist) in enumerate(self.blocks):
-            scale = self.p ** twist
-            rows = np.zeros((len(self.block_bases[b]), self.n), dtype=np.int64)
-            for k, tup in enumerate(self.block_bases[b]):
-                for letter in tup:
-                    rows[k, letter % self.n] += scale
-            per_block.append(rows)
-        for idx in range(self.dim):
-            rem = idx
-            acc = np.zeros(self.n, dtype=np.int64)
-            for b in range(len(self.blocks) - 1, -1, -1):
-                size = len(self.block_bases[b])
-                acc += per_block[b][rem % size]
-                rem //= size
-            contents[idx] = acc
+        for (_, size, twist), bb, d in zip(self.blocks, self.block_bases, digits):
+            letters = np.array(bb, dtype=np.int64).reshape(len(bb), size) % self.n
+            counts = (letters[:, :, None] == np.arange(self.n)).sum(axis=1)
+            contents += counts[d] * self.p ** twist
         return contents
 
     def content_groups(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Each weight's basis indices, ascending, the weights in the order
+        of their first basis vector."""
         if self._groups is None:
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for idx in range(self.dim):
-                groups.setdefault(tuple(int(c) for c in self.contents[idx]),
-                                  []).append(idx)
-            self._groups = {c: np.array(ix, dtype=np.int64)
-                            for c, ix in groups.items()}
+            keys, first, inverse, counts = np.unique(
+                self.contents, axis=0, return_index=True, return_inverse=True,
+                return_counts=True)
+            members = np.split(np.argsort(inverse.reshape(-1), kind="stable"),
+                               np.cumsum(counts)[:-1])
+            self._groups = {tuple(keys[k].tolist()): members[k]
+                            for k in np.argsort(first)}
         return self._groups
 
     def weight_basis(self, comp):
         comp = tuple(comp)
+        self.space.weight_key(comp)  # ValueError off the weights, like every kind
         idxs = self.content_groups().get(comp)
         if idxs is None or idxs.size == 0:
             return fp.zeros(0, self.dim), ()

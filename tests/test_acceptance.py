@@ -191,8 +191,9 @@ def test_a9_jobs_byte_identical(capsys):
 def test_stretch_degree_five_lemma22():
     """Lemma 2.2 at p = 5: Ext(I^(1), S(5)) is one F_5 in degree 0.  The
     resolution lives on a 3125-dimensional tensor space; it took about
-    23 s and 210 MB on a 2-core machine, and the bound is 10 times that."""
-    with criterion("Stretch Lemma 2.2 at p=5, D=5", 220):
+    9 s and 190 MB on a 2-core machine, and the bound is under 10 times
+    that."""
+    with criterion("Stretch Lemma 2.2 at p=5, D=5", 85):
         table = ext("twist(I,1)", "S(5)", 5, i=1)
         assert table.dims == [1] + [0] * 8
 

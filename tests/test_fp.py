@@ -60,7 +60,8 @@ def test_rank_nullity_random(p):
 
 
 def _kernel_by_loop(a, p):
-    """The double-loop kernel fill, kept as the reference."""
+    """The double-loop kernel fill from the reduced columns in their own
+    order, brought to RREF by a second elimination: the reference."""
     a = fp.as_fp(a, p)
     n = a.shape[1]
     reduced, pivots = fp.row_reduce(a, p)
@@ -84,6 +85,19 @@ def test_kernel_fill_matches_loop_reference(data):
     a = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
                                     max_size=rows * cols)),
                  dtype=np.int64).reshape(rows, cols)
+    got, want = fp.kernel_basis(a, p), _kernel_by_loop(a, p)
+    assert got.shape == want.shape
+    assert (got == want).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_loop_reference_on_low_rank_matrices(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    rows, cols, rank = (data.draw(st.integers(1, 9)) for _ in range(3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = (rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))) % p
+    a[:, rng.random(cols) < 0.2] = 0
     got, want = fp.kernel_basis(a, p), _kernel_by_loop(a, p)
     assert got.shape == want.shape
     assert (got == want).all()

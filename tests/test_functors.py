@@ -9,7 +9,7 @@ from scipy import sparse
 from spfext import fp
 from spfext.errors import (EquivarianceError, ParseError, SemanticError,
                            UnsupportedExpressionError)
-from spfext.functors import (Atom, Dual, Ident, Tensor, canon,
+from spfext.functors import (Atom, Dual, Ident, Param, Tensor, Twist, canon,
                              canonical_map, character, evaluate,
                              frobenius_substitute, kuhn_dual, parse,
                              schur_weyl_simple)
@@ -210,6 +210,20 @@ def test_dual_expression_evaluates():
     assert character(dual) == character(evaluate("G(2)", 2))
 
 
+def test_nodes_built_in_code_meet_the_parser_rules():
+    from spfext.homology import ext, kr_cohomology
+    for bad in [Twist(Ident(), 0), Twist(Ident(), -1),
+                Param(Atom("G", (2,)), 0), Param(Atom("G", (2,)), -1),
+                Tensor(Ident(), Twist(Ident(), 0))]:
+        with pytest.raises(SemanticError):
+            evaluate(bad, 2)
+        with pytest.raises(SemanticError):
+            ext(bad, bad, 2)
+    for v in (0, -1):
+        with pytest.raises(SemanticError):
+            kr_cohomology("G(2)", v, 2, 1)
+
+
 # -- canonical maps -----------------------------------------------------------
 
 
@@ -218,6 +232,35 @@ def test_koszul_chain_dimensions_and_square_zero():
     d2 = canonical_map("koszul_diff", 2, a=1, b=1)
     assert d1.source.dim == 3 and d1.target.dim == 4 and d2.target.dim == 1
     assert not fp.matmul(d2.matrix, d1.matrix, 2).any()
+
+
+def _lambda_comult_by_loop(src, tgt, a, b, p):
+    """dual_koszul_diff as it was first written: comultiply one letter out
+    of the exterior block into the symmetric one, basis vector by basis
+    vector, with the alternating sign that makes the squares cancel."""
+    mat = fp.zeros(tgt.dim, src.dim)
+    for idx in range(src.dim):
+        tup = src.basis_tuple(idx)
+        lam_part = tup[0]
+        sym_part = tup[1] if b > 0 else ()
+        for s, letter in enumerate(lam_part):
+            rest = lam_part[:s] + lam_part[s + 1:]
+            new_sym = tuple(sorted(sym_part + (letter,)))
+            t_tup = (rest, new_sym) if a - 1 > 0 else (new_sym,)
+            t_idx = tgt.basis_index(t_tup)
+            mat[t_idx, idx] = (mat[t_idx, idx] + (-1) ** s) % p
+    return mat
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_dual_koszul_diff_matches_loop_reference(p, m):
+    # at p = 5, m = 2 only a = 5: for a <= 4 the dense maps have 14 to 71
+    # million entries
+    for a in range(1, p + 1) if (p, m) != (5, 2) else [5]:
+        nat = canonical_map("dual_koszul_diff", p, a=a, b=p - a, m=m, n=p)
+        want = _lambda_comult_by_loop(nat.source, nat.target, a, p - a, p)
+        assert nat.matrix.shape == want.shape
+        assert np.array_equal(nat.matrix, want)
 
 
 def test_gamma_comult_injective():
@@ -504,6 +547,35 @@ def _sort_with_sign_by_loop(letters):
         if j > 0 and arr[j - 1] == arr[j]:
             return None
     return tuple(arr), sign
+
+
+def _contents_by_loop(mod):
+    """ShapeModule.contents as it was first written: each block's letter
+    contents, then one basis index at a time, decoded block by block."""
+    per_block = []
+    for b, (_, _, twist) in enumerate(mod.blocks):
+        rows = np.zeros((len(mod.block_bases[b]), mod.n), dtype=np.int64)
+        for k, tup in enumerate(mod.block_bases[b]):
+            for letter in tup:
+                rows[k, letter % mod.n] += mod.p ** twist
+        per_block.append(rows)
+    contents = np.zeros((mod.dim, mod.n), dtype=np.int64)
+    for idx in range(mod.dim):
+        rem = idx
+        for b in range(len(mod.blocks) - 1, -1, -1):
+            size = len(mod.block_bases[b])
+            contents[idx] += per_block[b][rem % size]
+            rem //= size
+    return contents
+
+
+def _content_groups_by_loop(mod):
+    """ShapeModule.content_groups as it was first written: one basis index
+    at a time, each weight opened at its first index."""
+    groups = {}
+    for idx, row in enumerate(_contents_by_loop(mod)):
+        groups.setdefault(tuple(int(c) for c in row), []).append(idx)
+    return {c: np.array(ix, dtype=np.int64) for c, ix in groups.items()}
 
 
 def _lift_by_loop(mod):

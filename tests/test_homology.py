@@ -8,7 +8,8 @@ from spfext.functors import evaluate
 from spfext.homology import (duality_check, end_dimension, ext, hom_from_gamma,
                              hom_pairing_check, kr_cohomology,
                              resolve_expression, weight_space)
-from spfext.modules import check_equivariance
+from spfext.modules import (DualModule, SubmoduleModule, TensorModule,
+                            check_equivariance)
 from spfext.tensorspace import compositions
 
 
@@ -29,6 +30,24 @@ def test_hom_from_gamma_dimensions():
     assert hom_from_gamma((1, 1), twisted)[0] == 0
     free = evaluate("S(1,1)", 2)
     assert hom_from_gamma((1, 1), free)[0] == 2
+
+
+@pytest.mark.parametrize("kind", ["shape", "dual", "submodule", "tensor"])
+@pytest.mark.parametrize("comp", [(1, 1, 0), (3, 0), (-1, 3)])
+def test_every_module_kind_refuses_a_non_weight(kind, comp):
+    s2 = evaluate("S(2)", 2)
+    module = {"shape": s2,
+              "dual": DualModule(s2),
+              "submodule": SubmoduleModule(s2, fp.identity(s2.dim)),
+              "tensor": TensorModule(evaluate("I", 2, n=2),
+                                     evaluate("I", 2, n=2))}[kind]
+    with pytest.raises(ValueError):
+        module.weight_basis(comp)
+    with pytest.raises(ValueError):
+        weight_space(module, comp)
+    if sum(comp) == module.D:
+        with pytest.raises(ValueError):
+            hom_from_gamma(comp, module)
 
 
 def test_hom_from_gamma_realize_is_equivariant():

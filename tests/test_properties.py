@@ -1,10 +1,11 @@
 """Property tests on small random parameters (degree <= 3, p in {2, 3}):
 Ext tables do not depend on the sweep order that picks generators, and
 twisted projective sources satisfy the mirror duality.  Random block
-tuples (degree <= 4) check the vectorised tensor-space bridge against its
-loop reference, and random targets (degree <= 4) the block-assembled Ext
-differentials against theirs."""
+tuples (degree <= 4) check the vectorised tensor-space bridge and weight
+contents against their loop references, and random targets (degree <= 4)
+the block-assembled Ext differentials against theirs."""
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -15,7 +16,9 @@ from spfext.functors import evaluate  # noqa: E402
 from spfext.homology import (duality_check, ext, ext_dims,  # noqa: E402
                              resolve_expression)
 from spfext.modules import ShapeModule  # noqa: E402
-from test_functors import _lift_by_loop, _project_by_loop  # noqa: E402
+from test_functors import (_content_groups_by_loop,  # noqa: E402
+                            _contents_by_loop, _lift_by_loop,
+                            _project_by_loop)
 from test_words import ext_dims_by_loop  # noqa: E402
 
 
@@ -64,9 +67,8 @@ def test_mirror_duality_for_twisted_identity(data):
     assert report.passed, (report.forward, report.backward)
 
 
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_bridge_matches_loop_reference_on_random_blocks(data):
+def random_shape(data) -> ShapeModule:
+    """A shape module of degree <= 4 from random blocks."""
     p = data.draw(st.sampled_from((2, 3)), label="p")
     m = data.draw(st.integers(1, 2), label="m")
     blocks, left = [], 4
@@ -75,12 +77,28 @@ def test_bridge_matches_loop_reference_on_random_blocks(data):
         size = data.draw(st.integers(1, left // p ** twist))
         blocks.append((data.draw(st.sampled_from("GSL")), size, twist))
         left -= size * p ** twist
-    D = 4 - left
-    mod = ShapeModule(p, D, tuple(blocks), m)
+    return ShapeModule(p, 4 - left, tuple(blocks), m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bridge_matches_loop_reference_on_random_blocks(data):
+    mod = random_shape(data)
     for got, want in [(mod.lift_matrix(), _lift_by_loop(mod)),
                       (mod.project_matrix(), _project_by_loop(mod))]:
         assert got.shape == want.shape and got.nnz == want.nnz
         assert (got != want).nnz == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_contents_match_loop_reference_on_random_blocks(data):
+    mod = random_shape(data)
+    assert np.array_equal(mod.contents, _contents_by_loop(mod))
+    got, want = mod.content_groups(), _content_groups_by_loop(mod)
+    assert list(got) == list(want)  # first-appearance order
+    for c, ix in want.items():
+        assert got[c].dtype == ix.dtype and np.array_equal(got[c], ix)
 
 
 @settings(max_examples=15, deadline=None)

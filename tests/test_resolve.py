@@ -1,0 +1,139 @@
+"""The stage loop of `resolve` against its span-per-pick reference, and
+its in-flight checks under injected faults.
+
+`resolve_by_span_per_pick` is the stage loop as it was before each
+weight's span was built only when the sweep reaches it: after every pick
+it re-reduces the span at every weight the pick touches, checks each
+block's rank with its own elimination and computes the kernels in a
+separate pass.  An RREF is unique, so the span it tests a kernel row
+against is the same matrix, and the generators and blocks must agree
+byte for byte.
+"""
+
+import numpy as np
+import pytest
+
+from spfext import fp, young
+from spfext.errors import SpfextError
+from spfext.functors import evaluate
+from spfext.homology import (Stage, comp_of_partition, dominant_groups,
+                             gamma_layout, resolve, yoneda_images)
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from test_properties import fragment  # noqa: E402
+
+
+def resolve_by_span_per_pick(module, depth, sweep):
+    """(generators per stage, differential blocks per stage)."""
+    p, n = module.p, module.n
+    sweep_parts = young.partitions_of(module.D, max_parts=n)
+    if sweep == "reversed":
+        sweep_parts = sweep_parts[::-1]
+    prev = module
+    groups = dominant_groups(module.content_groups())
+    kernel_blocks = {c: fp.identity(len(ix)) for c, ix in groups.items()
+                     if len(ix)}
+    stages, diffs = [], []
+    for s in range(depth + 1):
+        gens, columns, span = [], {}, {}
+        for lam in sweep_parts:
+            comp = comp_of_partition(lam, n)
+            kern = kernel_blocks.get(comp)
+            if kern is None:
+                continue
+            idxs = groups[comp]
+            for row in kern:
+                rows, piv = span.get(comp, (fp.zeros(0, idxs.size), []))
+                if rows.shape[0] and fp.in_rowspace(rows, piv, row, p):
+                    continue
+                v = np.zeros(prev.dim, dtype=np.int64)
+                v[idxs] = row
+                images = yoneda_images(prev, comp, v, dominant=True)
+                gens.append(lam)
+                for c, local in gamma_layout(p, n, lam)[1].items():
+                    if c not in groups:
+                        assert not images[:, local].any()
+                        continue
+                    block = images[np.ix_(groups[c], local)]
+                    columns.setdefault(c, []).append(block)
+                    if block.any():
+                        old, _ = span.get(c, (fp.zeros(0, groups[c].size), []))
+                        span[c] = fp.basis_rows(np.concatenate([old, block.T]), p)
+        stage = Stage(gens, p, n)
+        diff = {c: np.concatenate(columns[c], axis=1) if c in groups
+                else fp.zeros(0, ix.size) for c, ix in stage.groups.items()}
+        for comp, block in diff.items():
+            want = kernel_blocks.get(comp, fp.zeros(0, 0)).shape[0]
+            assert fp.rank(block, p) == want
+        stages.append(gens)
+        diffs.append(diff)
+        if stage.dim == 0:
+            stages.extend([] for _ in range(s + 1, depth + 1))
+            diffs.extend({} for _ in range(s + 1, depth + 1))
+            break
+        kernel_blocks = {c: fp.kernel_basis(block, p)
+                         for c, block in diff.items() if block.shape[1]}
+        kernel_blocks = {c: k for c, k in kernel_blocks.items() if k.shape[0]}
+        prev, groups = stage, stage.groups
+    return stages, diffs
+
+
+def assert_matches_reference(module, depth, sweep):
+    res = resolve(module, depth, sweep=sweep)
+    stages, diffs = resolve_by_span_per_pick(module, depth, sweep)
+    assert res.term_partitions() == stages
+    assert len(res.diffs) == len(diffs)
+    for got, want in zip(res.diffs, diffs):
+        assert list(got) == list(want)
+        for c, block in want.items():
+            assert got[c].dtype == block.dtype
+            assert got[c].shape == block.shape
+            assert got[c].tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("expr,p,depth", [("twist(I,1)*twist(I,1)", 2, 5),
+                                          ("S(2)*L(2)", 3, 4),
+                                          ("param(twist(G(2),1),2)", 2, 4)])
+def test_resolve_matches_span_per_pick_reference(expr, p, depth):
+    for sweep in ("dominance", "reversed"):
+        assert_matches_reference(evaluate(expr, p), depth, sweep)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_resolve_matches_span_per_pick_reference_on_random_sources(data):
+    p = data.draw(st.sampled_from((2, 3)), label="p")
+    degree = data.draw(st.integers(1, 4), label="degree")
+    src = data.draw(fragment(p, degree), label="source")
+    module = evaluate(src, p)
+    for sweep in ("dominance", "reversed"):
+        assert_matches_reference(module, degree + 1, sweep)
+
+
+# -- fault injection: each check must fire on a broken resolution --------------
+
+
+def test_exactness_check_fires_on_a_lost_kernel_vector(monkeypatch):
+    true_kernel = fp.kernel_basis
+
+    def lossy(a, p):
+        return true_kernel(a, p)[:-1]
+
+    monkeypatch.setattr(fp, "kernel_basis", lossy)
+    with pytest.raises(SpfextError, match="spans rank"):
+        resolve(evaluate("twist(I,1)*twist(I,1)", 2), 3)
+
+
+def test_complex_check_fires_on_a_wrong_kernel(monkeypatch):
+    true_kernel = fp.kernel_basis
+
+    def stray(a, p):
+        # the same dimension, but every row gains a stray first coordinate
+        # and so leaves the kernel
+        return (true_kernel(a, p) + (np.arange(a.shape[1]) == 0)) % p
+
+    monkeypatch.setattr(fp, "kernel_basis", stray)
+    with pytest.raises(SpfextError, match="d o d != 0"):
+        resolve(evaluate("twist(I,1)*twist(I,1)", 2), 3)
