@@ -29,7 +29,8 @@ EXIT_SEMANTIC = 3
 EXIT_BUDGET = 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser,
+                formats: tuple[str, ...] = ("json", "csv", "text")) -> None:
     parser.add_argument("--p", type=int, default=None,
                         help="prime characteristic (default 2)")
     parser.add_argument("--i", type=int, default=None,
@@ -45,8 +46,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="resolution memory budget in bytes")
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for independent cases")
-    parser.add_argument("--format", choices=("json", "csv", "text"),
-                        default="text")
+    if formats:
+        parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--allow-large", action="store_true",
                         help=f"lift the degree <= {LARGE_DEGREE_LIMIT} guard")
 
@@ -75,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_res = sub.add_parser("resolve", help="projective resolution of an "
                                            "expression")
-    _add_common(p_res)
+    _add_common(p_res, formats=("json", "text"))
     p_res.add_argument("--expr", required=True)
     p_res.add_argument("--sweep", choices=("dominance", "reversed"),
                        default="dominance")
     p_res.set_defaults(func=cmd_resolve)
 
     p_self = sub.add_parser("selftest", help="fast internal consistency checks")
-    _add_common(p_self)
+    _add_common(p_self, formats=())
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

@@ -29,7 +29,7 @@ from .errors import (ParseError, SemanticError, SpfextError,
                      UnsupportedExpressionError)
 from .modules import (Block, DualModule, ModuleRep, ShapeModule, SubmoduleModule,
                       TensorModule, canonical_blocks, check_equivariance,
-                      hom_space)
+                      hom_space)  # unused here; benchmarks/layers.py wraps this name
 
 MAX_PARAM = 2
 
@@ -258,7 +258,6 @@ def check_field(p: int, i: int = 1) -> None:
 
 _shape_cache: dict[tuple, ShapeModule] = {}
 _eval_cache: dict[tuple, ModuleRep] = {}
-_simple_cache: dict[tuple, ModuleRep] = {}
 _cache_lock = threading.RLock()
 
 
@@ -301,7 +300,7 @@ def evaluate(expr, p: int, max_param: int = MAX_PARAM,
         mod = TensorModule(evaluate(node.left, p, max_param, n),
                            evaluate(node.right, p, max_param, n))
     elif isinstance(node, Atom) and node.kind in ("simple", "schur", "weyl"):
-        mod = schur_weyl_simple(node.parts, node.kind, p, n=n)
+        mod = _build_schur_weyl_simple(node.parts, node.kind, p, n)
     else:
         raise UnsupportedExpressionError(
             f"{canon(node)} is outside the substitution fragment")
@@ -358,6 +357,7 @@ def canonical_map(kind: str, p: int, *, a: int = 0, b: int = 0,
     tableau_composite (L^{conjugate(lam)} -> S^{lam} through the
     column-to-row slot permutation).
     """
+    check_field(p)
     if kind == "tableau_composite":
         return _tableau_composite(tuple(lam), p, n=n)
     D = a + b
@@ -434,34 +434,31 @@ def _tableau_composite(lam: tuple[int, ...], p: int,
 
 def schur_weyl_simple(lam: tuple[int, ...], which: str, p: int,
                       n: int | None = None) -> ModuleRep:
+    """The module evaluate gives for schur(lam), weyl(lam) or simple(lam)."""
+    if which not in ("schur", "weyl", "simple"):
+        raise ValueError(f"unknown constructor {which!r}")
+    return evaluate(Atom(which, young.check_partition(tuple(lam))), p, n=n)
+
+
+def _build_schur_weyl_simple(lam: tuple[int, ...], which: str, p: int,
+                             n: int) -> ModuleRep:
     """schur = image of the tableau composite; weyl = its Kuhn dual;
-    simple = image of the (unique up to scalar) map weyl -> schur."""
-    lam = young.check_partition(tuple(lam))
-    if n is None:
-        n = sum(lam)
-    key = (lam, which, p, n)
-    with _cache_lock:
-        hit = _simple_cache.get(key)
-    if hit is not None:
-        return hit
+    simple = the submodule of schur generated by its weight-lam line.
+
+    weyl(lam) is generated by its highest weight vector and schur(lam)_lam
+    is a line, so the image of the one map weyl -> schur is the submodule
+    that line generates: the Yoneda map Gamma^lam -> schur applied to it
+    (Green, LNM 830; Akin-Buchsbaum-Weyman, Adv. Math. 1982)."""
     if which == "schur":
         nat = _tableau_composite(lam, p, n=n)
-        rows = fp.image_basis(nat.matrix, p)
-        mod: ModuleRep = SubmoduleModule(nat.target, rows)
-    elif which == "weyl":
-        mod = DualModule(schur_weyl_simple(lam, "schur", p, n=n))
-    elif which == "simple":
-        schur = schur_weyl_simple(lam, "schur", p, n=n)
-        weyl = schur_weyl_simple(lam, "weyl", p, n=n)
-        maps = hom_space(weyl, schur)
-        if len(maps) != 1:
-            raise SpfextError(
-                f"Hom(weyl, schur) for {lam} at p={p} has dimension "
-                f"{len(maps)}, expected 1")
-        rows = fp.image_basis(maps[0], p)
-        mod = SubmoduleModule(schur, rows)
-    else:
-        raise ValueError(f"unknown constructor {which!r}")
-    with _cache_lock:
-        _simple_cache.setdefault(key, mod)
-        return _simple_cache[key]
+        return SubmoduleModule(nat.target, fp.image_basis(nat.matrix, p))
+    schur = evaluate(Atom("schur", lam), p, n=n)
+    if which == "weyl":
+        return DualModule(schur)
+    comp = tuple(lam) + (0,) * (n - len(lam))
+    top = schur.weight_basis(comp)[0]
+    if top.shape[0] != 1:
+        raise SpfextError(
+            f"schur{lam} at p={p} has a weight-{lam} space of dimension "
+            f"{top.shape[0]}, expected 1")
+    return SubmoduleModule(schur, schur.apply_stack(("words", comp, "all"), top)[:, 0])

@@ -489,6 +489,7 @@ def kr_cohomology(f_expr, v: int, p: int, i: int,
                   depth: int | None = None, sweep: str = "dominance",
                   cache_dir: str | None = None) -> ExtTable:
     """Parameterized Ext against the twisted divided power with v slots."""
+    check_field(p, i)
     node = as_node(f_expr)
     D = degree(node, p)
     d = default_depth(p, i, D)[1]
@@ -566,6 +567,7 @@ def duality_check(p_expr, f_expr, p: int, i: int = 1,
                   sweep: str = "dominance",
                   cache_dir: str | None = None) -> DualityReport:
     """Per-degree comparison dim Ext^s(P^(i), F) vs dim Ext^{w-s}(P^(i), F#)."""
+    check_field(p, i)
     p_node = as_node(p_expr)
     f_node = as_node(f_expr)
     realization = _admissible_source(p_node, p)

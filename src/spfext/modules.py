@@ -64,6 +64,15 @@ def product(a, b: np.ndarray, p: int) -> np.ndarray:
     return np.asarray(a @ b) % p if sparse.issparse(a) else fp.matmul(a, b, p)
 
 
+def reduced(mat, p: int) -> sparse.csr_matrix:
+    """`mat` as CSR with its entries reduced mod p and zeros dropped; a CSR
+    argument is reduced in place."""
+    mat = sparse.csr_matrix(mat)
+    mat.data %= p
+    mat.eliminate_zeros()
+    return mat
+
+
 class ModuleRep:
     """Base class: a module over S(n, D) with a stacked action rule.
 
@@ -88,11 +97,6 @@ class ModuleRep:
         self._weight_cache: dict[tuple[int, ...], tuple[np.ndarray, tuple[int, ...]]] = {}
         self._generators: tuple[list[OpRef], sparse.csr_matrix] | None = None
         self._lock = threading.RLock()
-
-    def _stack(self, ref: OpRef):
-        """For a kind that only gives action_matrix: one operator at a time."""
-        return sparse.vstack([sparse.csr_matrix(self.action_matrix(r))
-                              for r in self.space.stack_refs(ref)], format="csr")
 
     def stack_matrix(self, ref: OpRef):
         """(T * dim, dim): block k is the column action v -> A_k v of the
@@ -359,13 +363,10 @@ class ShapeModule(ModuleRep):
         dst = (words + slot).reshape(-1)
         row = self._projected[dst]
         keep = (src >= 0) & (row >= 0)
-        mat = sparse.csr_matrix(
+        return reduced(sparse.csr_matrix(
             ((np.tile(ops.data, self._u_total) * self._sign[dst])[keep],
              ((np.tile(block, self._u_total) * self.dim + row)[keep], src[keep])),
-            shape=(ops.shape[0] // N * self.dim, self.dim))
-        mat.data %= self.p
-        mat.eliminate_zeros()
-        return mat
+            shape=(ops.shape[0] // N * self.dim, self.dim)), self.p)
 
     def expression(self) -> str:
         """The shape as a fragment expression that evaluates back to it:
@@ -446,7 +447,8 @@ class TensorModule(ModuleRep):
                 out.append((("xi", k1), ("xi", k2)))
         elif kind == "div":
             _, a, b, r = ref
-            for r1 in range(r + 1):
+            # a factor moves at most as many letters as its degree
+            for r1 in range(max(0, r - self.right.D), min(r, self.left.D) + 1):
                 left = ("one",) if r1 == 0 else ("div", a, b, r1)
                 right = ("one",) if r1 == r else ("div", a, b, r - r1)
                 out.append((left, right))
@@ -487,47 +489,49 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
     if (src.p, src.n, src.D) != (tgt.p, tgt.n, tgt.D):
         raise ValueError("hom between modules in different categories")
     p = src.p
-    blocks = []
-    for comp in compositions(src.D, src.n):
-        ws = src.weight_dim(comp)
-        wt = tgt.weight_dim(comp)
-        if ws and wt:
-            blocks.append((tuple(comp), ws, wt))
-    if not blocks:
+    comps = [comp for comp in compositions(src.D, src.n)
+             if src.weight_dim(comp) and tgt.weight_dim(comp)]
+    if not comps:
         return []
 
     # the map with a single 1 at entry (i, j) of a weight block is the
-    # outer product of target weight row i and source weight projector row j
+    # outer product of target weight row i and source weight projector row
+    # j; row k of the sparse stack `maps` is map k, flattened
     refs, a_src = src.generator_action()
     _, a_tgt = tgt.generator_action()
-    mats = []
-    for comp, ws, wt in blocks:
+    t, s = tgt.dim, src.dim
+    outers = []
+    for comp in comps:
         pivots = src.weight_basis(comp)[1]
         g = refs.index(("xi", src.space.weight_key(comp)))
         # rows of the idempotent's column action
-        src_hat = a_src[g * src.dim + np.array(pivots)].toarray()  # (ws, src.dim)
-        tgt_rows = tgt.weight_basis(comp)[0]  # (wt, tgt.dim)
-        outer = tgt_rows[:, None, :, None] * src_hat[None, :, None, :]
-        mats.append(outer.reshape(wt * ws, tgt.dim, src.dim) % p)
-    mats = np.concatenate(mats)
+        src_hat = a_src[g * s + np.array(pivots)]  # (ws, s)
+        tgt_rows = sparse.csr_matrix(tgt.weight_basis(comp)[0])  # (wt, t)
+        outers.append(sparse.kron(tgt_rows, src_hat, format="csr"))
+    maps = reduced(sparse.vstack(outers, format="csr"), p)
     for g, ref in enumerate(refs):
-        if len(mats) == 0:
+        K = maps.shape[0]
+        if K == 0:
             break
         if ref[0] == "xi":
             continue  # a weight idempotent: the weight blocks satisfy it
-        act_src = a_src[g * src.dim: (g + 1) * src.dim]
-        act_tgt = a_tgt[g * tgt.dim: (g + 1) * tgt.dim]
-        cols = [((np.asarray((act_src.T @ x.T).T) - np.asarray(act_tgt @ x))
-                 % p).reshape(-1) for x in mats]
-        resid = np.stack(cols, axis=1)
-        coeffs = fp.kernel_basis(resid, p)
-        if coeffs.shape[0] == len(mats):
+        act_src = a_src[g * s: (g + 1) * s]
+        act_tgt = a_tgt[g * t: (g + 1) * t]
+        # X A_src - A_tgt X for all K maps X at once; only the entries
+        # where some map fails to commute constrain the kernel
+        stacked = maps.reshape(K * t, s).tocsr()
+        resid = reduced(stacked @ act_src - diagonal_copies(act_tgt, K) @ stacked, p)
+        resid = resid.reshape(K, t * s).tocoo()
+        entries, at = np.unique(resid.col, return_inverse=True)
+        dense = fp.zeros(entries.size, K)
+        dense[at, resid.row] = resid.data
+        coeffs = fp.kernel_basis(dense, p)
+        if coeffs.shape[0] == K:
             continue
         # maps depend linearly on their weight-block entries, so the
         # surviving maps are the kernel coefficients times the current ones
-        mats = fp.matmul(coeffs, mats.reshape(len(mats), -1), p).reshape(
-            -1, tgt.dim, src.dim)
-    return list(mats)
+        maps = reduced(sparse.csr_matrix(coeffs) @ maps, p)
+    return list(maps.toarray().reshape(-1, t, s))
 
 
 def check_equivariance(matrix: np.ndarray, src: ModuleRep,
@@ -545,9 +549,7 @@ def check_equivariance(matrix: np.ndarray, src: ModuleRep,
     phi = sparse.csr_matrix(np.asarray(matrix, dtype=np.int64) % p)
     refs, a_src = src.generator_action()
     _, a_tgt = tgt.generator_action()
-    diff = (diagonal_copies(phi, len(refs)) @ a_src - a_tgt @ phi).tocsr()
-    diff.data %= p
-    diff.eliminate_zeros()
+    diff = reduced(diagonal_copies(phi, len(refs)) @ a_src - a_tgt @ phi, p)
     if diff.nnz:
         row = int(np.flatnonzero(np.diff(diff.indptr))[0])
         raise EquivarianceError(

@@ -42,10 +42,9 @@ class Case:
     run: callable = field(repr=False)
 
 
-def _table_case(suite, name, p, i, src, tgt, expected, depth=None, sweep="dominance",
-                cache_dir=None):
+def _table_case(suite, name, p, i, src, tgt, expected, cache_dir=None):
     def run():
-        table = ext(src, tgt, p, i=i, depth=depth, sweep=sweep, cache_dir=cache_dir)
+        table = ext(src, tgt, p, i=i, cache_dir=cache_dir)
         return table.dims == expected, str(expected), str(table.dims)
     return Case(suite, name, p, i, run)
 
@@ -54,7 +53,7 @@ def _pad(poly: list[int], length: int) -> list[int]:
     return poly + [0] * (length - len(poly))
 
 
-def lemma22_cases(sweep="dominance", cache_dir=None) -> list[Case]:
+def lemma22_cases(cache_dir=None) -> list[Case]:
     cases = []
     for p in (2, 3):
         window = 2 * (p - 1)
@@ -62,22 +61,19 @@ def lemma22_cases(sweep="dominance", cache_dir=None) -> list[Case]:
             expected = [1 if s == spot else 0 for s in range(window + 1)]
             cases.append(_table_case(
                 "lemma22", f"p={p} Ext(I^(1), {tgt})", p, 1,
-                "twist(I,1)", tgt, expected, sweep=sweep, cache_dir=cache_dir))
+                "twist(I,1)", tgt, expected, cache_dir=cache_dir))
     # parameterized Hom/Ext for u = 2, v = 1 at p = 2, d = 1
     cases.append(_table_case(
         "lemma22", "p=2 parameterized Hom vs S^2_U", 2, 1,
-        "twist(I,1)", "param(S(2),2)", [2, 0, 0], sweep=sweep,
-        cache_dir=cache_dir))
+        "twist(I,1)", "param(S(2),2)", [2, 0, 0], cache_dir=cache_dir))
     cases.append(_table_case(
         "lemma22", "p=2 parameterized Ext vs G^2_U", 2, 1,
-        "twist(I,1)", "param(G(2),2)", [0, 0, 2], sweep=sweep,
-        cache_dir=cache_dir))
+        "twist(I,1)", "param(G(2),2)", [0, 0, 2], cache_dir=cache_dir))
 
     # Kunneth squeeze at p = 2, d = 2
     def kr_case(tgt):
         def run():
-            table = kr_cohomology(tgt, 1, 2, 1, sweep=sweep,
-                                  cache_dir=cache_dir)
+            table = kr_cohomology(tgt, 1, 2, 1, cache_dir=cache_dir)
             expected = [0, 0, 0, 0, 1]
             return table.dims == expected, str(expected), str(table.dims)
         return Case("lemma22", f"p=2 KR cohomology of {tgt}", 2, 1, run)
@@ -118,21 +114,18 @@ def koszul_cases(**_) -> list[Case]:
     return cases
 
 
-def ex34_cases(sweep="dominance", cache_dir=None) -> list[Case]:
+def ex34_cases(cache_dir=None) -> list[Case]:
     cases = [
         _table_case("ex34", "p=2 Ext(I^(1), F_(2))", 2, 1,
-                    "twist(I,1)", "simple(2)", [1, 0, 1], sweep=sweep,
-                    cache_dir=cache_dir),
+                    "twist(I,1)", "simple(2)", [1, 0, 1], cache_dir=cache_dir),
         _table_case("ex34", "p=2 Ext(I^(1), F_(1,1))", 2, 1,
-                    "twist(I,1)", "simple(1,1)", [0, 1, 0], sweep=sweep,
-                    cache_dir=cache_dir),
+                    "twist(I,1)", "simple(1,1)", [0, 1, 0], cache_dir=cache_dir),
     ]
     for lam in ((3,), (2, 1), (1, 1, 1)):
         name = "simple(" + ",".join(map(str, lam)) + ")"
 
         def run(name=name):
-            table = ext("twist(I,1)", name, 3, i=1, sweep=sweep,
-                        cache_dir=cache_dir)
+            table = ext("twist(I,1)", name, 3, i=1, cache_dir=cache_dir)
             pal = table.dims == table.dims[::-1]
             return pal, "palindrome on [0,4]", str(table.dims)
         cases.append(Case("ex34", f"p=3 Ext(I^(1), F_{lam}) palindromic", 3, 1, run))
@@ -142,19 +135,18 @@ def ex34_cases(sweep="dominance", cache_dir=None) -> list[Case]:
 EX35_LAMBDAS = ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
 
-def ex35_cases(sweep="dominance", cache_dir=None) -> list[Case]:
+def ex35_cases(cache_dir=None) -> list[Case]:
     src = "twist(I,1)*twist(I,1)"
     cases = []
     for lam in EX35_LAMBDAS:
         name = "schur(" + ",".join(map(str, lam)) + ")"
 
         def run(lam=lam, name=name):
-            table = ext(src, name, 2, i=1, sweep=sweep, cache_dir=cache_dir)
+            table = ext(src, name, 2, i=1, cache_dir=cache_dir)
             poly = _pad(young.poincare_polynomial(lam, 2), len(table.dims))
             conj = young.conjugate(lam)
             conj_name = "schur(" + ",".join(map(str, conj)) + ")"
-            conj_table = ext(src, conj_name, 2, i=1, sweep=sweep,
-                             cache_dir=cache_dir)
+            conj_table = ext(src, conj_name, 2, i=1, cache_dir=cache_dir)
             flip_ok = all(table.dims[s] == conj_table.dims[2 - s]
                           for s in range(3))
             ok = table.dims == poly and flip_ok
@@ -168,12 +160,11 @@ THM32_TARGETS = ("S(4)", "L(4)", "G(4)", "schur(2,2)", "schur(3,1)",
                  "simple(2,2)")
 
 
-def thm32_cases(sweep="dominance", cache_dir=None) -> list[Case]:
+def thm32_cases(cache_dir=None) -> list[Case]:
     cases = []
     for tgt in THM32_TARGETS:
         def run(tgt=tgt):
-            rep = duality_check("I*I", tgt, 2, i=1, sweep=sweep,
-                                cache_dir=cache_dir)
+            rep = duality_check("I*I", tgt, 2, i=1, cache_dir=cache_dir)
             detail = f"{rep.forward} vs reversed {rep.backward}"
             return rep.passed, "mirror equality on [0,4]", detail
         cases.append(Case("thm32", f"p=2 duality I^2 vs {tgt}", 2, 1, run))
@@ -223,10 +214,10 @@ _BUILDERS = {
 
 
 def build_cases(suite: str, p: int | None = None, i: int | None = None,
-                sweep: str = "dominance", cache_dir: str | None = None) -> list[Case]:
+                cache_dir: str | None = None) -> list[Case]:
     if suite not in _BUILDERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    cases = _BUILDERS[suite](sweep=sweep, cache_dir=cache_dir)
+    cases = _BUILDERS[suite](cache_dir=cache_dir)
     if p is not None:
         cases = [c for c in cases if c.p == p]
     if i is not None:
@@ -248,7 +239,5 @@ def run_cases(cases: list[Case], jobs: int = 1) -> list[CaseResult]:
 
 
 def run_suite(suite: str, p: int | None = None, i: int | None = None,
-              jobs: int = 1, sweep: str = "dominance",
-              cache_dir: str | None = None) -> list[CaseResult]:
-    return run_cases(build_cases(suite, p=p, i=i, sweep=sweep,
-                                 cache_dir=cache_dir), jobs=jobs)
+              jobs: int = 1, cache_dir: str | None = None) -> list[CaseResult]:
+    return run_cases(build_cases(suite, p=p, i=i, cache_dir=cache_dir), jobs=jobs)

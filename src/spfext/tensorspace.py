@@ -246,6 +246,11 @@ class TensorSpace:
         """Divided power of the root mover b -> a: sum over r-subsets of
         the slots holding letter b, replaced by a.  Each r-subset of slot
         positions moves every basis vector holding b at all of them."""
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise IndexError(f"div letter out of range: {(a, b)}")
+        if a == b or not 1 <= r <= self.D:
+            raise ValueError(f"div needs a != b and 1 <= r <= {self.D}: "
+                             f"{(a, b, r)}")
         place = self.n ** np.arange(self.D - 1, -1, -1)
         holds_b = self.letters == b
         rows, cols = [], []

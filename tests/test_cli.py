@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spfext.cli import main
 
 
@@ -125,6 +127,17 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("resolve", "--expr", "twist(I,1)", "--format", "csv"), "invalid choice"),
+    (("selftest", "--format", "json"), "unrecognized arguments: --format")])
+def test_format_offers_only_what_the_command_prints(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def test_cache_dir_used(capsys, tmp_path):

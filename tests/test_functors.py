@@ -335,6 +335,13 @@ def test_equivariance_check_refuses_modules_of_two_categories():
                            evaluate("I*I", 3))
 
 
+def test_canonical_map_refuses_a_non_prime_field():
+    with pytest.raises(SemanticError, match="not prime"):
+        canonical_map("koszul_diff", 4, a=2, b=0)
+    with pytest.raises(SemanticError, match="not prime"):
+        canonical_map("tableau_composite", 6, lam=(2, 1))
+
+
 def test_equivariance_error_names_the_last_generator():
     """A twin of I*I*I whose action differs only on the last generator:
     the identity commutes with every other one, and the error names it."""
@@ -345,10 +352,12 @@ def test_equivariance_error_names_the_last_generator():
         def __init__(self):
             super().__init__(mod.p, mod.n, mod.D, mod.dim)
 
-        def action_matrix(self, ref):
-            a = mod.action_matrix(ref)
-            a = a.toarray() if sparse.issparse(a) else a
-            return (a + 1) % mod.p if ref == last else a
+        def _stack(self, ref):
+            # the twin's one action rule: mod's operators one at a time,
+            # shifted on the last generator
+            return sparse.csr_matrix(np.concatenate([
+                (sparse.csr_matrix(mod.action_matrix(r)).toarray() + (r == last))
+                % mod.p for r in self.space.stack_refs(ref)]))
 
     with pytest.raises(EquivarianceError, match=re.escape(repr(last))):
         check_equivariance(np.eye(mod.dim, dtype=np.int64), mod, Twin())
@@ -508,7 +517,9 @@ def _hom_space_by_assembly(src, tgt):
 @pytest.mark.parametrize("src,tgt,p", [
     ("I*I", "S(2)", 2), ("I*I", "I*I", 3), ("I*I*I", "S(2)*I", 2),
     ("G(2)*I", "S(3)", 3), ("L(2)*I", "I*I*I", 3), ("weyl(2,1)", "schur(2,1)", 2),
-    ("schur(2,1)", "dual(schur(2,1))", 3)])
+    ("schur(2,1)", "dual(schur(2,1))", 3), ("weyl(2,2)", "schur(2,2)", 2),
+    ("dual(S(2)*I)", "S(2)*I", 2), ("simple(1,1)*I", "I*I*I", 2),
+    ("I*I", "simple(2)", 2)])
 def test_hom_space_matches_assembly_reference(src, tgt, p):
     """Rebuilding the maps linearly after a kernel cut gives the very same
     basis, entry for entry, as assembling each one again."""

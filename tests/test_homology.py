@@ -239,6 +239,19 @@ def test_library_refuses_bad_field_and_twist():
         evaluate("I*I", 1)
 
 
+def test_checks_refuse_bad_field_and_twist_first():
+    """The field and twist order are refused before any degree rule."""
+    from spfext.errors import SemanticError
+    with pytest.raises(SemanticError, match="positive integer"):
+        duality_check("I", "S(2)", 2, i=0)
+    with pytest.raises(SemanticError, match="not prime"):
+        duality_check("I*I", "S(4)", 4)
+    with pytest.raises(SemanticError, match="not prime"):
+        kr_cohomology("G(2)", 1, 4, 1)
+    with pytest.raises(SemanticError, match="positive integer"):
+        kr_cohomology("G(2)", 1, 2, 0)
+
+
 def test_ext_above_full_basis_limit():
     assert ext("G(5)", "S(5)", 2).dims == [1, 0, 0, 0, 0, 0]
 

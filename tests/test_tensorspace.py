@@ -64,6 +64,16 @@ def test_xi_out_of_range():
         xi(ts, (0, 2), (0, 0))
 
 
+@pytest.mark.parametrize("ref,error", [
+    (("div", 0, 5, 1), IndexError), (("div", 0, -1, 1), IndexError),
+    (("div", 2, 0, 1), IndexError), (("div", 0, 1, 3), ValueError),
+    (("div", 0, 1, 0), ValueError), (("div", 1, 1, 1), ValueError)])
+def test_divided_power_refs_are_validated(ref, error):
+    ts = TensorSpace(2, 2, 2)
+    with pytest.raises(error):
+        ts.matrix(ref)
+
+
 def test_weight_idempotents():
     ts = TensorSpace(2, 2, 2)
     def idempotent(c):
