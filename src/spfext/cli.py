@@ -29,27 +29,29 @@ EXIT_SEMANTIC = 3
 EXIT_BUDGET = 4
 
 
-def _add_common(parser: argparse.ArgumentParser,
-                formats: tuple[str, ...] = ("json", "csv", "text")) -> None:
-    parser.add_argument("--p", type=int, default=None,
-                        help="prime characteristic (default 2)")
-    parser.add_argument("--i", type=int, default=None,
-                        help="Frobenius twist order (default 1)")
-    parser.add_argument("--d", type=int, default=None,
-                        help="untwisted degree (validated when given)")
-    parser.add_argument("--depth", type=int, default=None,
-                        help="resolution depth override")
-    parser.add_argument("--cache-dir", default=None,
-                        help=f"resolution cache directory (env {ENV_CACHE_DIR} "
-                             f"overrides)")
-    parser.add_argument("--mem-budget", type=int, default=None,
-                        help="resolution memory budget in bytes")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for independent cases")
+# every shared flag, by name; each subcommand takes only the ones it reads
+_FLAGS = {
+    "p": dict(type=int, default=None, help="prime characteristic (default 2)"),
+    "i": dict(type=int, default=None, help="Frobenius twist order (default 1)"),
+    "d": dict(type=int, default=None, help="untwisted degree (validated when given)"),
+    "depth": dict(type=int, default=None, help="resolution depth override"),
+    "cache-dir": dict(default=None, help=f"resolution cache directory (env "
+                                         f"{ENV_CACHE_DIR} overrides)"),
+    "mem-budget": dict(type=int, default=None,
+                       help="resolution memory budget in bytes"),
+    "jobs": dict(type=int, default=1, help="parallel workers for independent cases"),
+    "allow-large": dict(action="store_true",
+                        help=f"lift the degree <= {LARGE_DEGREE_LIMIT} guard"),
+}
+_RESOLVING = ("p", "i", "d", "depth", "cache-dir", "mem-budget", "allow-large")
+
+
+def _add_flags(parser: argparse.ArgumentParser, names: tuple[str, ...],
+               formats: tuple[str, ...] = ("json", "csv", "text")) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", **_FLAGS[name])
     if formats:
         parser.add_argument("--format", choices=formats, default="text")
-    parser.add_argument("--allow-large", action="store_true",
-                        help=f"lift the degree <= {LARGE_DEGREE_LIMIT} guard")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,32 +60,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ext = sub.add_parser("ext", help="graded Ext dimensions between two "
                                        "functor expressions")
-    _add_common(p_ext)
+    _add_flags(p_ext, _RESOLVING)
     p_ext.add_argument("--src", required=True)
     p_ext.add_argument("--tgt", required=True)
     p_ext.set_defaults(func=cmd_ext)
 
     p_check = sub.add_parser("check", help="run a named verification suite")
-    _add_common(p_check)
+    _add_flags(p_check, ("p", "i", "jobs", "cache-dir"))
     p_check.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_check.set_defaults(func=cmd_check)
 
     p_slice = sub.add_parser("slicings", help="rim p-hook slicings of a diagram")
-    _add_common(p_slice)
+    _add_flags(p_slice, ("p", "i"))
     p_slice.add_argument("--shape", required=True,
                          help="comma-separated parts, e.g. 3,1")
     p_slice.set_defaults(func=cmd_slicings)
 
     p_res = sub.add_parser("resolve", help="projective resolution of an "
                                            "expression")
-    _add_common(p_res, formats=("json", "text"))
+    _add_flags(p_res, _RESOLVING, formats=("json", "text"))
     p_res.add_argument("--expr", required=True)
     p_res.add_argument("--sweep", choices=("dominance", "reversed"),
                        default="dominance")
     p_res.set_defaults(func=cmd_resolve)
 
     p_self = sub.add_parser("selftest", help="fast internal consistency checks")
-    _add_common(p_self, formats=())
+    _add_flags(p_self, (), formats=())
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

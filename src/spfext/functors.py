@@ -19,17 +19,20 @@ from __future__ import annotations
 
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass
-from math import isqrt
+from math import factorial, isqrt, prod
 
 import numpy as np
+from scipy import sparse
 
 from . import fp, young
 from .errors import (ParseError, SemanticError, SpfextError,
                      UnsupportedExpressionError)
 from .modules import (Block, DualModule, ModuleRep, ShapeModule, SubmoduleModule,
                       TensorModule, canonical_blocks, check_equivariance,
-                      hom_space)  # unused here; benchmarks/layers.py wraps this name
+                      hom_space,  # unused here; benchmarks/layers.py wraps this name
+                      reduced)
 
 MAX_PARAM = 2
 
@@ -324,22 +327,42 @@ def frobenius_substitute(expr, r: int, p: int) -> ModuleRep:
 # canonical natural maps ----------------------------------------------------
 
 
+def orbit_size(comp: tuple[int, ...]) -> int:
+    """The number of distinct rearrangements of a weight: n! / prod mult!."""
+    return factorial(len(comp)) // prod(factorial(k) for k in Counter(comp).values())
+
+
 @dataclass(frozen=True)
 class NaturalMap:
-    """An equivariant matrix between two module representations."""
+    """An equivariant map between two shape modules, proved so when built.
 
-    source: ModuleRep
-    target: ModuleRep
-    matrix: np.ndarray  # (target.dim, source.dim), column action
+    matrix is (target.dim, source.dim) CSR, column action, entries reduced
+    mod p with no stored zeros."""
+
+    source: ShapeModule
+    target: ShapeModule
+    matrix: sparse.csr_matrix
 
     @property
     def rank(self) -> int:
-        return fp.rank(self.matrix, self.source.p)
+        """The sum of the weight-block ranks, read at dominant weights only.
+
+        An equivariant map preserves weights, so it is the direct sum of
+        its weight blocks, and the permutation matrices of GL_n commute
+        with it, carrying the block at c onto the block at any
+        rearrangement of c: each dominant block counts once per weight in
+        its orbit (Green, LNM 830; Donkin, J. Algebra 104, 1986)."""
+        cols, rows = self.source.content_groups(), self.target.content_groups()
+        total = 0
+        for comp, src_idx in cols.items():
+            if comp in rows and all(x >= y for x, y in zip(comp, comp[1:])):
+                block = self.matrix[rows[comp]][:, src_idx].toarray()
+                total += orbit_size(comp) * fp.rank(block, self.source.p)
+        return total
 
 
-def _compose_lift_project(src: ShapeModule, tgt: ShapeModule) -> np.ndarray:
-    mat = (tgt.project_matrix() @ src.lift_matrix()).toarray()
-    return mat % src.p
+def _compose_lift_project(src: ShapeModule, tgt: ShapeModule) -> sparse.csr_matrix:
+    return reduced(tgt.project_matrix() @ src.lift_matrix(), src.p)
 
 
 def _blocks(*sized: tuple[str, int]) -> tuple[Block, ...]:
@@ -396,8 +419,9 @@ def canonical_map(kind: str, p: int, *, a: int = 0, b: int = 0,
         s_tgt = len(tgt.block_bases[-1])  # S^{b+1}
         sym_col, ext_col = np.divmod(kos.row, src.dim // s_src)
         sym_row, ext_row = np.divmod(kos.col, tgt.dim // s_tgt)
-        mat = fp.zeros(tgt.dim, src.dim)  # a sparse product holds no repeats
-        mat[ext_row * s_tgt + sym_row, ext_col * s_src + sym_col] = kos.data % p
+        mat = reduced(sparse.csr_matrix(
+            (kos.data, (ext_row * s_tgt + sym_row, ext_col * s_src + sym_col)),
+            shape=(tgt.dim, src.dim)), p)
     else:
         raise ValueError(f"unknown canonical map kind {kind!r}")
     check_equivariance(mat, src, tgt)
@@ -423,8 +447,8 @@ def _tableau_composite(lam: tuple[int, ...], p: int,
     row_start = np.cumsum((0,) + lam[:-1])
     sigma = tuple(int(row_start[r]) + c
                   for c, height in enumerate(conj) for r in range(height))
-    mat = (tgt.project_matrix() @ src.space.place_permutation(sigma)
-           @ src.project_matrix().T).toarray() % p
+    mat = reduced(tgt.project_matrix() @ src.space.place_permutation(sigma)
+                  @ src.project_matrix().T, p)
     check_equivariance(mat, src, tgt)
     return NaturalMap(src, tgt, mat)
 
@@ -451,7 +475,7 @@ def _build_schur_weyl_simple(lam: tuple[int, ...], which: str, p: int,
     (Green, LNM 830; Akin-Buchsbaum-Weyman, Adv. Math. 1982)."""
     if which == "schur":
         nat = _tableau_composite(lam, p, n=n)
-        return SubmoduleModule(nat.target, fp.image_basis(nat.matrix, p))
+        return SubmoduleModule(nat.target, fp.image_basis(nat.matrix.toarray(), p))
     schur = evaluate(Atom("schur", lam), p, n=n)
     if which == "weyl":
         return DualModule(schur)

@@ -534,19 +534,19 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
     return list(maps.toarray().reshape(-1, t, s))
 
 
-def check_equivariance(matrix: np.ndarray, src: ModuleRep,
-                       tgt: ModuleRep) -> None:
+def check_equivariance(matrix, src: ModuleRep, tgt: ModuleRep) -> None:
     """Raise EquivarianceError unless `matrix` commutes with the action.
 
     Every ref of `generator_refs` is checked at once, as the stacked
     products kron(I_R, phi) @ A_src and A_tgt @ phi of generator_action;
     commuting with a generating set means commuting with the whole Schur
     algebra, so a pass is a proof.  The error names the first failing ref.
+    `matrix` may be dense or sparse; it is not modified.
     """
     if src.space is not tgt.space:
         raise ValueError("equivariance between modules in different categories")
     p = src.p
-    phi = sparse.csr_matrix(np.asarray(matrix, dtype=np.int64) % p)
+    phi = reduced(sparse.csr_matrix(matrix, dtype=np.int64, copy=True), p)
     refs, a_src = src.generator_action()
     _, a_tgt = tgt.generator_action()
     diff = reduced(diagonal_copies(phi, len(refs)) @ a_src - a_tgt @ phi, p)

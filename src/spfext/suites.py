@@ -12,9 +12,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from . import fp, young
-from .functors import canonical_map
+from . import young
+from .functors import NaturalMap, canonical_map
 from .homology import duality_check, end_dimension, ext, hom_pairing_check, kr_cohomology
+from .modules import reduced
 
 SUITE_NAMES = ("lemma22", "koszul", "ex34", "ex35", "thm32", "lemma31")
 
@@ -83,19 +84,30 @@ def lemma22_cases(cache_dir=None) -> list[Case]:
     return cases
 
 
-def _koszul_exact(kind: str, p: int, q: int, m: int) -> tuple[bool, str, str]:
-    maps = []
-    for j in range(q, 0, -1):
-        mk = "koszul_diff" if kind == "gamma-lambda" else "dual_koszul_diff"
-        maps.append(canonical_map(mk, p, a=j, b=q - j, m=m, n=q))
+def koszul_maps(kind: str, p: int, q: int, m: int) -> list[NaturalMap]:
+    """The differentials of the degree-q Koszul complex G^q -> ... -> L^q
+    (kind gamma-lambda) or L^q -> ... -> S^q (kind lambda-sym), over
+    m parameter copies, in order."""
+    mk = "koszul_diff" if kind == "gamma-lambda" else "dual_koszul_diff"
+    return [canonical_map(mk, p, a=j, b=q - j, m=m, n=q) for j in range(q, 0, -1)]
+
+
+def chain_homology(maps: list[NaturalMap]) -> list[int] | None:
+    """Homology dimensions of the complex the maps form, term by term, or
+    None when two consecutive maps do not compose to zero."""
+    p = maps[0].source.p
     for first, second in zip(maps, maps[1:]):
-        if fp.matmul(second.matrix, first.matrix, p).any():
-            return False, "d o d = 0", "nonzero square"
+        if reduced(second.matrix @ first.matrix, p).nnz:
+            return None
     dims = [maps[0].source.dim] + [nat.target.dim for nat in maps]
-    ranks = [fp.rank(nat.matrix, p) for nat in maps]
-    homology = [dims[0] - ranks[0]]
-    homology += [dims[k] - ranks[k - 1] - ranks[k] for k in range(1, q)]
-    homology.append(dims[q] - ranks[-1])
+    ranks = [0] + [nat.rank for nat in maps] + [0]
+    return [dim - ranks[k] - ranks[k + 1] for k, dim in enumerate(dims)]
+
+
+def _koszul_exact(kind: str, p: int, q: int, m: int) -> tuple[bool, str, str]:
+    homology = chain_homology(koszul_maps(kind, p, q, m))
+    if homology is None:
+        return False, "d o d = 0", "nonzero square"
     return (not any(homology), "homology " + str([0] * (q + 1)),
             "homology " + str(homology))
 

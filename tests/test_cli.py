@@ -140,6 +140,22 @@ def test_format_offers_only_what_the_command_prints(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("selftest", "--p", "3"), "--p"),
+    (("slicings", "--shape", "2,2", "--depth", "1"), "--depth"),
+    (("slicings", "--shape", "2,2", "--cache-dir", "x"), "--cache-dir"),
+    (("check", "--suite", "koszul", "--mem-budget", "1"), "--mem-budget"),
+    (("check", "--suite", "koszul", "--allow-large"), "--allow-large"),
+    (("ext", "--src", "I", "--tgt", "I", "--jobs", "2"), "--jobs"),
+    (("resolve", "--expr", "I", "--jobs", "2"), "--jobs")])
+def test_subcommands_take_only_the_flags_they_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
 def test_cache_dir_used(capsys, tmp_path):
     from spfext.homology import clear_resolution_memo
     clear_resolution_memo()

@@ -66,7 +66,7 @@ def _partitions(d, top=None):
 
 def _assert_matches_loop(lam, p, n):
     want = _tableau_by_loop(lam, p, n)
-    got = canonical_map("tableau_composite", p, lam=lam, n=n).matrix
+    got = canonical_map("tableau_composite", p, lam=lam, n=n).matrix.toarray()
     assert got.shape == want.shape and (got == want).all()
     rows = schur_weyl_simple(lam, "schur", p, n).rows
     expected = fp.image_basis(want, p)
