@@ -9,8 +9,6 @@ platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -118,39 +116,3 @@ def residual(rows: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> np.n
 
 def in_rowspace(rows: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> bool:
     return not residual(rows, pivots, v, p).any()
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of F_p^ambient_dim, canonically presented by RREF rows.
-
-    Two Subspace values are equal as sets of vectors iff their basis
-    matrices are identical, which `__eq__` relies on.
-    """
-
-    p: int
-    ambient_dim: int
-    basis: np.ndarray
-    pivots: tuple[int, ...] = field(default=())
-
-    @staticmethod
-    def from_vectors(vectors, ambient_dim: int, p: int) -> "Subspace":
-        arr = as_fp(vectors, p)
-        if arr.size == 0:
-            arr = zeros(0, ambient_dim)
-        rows, pivots = basis_rows(arr, p)
-        return Subspace(p, ambient_dim, rows, tuple(pivots))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.p == other.p and self.ambient_dim == other.ambient_dim
-                and self.basis.shape == other.basis.shape
-                and bool((self.basis == other.basis).all()))
-
-    def __hash__(self):
-        return hash((self.p, self.ambient_dim, self.basis.tobytes()))

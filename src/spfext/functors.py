@@ -33,6 +33,7 @@ from .modules import (Block, DualModule, ModuleRep, ShapeModule, SubmoduleModule
                       TensorModule, canonical_blocks, check_equivariance,
                       hom_space,  # unused here; benchmarks/layers.py wraps this name
                       reduced)
+from .tensorspace import is_dominant
 
 MAX_PARAM = 2
 
@@ -355,7 +356,7 @@ class NaturalMap:
         cols, rows = self.source.content_groups(), self.target.content_groups()
         total = 0
         for comp, src_idx in cols.items():
-            if comp in rows and all(x >= y for x, y in zip(comp, comp[1:])):
+            if comp in rows and is_dominant(comp):
                 block = self.matrix[rows[comp]][:, src_idx].toarray()
                 total += orbit_size(comp) * fp.rank(block, self.source.p)
         return total

@@ -162,9 +162,9 @@ def yoneda_images(level: ModuleRep | Stage, comp: tuple[int, ...],
     return out
 
 
-def weight_space(module: ModuleRep, comp: tuple[int, ...]) -> fp.Subspace:
-    rows, _ = module.weight_basis(tuple(comp))
-    return fp.Subspace.from_vectors(rows, module.dim, module.p)
+def weight_space(module: ModuleRep, comp: tuple[int, ...]) -> np.ndarray:
+    """RREF rows spanning the weight space of `comp`."""
+    return module.weight_basis(tuple(comp))[0]
 
 
 def hom_from_gamma(comp: tuple[int, ...], module: ModuleRep):
@@ -425,7 +425,7 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
                 continue
             gen = int(np.searchsorted(rows, generator_index(shape, mu)))
             cols = block[:, np.searchsorted(upper.groups[comp[mu]], gens_at + gen)]
-            mu_pivots = list(target.weight_basis(comp[mu])[1])
+            mu_pivots = target.weight_indices(comp[mu])
             for lam, (_, _, offs) in stage.blocks.items():
                 local = gamma_layout(p, n, lam)[1].get(comp[mu])
                 if not wdim[lam] or local is None:

@@ -10,9 +10,13 @@ sparse lift/project maps to tensor space, both read off one numpy decode
 of the ambient basis, so the algebra action is (project) o (tensor-space
 operator) o (lift).
 
-generator_action stacks the action of every Schur-algebra generator into
-one sparse matrix, built once per module, and check_equivariance proves
-a map equivariant with one product against that stack.
+Every basis is a basis of weight vectors, so a map commutes with the
+weight idempotents iff it joins only basis vectors of equal weight: a
+comparison of the two modules' contents.  generator_action stacks the
+action of the other Schur-algebra generators, the simple-root divided
+powers at powers of p, into one sparse matrix, built once per module,
+and check_equivariance proves a map equivariant with the weight
+comparison and one product against that stack.
 
 Duals act through the flip anti-automorphism, submodules through an
 RREF basis of a stable subspace, and binary tensor products through
@@ -80,12 +84,17 @@ class ModuleRep:
     operators that a tensor-space ref stacks (T = 1 for one operator), as
     one (T * dim x dim) matrix.  Acting on rows, the action matrices and
     the generator action are all read from it.
+
+    Every basis is a basis of weight vectors: row k of `contents` is the
+    weight of basis vector k, and the weight spaces, the character and
+    the weight check of check_equivariance are all read from it.
     """
 
     p: int
     n: int
     D: int
     dim: int
+    contents: np.ndarray  # (dim, n)
 
     def __init__(self, p: int, n: int, D: int, dim: int):
         self.p = p
@@ -94,7 +103,7 @@ class ModuleRep:
         self.dim = dim
         self.space = get_space(p, n, D)
         self._action_cache: dict[OpRef, np.ndarray] = {}
-        self._weight_cache: dict[tuple[int, ...], tuple[np.ndarray, tuple[int, ...]]] = {}
+        self._groups: dict[tuple[int, ...], np.ndarray] | None = None
         self._generators: tuple[list[OpRef], sparse.csr_matrix] | None = None
         self._lock = threading.RLock()
 
@@ -127,41 +136,49 @@ class ModuleRep:
         return self.apply_stack(ref, x)[0]
 
     def generator_action(self) -> tuple[list[OpRef], sparse.csr_matrix]:
-        """(refs, A) for refs = space.generator_refs(): A stacks the action
-        matrices, so rows g*dim .. (g+1)*dim - 1 are action_matrix(refs[g]).
-        Built once per module: a Koszul middle term is checked as the
-        target of one map and as the source of the next."""
+        """(refs, A) for refs = space.generator_refs(), the simple-root
+        divided powers at powers of p: A stacks their action matrices, so
+        rows g*dim .. (g+1)*dim - 1 are action_matrix(refs[g]), and has no
+        rows when n = 1.  Built once per module: a Koszul middle term is
+        checked as the target of one map and as the source of the next."""
         with self._lock:
             if self._generators is None:
                 self._generators = (self.space.generator_refs(),
                                     sparse.csr_matrix(self._stack(("gens",))))
             return self._generators
 
-    def weight_basis(self, comp: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-        """RREF rows (and pivots) spanning the weight space of `comp`."""
+    def content_groups(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Each weight's basis indices, ascending, the weights in the order
+        of their first basis vector."""
+        if self._groups is None:
+            keys, first, inverse, counts = np.unique(
+                self.contents, axis=0, return_index=True, return_inverse=True,
+                return_counts=True)
+            members = np.split(np.argsort(inverse.reshape(-1), kind="stable"),
+                               np.cumsum(counts)[:-1])
+            self._groups = {tuple(keys[k].tolist()): members[k]
+                            for k in np.argsort(first)}
+        return self._groups
+
+    def weight_indices(self, comp: tuple[int, ...]) -> np.ndarray:
+        """The basis vectors of weight `comp`, ascending."""
         comp = tuple(comp)
-        with self._lock:
-            hit = self._weight_cache.get(comp)
-        if hit is not None:
-            return hit
-        idem = ("xi", self.space.weight_key(comp))
-        img = self.apply_ref(idem, fp.identity(self.dim))
-        rows, pivots = fp.basis_rows(img, self.p)
-        out = (rows, tuple(pivots))
-        with self._lock:
-            self._weight_cache[comp] = out
-        return out
+        self.space.weight_key(comp)  # ValueError off the weights
+        return self.content_groups().get(comp, np.zeros(0, dtype=np.int64))
+
+    def weight_basis(self, comp: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+        """RREF rows (and pivots) spanning the weight space of `comp`: the
+        unit rows at the basis vectors of that weight."""
+        idxs = self.weight_indices(comp)
+        rows = fp.zeros(idxs.size, self.dim)
+        rows[np.arange(idxs.size), idxs] = 1
+        return rows, tuple(int(i) for i in idxs)
 
     def weight_dim(self, comp: tuple[int, ...]) -> int:
-        return self.weight_basis(comp)[0].shape[0]
+        return self.weight_indices(comp).size
 
     def character(self) -> dict[tuple[int, ...], int]:
-        out = {}
-        for comp in compositions(self.D, self.n):
-            w = self.weight_dim(comp)
-            if w:
-                out[tuple(comp)] = w
-        return out
+        return {comp: idxs.size for comp, idxs in self.content_groups().items()}
 
 
 def _block_basis(kind: str, size: int, alphabet: int) -> list[tuple[int, ...]]:
@@ -204,7 +221,6 @@ class ShapeModule(ModuleRep):
         self._amb = amb
         self._u_total = m ** self.nletters
         self.contents = self._compute_contents()
-        self._groups: dict[tuple[int, ...], np.ndarray] | None = None
         self._lift: sparse.csr_matrix | None = None
         self._proj: sparse.csr_matrix | None = None
 
@@ -235,29 +251,6 @@ class ShapeModule(ModuleRep):
             counts = (letters[:, :, None] == np.arange(self.n)).sum(axis=1)
             contents += counts[d] * self.p ** twist
         return contents
-
-    def content_groups(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Each weight's basis indices, ascending, the weights in the order
-        of their first basis vector."""
-        if self._groups is None:
-            keys, first, inverse, counts = np.unique(
-                self.contents, axis=0, return_index=True, return_inverse=True,
-                return_counts=True)
-            members = np.split(np.argsort(inverse.reshape(-1), kind="stable"),
-                               np.cumsum(counts)[:-1])
-            self._groups = {tuple(keys[k].tolist()): members[k]
-                            for k in np.argsort(first)}
-        return self._groups
-
-    def weight_basis(self, comp):
-        comp = tuple(comp)
-        self.space.weight_key(comp)  # ValueError off the weights, like every kind
-        idxs = self.content_groups().get(comp)
-        if idxs is None or idxs.size == 0:
-            return fp.zeros(0, self.dim), ()
-        rows = fp.zeros(idxs.size, self.dim)
-        rows[np.arange(idxs.size), idxs] = 1
-        return rows, tuple(int(i) for i in idxs)
 
     # tensor-space bridge -------------------------------------------------
 
@@ -390,6 +383,7 @@ class DualModule(ModuleRep):
     def __init__(self, base: ModuleRep):
         super().__init__(base.p, base.n, base.D, base.dim)
         self.base = base
+        self.contents = base.contents
 
     def _stack(self, ref: OpRef):
         # each block is the transpose of the base's block for the flipped
@@ -398,7 +392,11 @@ class DualModule(ModuleRep):
 
 
 class SubmoduleModule(ModuleRep):
-    """Submodule spanned by RREF rows of a stable subspace of the parent."""
+    """Submodule spanned by RREF rows of a stable subspace of the parent.
+
+    A stable subspace is the sum of its weight spaces, so each RREF row is
+    a weight vector, of its pivot's weight; rows that mix weights are
+    refused."""
 
     def __init__(self, parent: ModuleRep, rows: np.ndarray):
         rows, pivots = fp.basis_rows(rows, parent.p)
@@ -406,6 +404,10 @@ class SubmoduleModule(ModuleRep):
         self.parent = parent
         self.rows = rows
         self.pivots = tuple(pivots)
+        self.contents = parent.contents[list(pivots)]
+        at, col = np.nonzero(rows)
+        if (parent.contents[col] != self.contents[at]).any():
+            raise ValueError("submodule rows are not weight vectors")
 
     def _stack(self, ref: OpRef):
         # block k is the parent's block at the pivot rows, on the basis rows
@@ -425,6 +427,8 @@ class TensorModule(ModuleRep):
         super().__init__(left.p, left.n, left.D + right.D, left.dim * right.dim)
         self.left = left
         self.right = right
+        self.contents = (left.contents[:, None] + right.contents[None, :]).reshape(
+            self.dim, self.n)
         self._splits: dict[OpRef, list[tuple[OpRef, OpRef]]] = {}
 
     def _split_ref(self, ref: OpRef) -> list[tuple[OpRef, OpRef]]:
@@ -478,43 +482,40 @@ class TensorModule(ModuleRep):
 
 
 def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
-    """Basis of equivariant maps src -> tgt, as matrices (tgt.dim x src.dim).
+    """Basis of equivariant maps src -> tgt, as matrices (tgt.dim x src.dim),
+    in RREF in the coordinates of the candidate maps.
 
-    Weight compatibility is imposed analytically first (equivariant maps
-    preserve weight spaces, so they commute with the weight idempotents),
-    then each divided-power generator of `generator_refs` cuts the
-    solution space down by an incremental kernel computation.  Every
-    action is read from the two modules' generator_action.
+    The candidates are the weight-preserving maps, which commute with the
+    weight idempotents: one map per pair of a target and a source basis
+    vector of the same weight, weight by weight in compositions order,
+    the pairs in kron order.  Each generator of `generator_refs` then cuts
+    the solution space down by an incremental kernel computation, all
+    candidates at once.  Every action is read from the two modules'
+    generator_action.
     """
     if (src.p, src.n, src.D) != (tgt.p, tgt.n, tgt.D):
         raise ValueError("hom between modules in different categories")
     p = src.p
-    comps = [comp for comp in compositions(src.D, src.n)
-             if src.weight_dim(comp) and tgt.weight_dim(comp)]
-    if not comps:
+    t, s = tgt.dim, src.dim
+    src_groups, tgt_groups = src.content_groups(), tgt.content_groups()
+    # candidate k has a single 1, at the flat entry flat[k] of a weight block
+    flat = [(tgt_groups[comp][:, None] * s + src_groups[comp]).reshape(-1)
+            for comp in compositions(src.D, src.n)
+            if comp in src_groups and comp in tgt_groups]
+    if not flat:
         return []
+    flat = np.concatenate(flat)
+    maps = sparse.csr_matrix(
+        (np.ones(flat.size, dtype=np.int64), (np.arange(flat.size), flat)),
+        shape=(flat.size, t * s))
 
-    # the map with a single 1 at entry (i, j) of a weight block is the
-    # outer product of target weight row i and source weight projector row
-    # j; row k of the sparse stack `maps` is map k, flattened
+    # row k of the sparse stack `maps` is map k, flattened
     refs, a_src = src.generator_action()
     _, a_tgt = tgt.generator_action()
-    t, s = tgt.dim, src.dim
-    outers = []
-    for comp in comps:
-        pivots = src.weight_basis(comp)[1]
-        g = refs.index(("xi", src.space.weight_key(comp)))
-        # rows of the idempotent's column action
-        src_hat = a_src[g * s + np.array(pivots)]  # (ws, s)
-        tgt_rows = sparse.csr_matrix(tgt.weight_basis(comp)[0])  # (wt, t)
-        outers.append(sparse.kron(tgt_rows, src_hat, format="csr"))
-    maps = reduced(sparse.vstack(outers, format="csr"), p)
-    for g, ref in enumerate(refs):
+    for g in range(len(refs)):
         K = maps.shape[0]
         if K == 0:
             break
-        if ref[0] == "xi":
-            continue  # a weight idempotent: the weight blocks satisfy it
         act_src = a_src[g * s: (g + 1) * s]
         act_tgt = a_tgt[g * t: (g + 1) * t]
         # X A_src - A_tgt X for all K maps X at once; only the entries
@@ -537,16 +538,29 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
 def check_equivariance(matrix, src: ModuleRep, tgt: ModuleRep) -> None:
     """Raise EquivarianceError unless `matrix` commutes with the action.
 
-    Every ref of `generator_refs` is checked at once, as the stacked
-    products kron(I_R, phi) @ A_src and A_tgt @ phi of generator_action;
-    commuting with a generating set means commuting with the whole Schur
-    algebra, so a pass is a proof.  The error names the first failing ref.
-    `matrix` may be dense or sparse; it is not modified.
+    First every nonzero of phi must join two basis vectors of one weight,
+    which is commuting with every weight idempotent.  Then every ref of
+    `generator_refs` is checked at once, as the stacked products
+    kron(I_R, phi) @ A_src and A_tgt @ phi of generator_action.  The
+    weight idempotents and these divided powers generate the Schur
+    algebra, so a pass is a proof.  The error names the first weight
+    mismatch, or else the first failing ref.  `matrix` may be dense or
+    sparse; it is not modified.
     """
     if src.space is not tgt.space:
         raise ValueError("equivariance between modules in different categories")
     p = src.p
     phi = reduced(sparse.csr_matrix(matrix, dtype=np.int64, copy=True), p)
+    if phi.shape != (tgt.dim, src.dim):
+        raise ValueError(f"a {phi.shape} matrix is no map of a {src.dim}-"
+                         f"dimensional module to a {tgt.dim}-dimensional one")
+    nz = phi.tocoo()
+    clash = np.flatnonzero((tgt.contents[nz.row] != src.contents[nz.col]).any(axis=1))
+    if clash.size:
+        k = clash[0]
+        raise EquivarianceError(
+            f"map sends weight {tuple(src.contents[nz.col[k]].tolist())} to "
+            f"weight {tuple(tgt.contents[nz.row[k]].tolist())}")
     refs, a_src = src.generator_action()
     _, a_tgt = tgt.generator_action()
     diff = reduced(diagonal_copies(phi, len(refs)) @ a_src - a_tgt @ phi, p)

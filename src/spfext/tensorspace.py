@@ -6,9 +6,14 @@ canonically the sorted tuple of per-slot letter pairs, so orbit
 identity is syntactic.  Letters are 0-based throughout.
 
 The pipeline acts through a generating set instead of the basis: the
-weight idempotents and the divided powers of the root elements
-(Doty-Giaquinto, "Presenting Schur algebras", IMRN 2002).  A linear map
-commuting with every generator commutes with all of S(n, D).
+weight idempotents and the divided powers E_a^(r), F_a^(r) of the simple
+root elements (Doty-Giaquinto, "Presenting Schur algebras", IMRN 2002).
+Over F_p, Lucas's theorem writes each E^(r) as a unit times a product of
+the E^(p^k), so the divided powers at powers of p suffice.  Every module
+basis is a basis of weight vectors, so the idempotents need no operator:
+a map commutes with them iff it preserves weights (Green, LNM 830).  A
+weight-preserving linear map commuting with every ref of generator_refs
+commutes with all of S(n, D).
 
 Operators are built lazily as sparse matrices on E^(x)D and memoized per
 space behind a lock, with least-recently-used eviction against a
@@ -157,8 +162,9 @@ class TensorSpace:
         if kind == "div":
             return self._build_divided(*ref[1:])
         if kind == "gens":  # every generator, stacked in generator_refs order
-            return sparse.vstack([self.matrix(r) for r in self.generator_refs()],
-                                 format="csr")
+            return sparse.vstack(
+                [sparse.csr_matrix((0, self.dim), dtype=np.int64)]
+                + [self.matrix(r) for r in self.generator_refs()], format="csr")
         if kind == "words":
             return self._build_words(ref[1], every=len(ref) > 2)
         if kind == "flip":
@@ -309,22 +315,14 @@ class TensorSpace:
 
     # -- basis and generators ---------------------------------------------
 
-    def full_basis_keys(self) -> list[XiKey]:
-        pairs = [(a, b) for a in range(self.n) for b in range(self.n)]
-        return [key for key in combinations_with_replacement(pairs, self.D)]
-
     def generator_refs(self) -> list[OpRef]:
-        """Refs of operators generating S(n, D) as an algebra: every weight
-        idempotent, then ("div", a, b, r) for a != b and 1 <= r <= D."""
-        refs: list[OpRef] = [("xi", self.weight_key(c))
-                             for c in compositions(self.D, self.n)]
-        for a in range(self.n):
-            for b in range(self.n):
-                if a == b:
-                    continue
-                for r in range(1, self.D + 1):
-                    refs.append(("div", a, b, r))
-        return refs
+        """Refs of the divided powers ("div", a, b, p^k) of the simple root
+        movers, |a - b| = 1, for every p^k <= D: with the weight
+        idempotents they generate S(n, D) as an algebra.  None when n = 1."""
+        powers = [self.p ** k for k in range(self.D.bit_length())
+                  if self.p ** k <= self.D]
+        return [("div", a, b, q) for a in range(self.n) for b in (a - 1, a + 1)
+                if 0 <= b < self.n for q in powers]
 
 
 _SPACES: dict[tuple[int, int, int], TensorSpace] = {}

@@ -16,6 +16,7 @@ from spfext.functors import (Atom, Dual, Ident, Param, Tensor, Twist, canon,
 from spfext.modules import (ModuleRep, ShapeModule, check_equivariance,
                             hom_space)
 from spfext.tensorspace import compositions, distinct_permutations
+from test_tensorspace import full_basis_keys, full_generator_refs
 
 
 # -- parser -------------------------------------------------------------------
@@ -103,7 +104,7 @@ def test_weight_multiplicities_sum_to_dim():
 
 def test_sampled_action_associativity():
     mod = evaluate("G(2)*I", 2)
-    refs = [("xi", key) for key in mod.space.full_basis_keys()]
+    refs = [("xi", key) for key in full_basis_keys(mod.space)]
     rng = np.random.default_rng(0)
     vecs = rng.integers(0, 2, size=(3, mod.dim))
     for _ in range(50):
@@ -391,6 +392,7 @@ def test_equivariance_error_names_the_last_generator():
     class Twin(ModuleRep):
         def __init__(self):
             super().__init__(mod.p, mod.n, mod.D, mod.dim)
+            self.contents = mod.contents
 
         def _stack(self, ref):
             # the twin's one action rule: mod's operators one at a time,
@@ -510,8 +512,9 @@ def test_spellings_of_one_shape_share_one_module():
 
 
 def _hom_space_by_assembly(src, tgt):
-    """hom_space as it was first written: after every kernel cut, each
-    surviving coefficient vector is assembled into its map anew."""
+    """hom_space as it was first written: weight blocks read from the
+    weight idempotents, the full generating set, and after every kernel
+    cut each surviving coefficient vector assembled into its map anew."""
     p = src.p
     blocks = []
     for comp in compositions(src.D, src.n):
@@ -538,7 +541,7 @@ def _hom_space_by_assembly(src, tgt):
 
     kernel = fp.identity(sum(ws * wt for _, ws, wt in blocks))
     mats = [assemble(row) for row in kernel]
-    for ref in src.space.generator_refs():
+    for ref in full_generator_refs(src.space):
         if ref[0] == "xi" or kernel.shape[0] == 0:
             continue
         a_src = src.action_matrix(ref)

@@ -15,12 +15,12 @@ from spfext.tensorspace import compositions
 
 def test_weight_space_dimensions():
     gamma2 = evaluate("G(2)", 2)
-    assert weight_space(gamma2, (2, 0)).dim == 1
+    assert weight_space(gamma2, (2, 0)).shape[0] == 1
     twisted = evaluate("twist(I,1)", 2)
-    assert weight_space(twisted, (1, 1)).dim == 0
+    assert weight_space(twisted, (1, 1)).shape[0] == 0
     for text in ["G(2)", "twist(I,1)", "S(1,1)"]:
         mod = evaluate(text, 2)
-        assert sum(weight_space(mod, c).dim
+        assert sum(weight_space(mod, c).shape[0]
                    for c in compositions(2, 2)) == mod.dim
 
 

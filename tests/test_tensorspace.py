@@ -1,4 +1,5 @@
 import threading
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -114,8 +115,22 @@ def test_place_permutation_group_law():
     assert (composed == direct).all()
 
 
+def full_basis_keys(ts):
+    """The keys of the xi-basis of S(n, D): multisets of D letter pairs."""
+    pairs = [(a, b) for a in range(ts.n) for b in range(ts.n)]
+    return list(combinations_with_replacement(pairs, ts.D))
+
+
+def full_generator_refs(ts):
+    """The full generating set, kept as the reference: every weight
+    idempotent, then ("div", a, b, r) for a != b and 1 <= r <= D."""
+    return ([("xi", ts.weight_key(c)) for c in compositions(ts.D, ts.n)]
+            + [("div", a, b, r) for a in range(ts.n) for b in range(ts.n)
+               if a != b for r in range(1, ts.D + 1)])
+
+
 def _xi_basis(ts):
-    return [("xi", key) for key in ts.full_basis_keys()]
+    return [("xi", key) for key in full_basis_keys(ts)]
 
 
 @pytest.mark.parametrize("n,count", [(2, 10), (3, 165), (4, 3876)])
@@ -187,10 +202,12 @@ def test_sampled_products_stay_orbit_constant_d4():
 
 
 def _generated_span(ts):
-    """RREF rows of the algebra generated by `generator_refs`: close the
-    span of the generators under left multiplication by them."""
+    """RREF rows of the algebra generated by `generator_refs` together with
+    the weight idempotents: close the span of the generators under left
+    multiplication by them."""
     p = ts.p
-    gens = [ts.matrix(ref) for ref in ts.generator_refs()]
+    idempotents = [("xi", ts.weight_key(c)) for c in compositions(ts.D, ts.n)]
+    gens = [ts.matrix(ref) for ref in ts.generator_refs() + idempotents]
     rows, _ = fp.basis_rows(
         np.stack([g.toarray().reshape(-1) for g in gens]), p)
     while True:
@@ -213,12 +230,18 @@ def test_generators_generate_the_schur_algebra(p, n, D):
     assert (generated == basis).all()  # RREF is canonical: equal spans
 
 
-@pytest.mark.parametrize("n,count", [(2, 7), (3, 28), (4, 83)])
-def test_generator_count(n, count):
-    ts = get_space(2, n, n)
+@pytest.mark.parametrize("p,n,D,count", [(2, 2, 2, 4), (2, 3, 3, 8), (2, 4, 4, 18),
+                                         (3, 3, 3, 8), (5, 5, 5, 16), (2, 1, 1, 0)])
+def test_generator_count(p, n, D, count):
+    """The simple-root divided powers at every p^k <= D, both directions."""
+    ts = get_space(p, n, D)
     refs = ts.generator_refs()
-    assert len(refs) == len(compositions(n, n)) + n * (n - 1) * n == count
+    powers = [p ** k for k in range(D) if p ** k <= D]
+    assert len(refs) == 2 * (n - 1) * len(powers) == count
     assert len(set(refs)) == count
+    assert all(ref[0] == "div" and abs(ref[1] - ref[2]) == 1 and ref[3] in powers
+               for ref in refs)
+    assert ts.matrix(("gens",)).shape == (count * ts.dim, ts.dim)
 
 
 def test_flip_ref():
@@ -309,7 +332,7 @@ def _divided_by_loop(ts, a, b, r):
 @pytest.mark.parametrize("p,n,D", [(2, 2, 2), (3, 3, 3), (2, 4, 4)])
 def test_divided_powers_match_loop_reference(p, n, D):
     ts = TensorSpace(p, n, D)
-    refs = [ref for ref in ts.generator_refs() if ref[0] == "div"]
+    refs = [ref for ref in full_generator_refs(ts) if ref[0] == "div"]
     assert refs
     for ref in refs:
         got, want = ts.matrix(ref), _divided_by_loop(ts, *ref[1:])
