@@ -224,15 +224,18 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .tensorspace import get_space
+    import numpy as np
+
+    from .tensorspace import gamma_index, get_space
     checks: list[tuple[str, bool]] = []
     checks.append(("dim End(I*I) = 2 at p=2", end_dimension("I*I", 2) == 2))
     sp = get_space(2, 2, 2)
     total = None
     for comp in ((2, 0), (1, 1), (0, 2)):
-        mat = sp.matrix(("xi", sp.weight_key(comp)))
+        # the idempotent is the word of the generator: block a holds only a's
+        t = gamma_index(comp, 2, np.repeat(np.arange(2), comp)[None])[0]
+        mat = sp.matrix(("words", comp, "all"))[t * sp.dim: (t + 1) * sp.dim]
         total = mat if total is None else total + mat
-    import numpy as np
     checks.append(("weight idempotents sum to identity",
                    bool((total.toarray() % 2 == np.eye(4, dtype=np.int64)).all())))
     table = ext("twist(I,1)", "G(2)", 2, i=1)

@@ -170,13 +170,22 @@ def weight_space(module: ModuleRep, comp: tuple[int, ...]) -> np.ndarray:
 def hom_from_gamma(comp: tuple[int, ...], module: ModuleRep):
     """dim Hom(Gamma^comp, M) plus the realization of weight vectors:
     realize(v) is the equivariant matrix Gamma^comp(E) -> M sending the
-    canonical generator to v (see yoneda_images)."""
+    canonical generator to v (see yoneda_images).  realize raises
+    ValueError unless v is a weight-comp vector of M."""
     comp = tuple(comp)
     if len(comp) < module.n:
         comp = comp + (0,) * (module.n - len(comp))
     if sum(comp) != module.D:
         raise SemanticError(f"{comp} does not sum to the degree {module.D}")
-    return module.weight_dim(comp), lambda v: yoneda_images(module, comp, v)
+    idxs = module.weight_indices(comp)
+
+    def realize(v):
+        v = np.asarray(v, dtype=np.int64).reshape(-1)
+        if v.size != module.dim or (np.delete(v, idxs) % module.p).any():
+            raise ValueError(f"v is no vector of weight {comp} in the module")
+        return yoneda_images(module, comp, v)
+
+    return idxs.size, realize
 
 
 @dataclass

@@ -19,8 +19,9 @@ and check_equivariance proves a map equivariant with the weight
 comparison and one product against that stack.
 
 Duals act through the flip anti-automorphism, submodules through an
-RREF basis of a stable subspace, and binary tensor products through
-splitting operator orbits across the two factors.
+RREF basis of a stable subspace, and binary tensor products through the
+comultiplication of the Schur algebra: each stack splits into Kronecker
+products of the two factors' stacks.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from scipy import sparse
 from . import fp
 from .errors import BudgetExceededError, EquivarianceError
 from .tensorspace import (OpRef, block_transpose, compositions, flip_ref,
-                          get_space)
+                          gamma_index, gamma_letters, get_space)
 
 AMBIENT_CAP = 1 << 22
 
@@ -122,8 +123,6 @@ class ModuleRep:
                 self._action_cache[ref] = mat
         return mat
 
-    action_matrix = stack_matrix  # one operator: A with column action v -> A v
-
     def apply_stack(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
         """(T, batch, dim): out[k] is the k-th operator of ref applied to
         each row of x."""
@@ -131,14 +130,10 @@ class ModuleRep:
         out = product(self.stack_matrix(ref), x.T, self.p)
         return out.reshape(-1, self.dim, x.shape[0]).transpose(0, 2, 1)
 
-    def apply_ref(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
-        """The one-operator case of apply_stack: (batch, dim)."""
-        return self.apply_stack(ref, x)[0]
-
     def generator_action(self) -> tuple[list[OpRef], sparse.csr_matrix]:
         """(refs, A) for refs = space.generator_refs(), the simple-root
         divided powers at powers of p: A stacks their action matrices, so
-        rows g*dim .. (g+1)*dim - 1 are action_matrix(refs[g]), and has no
+        rows g*dim .. (g+1)*dim - 1 are stack_matrix(refs[g]), and has no
         rows when n = 1.  Built once per module: a Koszul middle term is
         checked as the target of one map and as the source of the next."""
         with self._lock:
@@ -163,7 +158,8 @@ class ModuleRep:
     def weight_indices(self, comp: tuple[int, ...]) -> np.ndarray:
         """The basis vectors of weight `comp`, ascending."""
         comp = tuple(comp)
-        self.space.weight_key(comp)  # ValueError off the weights
+        if len(comp) != self.n or sum(comp) != self.D or min(comp) < 0:
+            raise ValueError(f"{comp} is not a composition of {self.D} in {self.n}")
         return self.content_groups().get(comp, np.zeros(0, dtype=np.int64))
 
     def weight_basis(self, comp: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -344,21 +340,26 @@ class ShapeModule(ModuleRep):
         """kron(I_T, P) @ S @ L for the T stacked tensor-space operators S
         of ref, acting on the E slots and as the identity on parameter
         letters.  L and P each touch an ambient index at most once, so
-        each entry of S, on each parameter word, is one entry of the
-        product: one lift, one pass over S and one projection."""
+        each lifted ambient index, a parameter word and a slot column,
+        meets the entries of that column of S on that word: one lift, one
+        pass over those columns and one projection."""
         if self._lift is None:
             self._build_bridge()
-        ops = self.space.matrix(ref).tocoo()
+        ops = sparse.csc_matrix(self.space.matrix(ref))
         N = self.space.dim
-        block, slot = np.divmod(ops.row, N)
-        words = np.arange(self._u_total)[:, None] * N
-        src = self._lifted[(words + ops.col).reshape(-1)]
-        dst = (words + slot).reshape(-1)
+        amb = np.flatnonzero(self._lifted >= 0)
+        word, col = np.divmod(amb, N)
+        counts = np.diff(ops.indptr)[col]
+        owner = np.repeat(np.arange(amb.size), counts)
+        at = (np.arange(owner.size) + np.repeat(ops.indptr[col] - np.cumsum(counts)
+                                                + counts, counts))
+        block, slot = np.divmod(ops.indices[at], N)
+        dst = word[owner] * N + slot
         row = self._projected[dst]
-        keep = (src >= 0) & (row >= 0)
+        keep = row >= 0
         return reduced(sparse.csr_matrix(
-            ((np.tile(ops.data, self._u_total) * self._sign[dst])[keep],
-             ((np.tile(block, self._u_total) * self.dim + row)[keep], src[keep])),
+            ((ops.data[at] * self._sign[dst])[keep],
+             ((block * self.dim + row)[keep], self._lifted[amb][owner][keep])),
             shape=(ops.shape[0] // N * self.dim, self.dim)), self.p)
 
     def expression(self) -> str:
@@ -419,7 +420,10 @@ class SubmoduleModule(ModuleRep):
 
 
 class TensorModule(ModuleRep):
-    """Tensor product of two modules, acting through orbit splitting."""
+    """Tensor product of two modules, acting through the comultiplication
+    of the Schur algebra (Green, LNM 830; Akin-Buchsbaum-Weyman, Adv.
+    Math. 1982): each stack splits into Kronecker products of the
+    factors' stacks."""
 
     def __init__(self, left: ModuleRep, right: ModuleRep):
         if (left.p, left.n) != (right.p, right.n):
@@ -429,53 +433,73 @@ class TensorModule(ModuleRep):
         self.right = right
         self.contents = (left.contents[:, None] + right.contents[None, :]).reshape(
             self.dim, self.n)
-        self._splits: dict[OpRef, list[tuple[OpRef, OpRef]]] = {}
 
-    def _split_ref(self, ref: OpRef) -> list[tuple[OpRef, OpRef]]:
-        hit = self._splits.get(ref)
-        if hit is not None:
-            return hit
-        kind = ref[0]
-        out: list[tuple[OpRef, OpRef]] = []
-        if kind == "xi":
-            key = ref[1]
-            dl = self.left.D
-            seen = set()
-            for picks in combinations(range(len(key)), dl):
-                pick_set = set(picks)
-                k1 = tuple(key[s] for s in picks)
-                k2 = tuple(key[s] for s in range(len(key)) if s not in pick_set)
-                if (k1, k2) in seen:
-                    continue
-                seen.add((k1, k2))
-                out.append((("xi", k1), ("xi", k2)))
-        elif kind == "div":
-            _, a, b, r = ref
-            # a factor moves at most as many letters as its degree
-            for r1 in range(max(0, r - self.right.D), min(r, self.left.D) + 1):
-                left = ("one",) if r1 == 0 else ("div", a, b, r1)
-                right = ("one",) if r1 == r else ("div", a, b, r - r1)
-                out.append((left, right))
-        else:
+    def _stack(self, ref: OpRef) -> sparse.csr_matrix:
+        # the flip is a coalgebra map: a flipped stack splits into the
+        # factors' flipped stacks
+        flipped = ref[0] == "flip"
+        base = ref[1] if flipped else ref
+        orient = flip_ref if flipped else (lambda r: r)
+        if base[0] == "words":
+            return self._words(tuple(base[1]), len(base) > 2, orient)
+        if base[0] not in ("gens", "div"):
             raise ValueError(f"cannot split operator ref {ref!r}")
-        self._splits[ref] = out
-        return out
+        refs = self.space.generator_refs() if base[0] == "gens" else [base]
+        return sparse.vstack([sparse.csr_matrix((0, self.dim), dtype=np.int64)]
+                             + [self._divided(*orient(r)[1:]) for r in refs],
+                             format="csr")
 
-    @staticmethod
-    def _factor_matrix(mod: ModuleRep, ref: OpRef):
-        if ref == ("one",):
-            return fp.identity(mod.dim)
-        a = mod.action_matrix(ref)
-        return a.toarray() if sparse.issparse(a) else a
+    def _divided(self, a: int, b: int, r: int) -> sparse.csr_matrix:
+        """E^(r) of the root mover b -> a is the sum of E^(r1) (x)
+        E^(r - r1); a factor moves at most as many letters as its degree."""
+        def factor(mod: ModuleRep, s: int):
+            return (sparse.identity(mod.dim, dtype=np.int64, format="csr")
+                    if s == 0 else mod.stack_matrix(("div", a, b, s)))
 
-    def _stack(self, ref: OpRef) -> np.ndarray:
-        # each operator acts as the sum over its orbit splittings of the
-        # Kronecker products of the factors' actions
-        return np.concatenate([
-            sum(np.kron(self._factor_matrix(self.left, k1),
-                        self._factor_matrix(self.right, k2))
-                for k1, k2 in self._split_ref(one)) % self.p
-            for one in self.space.stack_refs(ref)])
+        return reduced(sum(
+            sparse.kron(factor(self.left, r1), factor(self.right, r - r1),
+                        format="csr")
+            for r1 in range(max(0, r - self.right.D), min(r, self.left.D) + 1)),
+            self.p)
+
+    def _words(self, comp: tuple[int, ...], every: bool, orient) -> sparse.csr_matrix:
+        """Word t of Gamma^comp acts as the sum, over comp = c1 + c2 with
+        |c1| = left.D and over the splits t = t1 + t2 letter by letter, of
+        word(c1, t1) (x) word(c2, t2).  Each pair (t1, t2) merges into
+        exactly one t, so each c1 adds the rows of one Kronecker product
+        of the factors' stacks of every word; pairs whose t is not at a
+        dominant weight are dropped unless `every`."""
+        n, d1, d2 = self.n, self.left.dim, self.right.dim
+        comp = comp + (0,) * (n - len(comp))
+        pieces = []
+        for c1 in compositions(self.left.D, n):
+            c2 = tuple(c - x for c, x in zip(comp, c1))
+            if min(c2) < 0:
+                continue
+            w1, w2 = gamma_letters(c1, n), gamma_letters(c2, n)
+            T2 = len(w2)
+            # t1 beside t2, their places regrouped by the letter they pair with
+            order = np.argsort(np.repeat(np.tile(np.arange(n), 2), c1 + c2),
+                               kind="stable")
+            both = np.concatenate([np.repeat(w1, T2, axis=0),
+                                   np.tile(w2, (len(w1), 1))], axis=1)[:, order]
+            content = (both[:, :, None] == np.arange(n)).sum(axis=1)
+            merged = np.where(every | (np.diff(content, axis=1) <= 0).all(axis=1),
+                              gamma_index(comp, n, both), -1)
+            kron = sparse.kron(self.left.stack_matrix(orient(("words", c1, "all"))),
+                               self.right.stack_matrix(orient(("words", c2, "all"))),
+                               format="coo")
+            k1, i1 = np.divmod(kron.row // (T2 * d2), d1)
+            k2, i2 = np.divmod(kron.row % (T2 * d2), d2)
+            pieces.append((merged, merged[k1 * T2 + k2], i1 * d2 + i2, kron.col,
+                           kron.data))
+        merged, t, row, col, data = (np.concatenate(x) for x in zip(*pieces))
+        kept = np.unique(merged[merged >= 0])
+        keep = t >= 0
+        return reduced(sparse.csr_matrix(
+            (data[keep], (np.searchsorted(kept, t[keep]) * self.dim + row[keep],
+                          col[keep])),
+            shape=(kept.size * self.dim, self.dim)), self.p)
 
 
 # Hom spaces ---------------------------------------------------------------

@@ -1,70 +1,45 @@
 """Tensor space E^(x)D over F_p and the Schur algebra acting on it.
 
 The Schur algebra S(n, D) has the xi-basis: orbits of pairs of
-multi-indices under simultaneous place permutation.  An orbit is
-canonically the sorted tuple of per-slot letter pairs, so orbit
-identity is syntactic.  Letters are 0-based throughout.
+multi-indices under simultaneous place permutation.  Letters are 0-based.
+The pipeline acts through stacks of basis elements and a generating set.
 
-The pipeline acts through a generating set instead of the basis: the
-weight idempotents and the divided powers E_a^(r), F_a^(r) of the simple
-root elements (Doty-Giaquinto, "Presenting Schur algebras", IMRN 2002).
-Over F_p, Lucas's theorem writes each E^(r) as a unit times a product of
-the E^(p^k), so the divided powers at powers of p suffice.  Every module
-basis is a basis of weight vectors, so the idempotents need no operator:
-a map commutes with them iff it preserves weights (Green, LNM 830).  A
-weight-preserving linear map commuting with every ref of generator_refs
-commutes with all of S(n, D).
+The generating set is the weight idempotents and the divided powers
+E_a^(r), F_a^(r) of the simple root elements (Doty-Giaquinto,
+"Presenting Schur algebras", IMRN 2002).  Over F_p, Lucas's theorem
+writes each E^(r) as a unit times a product of the E^(p^k), so the
+divided powers at powers of p suffice.  Every module basis is a basis of
+weight vectors, so the idempotents need no operator: a map commutes with
+them iff it preserves weights (Green, LNM 830).  A weight-preserving
+linear map commuting with every ref of generator_refs commutes with all
+of S(n, D).
 
 Operators are built lazily as sparse matrices on E^(x)D and memoized per
 space behind a lock, with least-recently-used eviction against a
 configurable byte budget.  A stack of T operators is one (T n^D x n^D)
-matrix: ("gens",) stacks generator_refs, ("words", c) the word operators
-xi(word_key(c, t)) of Gamma^c for its basis vectors t at dominant
-weights, in basis order (("words", c, "all") for every t), and
-("flip", ref) the flipped stack, which is its blockwise transpose.
+matrix: ("gens",) stacks generator_refs, ("words", c) the words of
+Gamma^c, the xi-basis elements carrying its canonical generator to its
+basis vectors t at dominant weights, in basis order (("words", c, "all")
+for every t), and ("flip", ref) the flipped stack, which is its
+blockwise transpose.  A single ("div", a, b, r) is a stack of one.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 from scipy import sparse
 
 DEFAULT_OP_BUDGET = 512 * 1024 * 1024
 
-XiKey = tuple[tuple[int, int], ...]
 OpRef = tuple
-
-
-def distinct_permutations(items: tuple):
-    """Yield the distinct permutations of a multiset, in lex order."""
-    pool = sorted(items)
-    n = len(pool)
-    out: list = []
-
-    def rec(remaining: list):
-        if len(out) == n:
-            yield tuple(out)
-            return
-        prev = object()
-        for k in range(len(remaining)):
-            if remaining[k] == prev:
-                continue
-            prev = remaining[k]
-            out.append(remaining[k])
-            yield from rec(remaining[:k] + remaining[k + 1:])
-            out.pop()
-
-    yield from rec(pool)
 
 
 def flip_ref(ref: OpRef) -> OpRef:
     kind = ref[0]
-    if kind == "xi":
-        return ("xi", tuple(sorted((b, a) for a, b in ref[1])))
     if kind == "div":
         _, a, b, r = ref
         return ("div", b, a, r)
@@ -85,20 +60,33 @@ def block_transpose(mat, dim: int):
                              shape=mat.shape)
 
 
-def word_key(comp: tuple[int, ...], tup: tuple[tuple[int, ...], ...]) -> XiKey:
-    """The xi-basis element carrying the canonical generator of Gamma^comp
-    onto the basis vector `tup`: block b pairs its letters with the b-th
-    nonzero letter of comp."""
-    letters = [a for a, part in enumerate(comp) if part]
-    return tuple(sorted((t, letters[b])
-                        for b, block in enumerate(tup) for t in block))
+def gamma_letters(comp: tuple[int, ...], n: int) -> np.ndarray:
+    """The basis of Gamma^comp in basis order, as a (T, |comp|) letter
+    array: block a, the letters word t pairs with letter a, holds comp[a]
+    places, sorted."""
+    blocks = []
+    for part in comp:
+        basis = list(combinations_with_replacement(range(n), part))
+        blocks.append(np.array(basis, dtype=np.int64).reshape(len(basis), part))
+    digits = np.unravel_index(np.arange(np.prod([len(b) for b in blocks])),
+                              [len(b) for b in blocks])
+    return np.concatenate([b[d] for b, d in zip(blocks, digits)], axis=1)
 
 
-def key_row_content(key: XiKey, n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for a, _ in key:
-        counts[a] += 1
-    return tuple(counts)
+def gamma_index(comp: tuple[int, ...], n: int, letters: np.ndarray) -> np.ndarray:
+    """The basis index in Gamma^comp of each row of a (rows, |comp|)
+    letter array laid out as in gamma_letters, each block in any order."""
+    idx = np.zeros(letters.shape[0], dtype=np.int64)
+    start = 0
+    for part in comp:
+        if not part:
+            continue
+        basis = np.array(list(combinations_with_replacement(range(n), part)))
+        weights = n ** np.arange(part - 1, -1, -1)
+        block = np.sort(letters[:, start: start + part], axis=1)
+        start += part
+        idx = idx * len(basis) + np.searchsorted(basis @ weights, block @ weights)
+    return idx
 
 
 def is_dominant(comp: tuple[int, ...]) -> bool:
@@ -145,20 +133,10 @@ class TensorSpace:
             self.letters[:, s] = idx % n
             idx //= n
 
-    def encode(self, letters: tuple[int, ...]) -> int:
-        idx = 0
-        for a in letters:
-            if not 0 <= a < self.n:
-                raise IndexError(f"letter {a} out of range for n={self.n}")
-            idx = idx * self.n + a
-        return idx
-
     # -- operator construction -------------------------------------------
 
     def _build(self, ref: OpRef) -> sparse.csr_matrix:
         kind = ref[0]
-        if kind == "xi":
-            return self._build_xi(ref[1])
         if kind == "div":
             return self._build_divided(*ref[1:])
         if kind == "gens":  # every generator, stacked in generator_refs order
@@ -170,26 +148,6 @@ class TensorSpace:
         if kind == "flip":
             return block_transpose(self.matrix(ref[1]), self.dim)
         raise ValueError(f"unknown operator ref {ref!r}")
-
-    def stack_refs(self, ref: OpRef) -> list[OpRef]:
-        """The single operator refs a ref stacks, in block order."""
-        kind = ref[0]
-        if kind == "gens":
-            return self.generator_refs()
-        if kind == "words":
-            return [("xi", key) for key in self.word_keys(ref[1], len(ref) > 2)]
-        if kind == "flip":
-            return [flip_ref(r) for r in self.stack_refs(ref[1])]
-        return [ref]
-
-    def word_keys(self, comp: tuple[int, ...], every: bool = False) -> list[XiKey]:
-        """The word of each basis vector of Gamma^comp in basis order, at
-        dominant weights only unless `every`."""
-        tuples = product(*(combinations_with_replacement(range(self.n), part)
-                           for part in comp if part))
-        keys = (word_key(comp, tup) for tup in tuples)
-        return [key for key in keys
-                if every or is_dominant(key_row_content(key, self.n))]
 
     def _build_words(self, comp: tuple[int, ...], every: bool) -> sparse.csr_matrix:
         """Every word of Gamma^comp stacked, from one decode of the space.
@@ -205,15 +163,7 @@ class TensorSpace:
         j0 = np.repeat(np.arange(n), comp)
         if j0.size != D:
             raise ValueError(f"{comp} is not a composition of {D}")
-        word = np.zeros(N, dtype=np.int64)
-        for a, part in enumerate(comp):
-            if not part:
-                continue
-            basis = np.array(list(combinations_with_replacement(range(n), part)))
-            weights = n ** np.arange(part - 1, -1, -1)
-            block = np.sort(self.letters[:, j0 == a], axis=1)
-            word = word * len(basis) + np.searchsorted(basis @ weights,
-                                                       block @ weights)
+        word = gamma_index(comp, n, self.letters)
         content = (self.letters[:, :, None] == np.arange(n)).sum(axis=1)
         rows0 = (np.arange(N) if every
                  else np.flatnonzero((np.diff(content, axis=1) <= 0).all(axis=1)))
@@ -229,24 +179,6 @@ class TensorSpace:
             (np.ones(rows.size, dtype=np.int64),
              (rows.reshape(-1), np.broadcast_to(cols, rows.shape).reshape(-1))),
             shape=(kept.size * N, N))
-
-    def _build_xi(self, key: XiKey) -> sparse.csr_matrix:
-        if len(key) != self.D:
-            raise ValueError(f"xi key has {len(key)} slots, expected {self.D}")
-        for a, b in key:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise IndexError(f"xi key letter out of range: {key}")
-        rows, cols = [], []
-        for arrangement in distinct_permutations(key):
-            i = tuple(a for a, _ in arrangement)
-            j = tuple(b for _, b in arrangement)
-            rows.append(self.encode(i))
-            cols.append(self.encode(j))
-        data = np.ones(len(rows), dtype=np.int64)
-        mat = sparse.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
-        mat.data %= self.p
-        mat.eliminate_zeros()
-        return mat
 
     def _build_divided(self, a: int, b: int, r: int) -> sparse.csr_matrix:
         """Divided power of the root mover b -> a: sum over r-subsets of
@@ -291,16 +223,6 @@ class TensorSpace:
                     self._ops_bytes -= (old.data.nbytes + old.indices.nbytes
                                         + old.indptr.nbytes)
             return self._ops[ref]
-
-    def weight_key(self, comp: tuple[int, ...]) -> XiKey:
-        comp = tuple(comp)
-        if len(comp) != self.n or sum(comp) != self.D or any(c < 0 for c in comp):
-            raise ValueError(f"{comp} is not a composition of {self.D} into "
-                             f"{self.n} parts")
-        pairs = []
-        for a, mult in enumerate(comp):
-            pairs.extend([(a, a)] * mult)
-        return tuple(pairs)
 
     def place_permutation(self, sigma: tuple[int, ...]) -> sparse.csr_matrix:
         """Permutation matrix of e_j -> e_{j o sigma^-1}: the letter in

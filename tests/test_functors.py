@@ -15,8 +15,9 @@ from spfext.functors import (Atom, Dual, Ident, Param, Tensor, Twist, canon,
                              schur_weyl_simple)
 from spfext.modules import (ModuleRep, ShapeModule, check_equivariance,
                             hom_space)
-from spfext.tensorspace import compositions, distinct_permutations
+from spfext.tensorspace import compositions
 from test_tensorspace import full_basis_keys, full_generator_refs
+from xi_reference import dense, distinct_permutations, encode, weight_key, xi_block
 
 
 # -- parser -------------------------------------------------------------------
@@ -104,16 +105,12 @@ def test_weight_multiplicities_sum_to_dim():
 
 def test_sampled_action_associativity():
     mod = evaluate("G(2)*I", 2)
-    refs = [("xi", key) for key in full_basis_keys(mod.space)]
+    keys = full_basis_keys(mod.space)
     rng = np.random.default_rng(0)
     vecs = rng.integers(0, 2, size=(3, mod.dim))
     for _ in range(50):
-        r1 = refs[int(rng.integers(len(refs)))]
-        r2 = refs[int(rng.integers(len(refs)))]
-        a1 = mod.action_matrix(r1)
-        a2 = mod.action_matrix(r2)
-        a1 = a1.toarray() if hasattr(a1, "toarray") else a1
-        a2 = a2.toarray() if hasattr(a2, "toarray") else a2
+        a1 = dense(xi_block(mod, keys[int(rng.integers(len(keys)))]))
+        a2 = dense(xi_block(mod, keys[int(rng.integers(len(keys)))]))
         left = fp.matmul(fp.matmul(a1, a2, 2), vecs.T, 2)
         right = fp.matmul(a1, fp.matmul(a2, vecs.T, 2), 2)
         assert (left == right).all()
@@ -343,8 +340,7 @@ def test_equivariance_checker_catches_weight_preserving_map_d4():
     # the weight idempotent of (1,1,1,1) keeps every weight space but does
     # not commute with the root movers
     mod = evaluate("I*I*I*I", 2)
-    idem = mod.action_matrix(("xi", mod.space.weight_key((1, 1, 1, 1))))
-    bad = idem.toarray() if hasattr(idem, "toarray") else idem
+    bad = dense(xi_block(mod, weight_key((1, 1, 1, 1))))
     for comp in compositions(4, 4):
         rows, _ = mod.weight_basis(comp)
         assert fp.rank(np.vstack([rows, fp.matmul(rows, bad.T, 2)]), 2) \
@@ -364,8 +360,7 @@ def test_equivariance_check_visits_every_generator():
         assert refs == mod.space.generator_refs()
         assert stacked.shape == (len(refs) * mod.dim, mod.dim)
         for g, ref in enumerate(refs):
-            want = mod.action_matrix(ref)
-            want = want.toarray() if sparse.issparse(want) else want
+            want = dense(mod.stack_matrix(ref))
             got = stacked[g * mod.dim: (g + 1) * mod.dim].toarray()
             assert (got == want).all(), ref
 
@@ -395,11 +390,12 @@ def test_equivariance_error_names_the_last_generator():
             self.contents = mod.contents
 
         def _stack(self, ref):
-            # the twin's one action rule: mod's operators one at a time,
-            # shifted on the last generator
-            return sparse.csr_matrix(np.concatenate([
-                (sparse.csr_matrix(mod.action_matrix(r)).toarray() + (r == last))
-                % mod.p for r in self.space.stack_refs(ref)]))
+            # the twin's one action rule: mod's stack, every entry shifted
+            # on the block of the last generator
+            mat = dense(mod.stack_matrix(ref)).copy()
+            if ref == ("gens",):
+                mat[-mod.dim:] += 1
+            return sparse.csr_matrix(mat % mod.p)
 
     with pytest.raises(EquivarianceError, match=re.escape(repr(last))):
         check_equivariance(np.eye(mod.dim, dtype=np.int64), mod, Twin())
@@ -474,8 +470,8 @@ def test_quotients_match_linear_algebra_route():
         assert 4 - sym_rel.shape[0] == evaluate("S(2)", p).dim
         plus = fp.image_basis(((swap + eye) % p).T, p)
         diag = np.zeros((2, 4), dtype=np.int64)
-        diag[0, ts.encode((0, 0))] = 1
-        diag[1, ts.encode((1, 1))] = 1
+        diag[0, encode(ts, (0, 0))] = 1
+        diag[1, encode(ts, (1, 1))] = 1
         ext_rel = fp.basis_rows(np.concatenate([plus, diag]), p)[0]
         assert 4 - ext_rel.shape[0] == evaluate("L(2)", p).dim
 
@@ -524,8 +520,7 @@ def _hom_space_by_assembly(src, tgt):
     src_hat, tgt_rows = {}, {}
     for comp, _, _ in blocks:
         pivots = src.weight_basis(comp)[1]
-        idem = ("xi", src.space.weight_key(comp))
-        proj = src.apply_ref(idem, fp.identity(src.dim)).T
+        proj = dense(xi_block(src, weight_key(comp))) % p
         src_hat[comp] = proj[list(pivots), :]
         tgt_rows[comp] = tgt.weight_basis(comp)[0]
 
@@ -544,10 +539,8 @@ def _hom_space_by_assembly(src, tgt):
     for ref in full_generator_refs(src.space):
         if ref[0] == "xi" or kernel.shape[0] == 0:
             continue
-        a_src = src.action_matrix(ref)
-        a_src = a_src.toarray() if hasattr(a_src, "toarray") else a_src
-        a_tgt = tgt.action_matrix(ref)
-        a_tgt = a_tgt.toarray() if hasattr(a_tgt, "toarray") else a_tgt
+        a_src = dense(src.stack_matrix(ref))
+        a_tgt = dense(tgt.stack_matrix(ref))
         resid = np.stack([((fp.matmul(x, a_src, p) - fp.matmul(a_tgt, x, p))
                            % p).reshape(-1) for x in mats], axis=1)
         coeffs = fp.kernel_basis(resid, p)

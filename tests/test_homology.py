@@ -62,6 +62,22 @@ def test_hom_from_gamma_realize_is_equivariant():
     check_equivariance(mat, gamma, twisted)
 
 
+def test_hom_from_gamma_refuses_a_vector_of_another_weight():
+    """realize(v) must send the generator to v, so v must be a weight-comp
+    vector of the module: e_0 of S(2) has weight (2, 0), not (1, 1)."""
+    s2 = evaluate("S(2)", 2)
+    _, realize = hom_from_gamma((1, 1), s2)
+    e0 = np.zeros(s2.dim, dtype=np.int64)
+    e0[0] = 1
+    assert tuple(s2.contents[0]) == (2, 0)
+    with pytest.raises(ValueError, match="weight"):
+        realize(e0)
+    with pytest.raises(ValueError, match="weight"):
+        realize(np.zeros(s2.dim + 1, dtype=np.int64))
+    rows, _ = s2.weight_basis((1, 1))
+    assert realize(rows[0] + 2 * e0).shape == (s2.dim, 4)  # 2 e_0 is 0 in F_2
+
+
 def test_resolution_of_twisted_identity():
     res = resolve_expression("twist(I,1)", 2, 3)
     assert res.term_partitions() == [[(2,)], [(1, 1)], [(2,)], []]
@@ -149,6 +165,17 @@ def test_duality_small_simple_cases():
     assert rep.passed and rep.forward == [1, 0, 1]
     rep = duality_check("I", "simple(1,1)", 2, i=1)
     assert rep.passed and rep.forward == [0, 1, 0]
+
+
+@pytest.mark.parametrize("target,forward", [
+    ("simple(2)*G(2)", [0, 0, 2, 0, 2]), ("dual(S(2))*L(2)", [0, 0, 0, 2, 0]),
+    ("simple(1,1)*S(2)", [0, 2, 0, 0, 0])])
+def test_duality_on_tensor_targets(target, forward):
+    """Mirror duality into tensor products outside the fragment, so Ext is
+    read through TensorModule and, mirrored, through its dual."""
+    rep = duality_check("I*I", target, 2, i=1)
+    assert rep.passed and rep.forward == forward
+    assert rep.backward == forward[::-1]
 
 
 def test_duality_refuses_inadmissible():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spfext import fp, young
 from spfext.functors import canonical_map, schur_weyl_simple, shape_module
-from spfext.tensorspace import distinct_permutations
+from xi_reference import distinct_permutations
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:

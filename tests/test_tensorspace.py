@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from spfext import fp
-from spfext.tensorspace import (TensorSpace, compositions, distinct_permutations,
-                                flip_ref, get_space, key_row_content)
+from spfext.tensorspace import TensorSpace, compositions, flip_ref, get_space
+from xi_reference import (distinct_permutations, encode, key_word, weight_key,
+                          xi_block, xi_matrix)
 
 
 def xi(ts, i, j):
-    """The operator of the orbit of the index pair (i, j)."""
-    return ts.matrix(("xi", tuple(sorted(zip(i, j))))).toarray()
+    """The operator of the orbit of the index pair (i, j), one arrangement
+    at a time."""
+    return xi_matrix(ts, tuple(sorted(zip(i, j)))).toarray()
 
 
 def test_distinct_permutations_counts():
@@ -27,15 +29,15 @@ def test_xi_key_canonical():
     ts = TensorSpace(2, 2, 2)
     op = xi(ts, (0, 1), (1, 0))
     assert (op == xi(ts, (1, 0), (0, 1))).all()
-    e01, e10 = ts.encode((0, 1)), ts.encode((1, 0))
+    e01, e10 = encode(ts, (0, 1)), encode(ts, (1, 0))
     assert op[e01, e10] == 1 and op[e10, e01] == 1 and op.sum() == 2
 
 
 def test_xi_projector_on_mixed_weight():
     ts = TensorSpace(2, 2, 2)
     op = xi(ts, (0, 1), (0, 1))
-    e01 = ts.encode((0, 1))
-    e10 = ts.encode((1, 0))
+    e01 = encode(ts, (0, 1))
+    e10 = encode(ts, (1, 0))
     expected = np.zeros((4, 4), dtype=np.int64)
     expected[e01, e01] = 1
     expected[e10, e10] = 1
@@ -45,7 +47,7 @@ def test_xi_projector_on_mixed_weight():
 def test_xi_projector_on_pure_tensor():
     ts = TensorSpace(2, 2, 2)
     op = xi(ts, (0, 0), (0, 0))
-    e00 = ts.encode((0, 0))
+    e00 = encode(ts, (0, 0))
     expected = np.zeros((4, 4), dtype=np.int64)
     expected[e00, e00] = 1
     assert (op == expected).all()
@@ -54,7 +56,7 @@ def test_xi_projector_on_pure_tensor():
 def test_xi_rank_one_collapse():
     ts = TensorSpace(2, 2, 2)
     op = xi(ts, (0, 0), (0, 1))
-    e00, e01, e10 = ts.encode((0, 0)), ts.encode((0, 1)), ts.encode((1, 0))
+    e00, e01, e10 = encode(ts, (0, 0)), encode(ts, (0, 1)), encode(ts, (1, 0))
     assert op[e00, e01] == 1 and op[e00, e10] == 1
     assert op.sum() == 2
 
@@ -78,7 +80,7 @@ def test_divided_power_refs_are_validated(ref, error):
 def test_weight_idempotents():
     ts = TensorSpace(2, 2, 2)
     def idempotent(c):
-        return ts.matrix(("xi", ts.weight_key(c))).toarray()
+        return xi_block(ts, weight_key(c)).toarray()
 
     assert fp.rank(idempotent((1, 1)), 2) == 2
     assert fp.rank(idempotent((2, 0)), 2) == 1
@@ -89,7 +91,7 @@ def test_weight_idempotents():
 def test_weight_idempotent_bad_composition():
     ts = TensorSpace(2, 2, 2)
     with pytest.raises(ValueError):
-        ts.weight_key((1, 0))
+        ts.matrix(("words", (1, 0), "all"))
 
 
 def test_place_permutation_basics():
@@ -97,9 +99,9 @@ def test_place_permutation_basics():
     ident = ts.place_permutation((0, 1)).toarray()
     assert (ident == np.eye(4, dtype=np.int64)).all()
     swap = ts.place_permutation((1, 0)).toarray()
-    e01, e10 = ts.encode((0, 1)), ts.encode((1, 0))
+    e01, e10 = encode(ts, (0, 1)), encode(ts, (1, 0))
     assert swap[e10, e01] == 1 and swap[e01, e10] == 1
-    assert swap[ts.encode((0, 0)), ts.encode((0, 0))] == 1
+    assert swap[encode(ts, (0, 0)), encode(ts, (0, 0))] == 1
 
 
 def test_place_permutation_group_law():
@@ -124,13 +126,25 @@ def full_basis_keys(ts):
 def full_generator_refs(ts):
     """The full generating set, kept as the reference: every weight
     idempotent, then ("div", a, b, r) for a != b and 1 <= r <= D."""
-    return ([("xi", ts.weight_key(c)) for c in compositions(ts.D, ts.n)]
+    return ([("xi", weight_key(c)) for c in compositions(ts.D, ts.n)]
             + [("div", a, b, r) for a in range(ts.n) for b in range(ts.n)
                if a != b for r in range(1, ts.D + 1)])
 
 
 def _xi_basis(ts):
-    return [("xi", key) for key in full_basis_keys(ts)]
+    """The xi-basis, each element read as a block of a word stack."""
+    return [xi_block(ts, key) for key in full_basis_keys(ts)]
+
+
+@pytest.mark.parametrize("p,n,D", [(2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 3, 2)])
+def test_word_blocks_are_the_xi_basis(p, n, D):
+    """Every xi_{I,J} is the word of some t in Gamma^{content(J)}: block t
+    of ("words", content(J), "all") equals xi built one arrangement at a
+    time."""
+    ts = get_space(p, n, D)
+    for key in full_basis_keys(ts):
+        got, want = xi_block(ts, key), xi_matrix(ts, key)
+        assert got.nnz == want.nnz and (got != want).nnz == 0, key
 
 
 @pytest.mark.parametrize("n,count", [(2, 10), (3, 165), (4, 3876)])
@@ -145,8 +159,7 @@ def test_xi_commutes_with_place_permutations_small():
         ts = get_space(p, n, n)
         perms = [ts.place_permutation(s)
                  for s in _transpositions(n)]
-        for ref in _xi_basis(ts):
-            a = ts.matrix(ref)
+        for a in _xi_basis(ts):
             for perm in perms:
                 left = (perm @ a).toarray() % p
                 right = (a @ perm).toarray() % p
@@ -155,11 +168,10 @@ def test_xi_commutes_with_place_permutations_small():
 
 def test_xi_commutes_with_place_permutations_sampled_d4():
     ts = get_space(2, 4, 4)
-    refs = _xi_basis(ts)[::19]
     perm = ts.place_permutation((1, 0, 2, 3))
     cycle = ts.place_permutation((1, 2, 3, 0))
-    for ref in refs:
-        a = ts.matrix(ref)
+    for key in full_basis_keys(ts)[::19]:
+        a = xi_block(ts, key)
         for g in (perm, cycle):
             assert ((g @ a - a @ g).toarray() % 2 == 0).all()
 
@@ -176,8 +188,7 @@ def _transpositions(n):
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 3)])
 def test_span_rank_equals_schur_dimension(p, n):
     ts = get_space(p, n, n)
-    flat = np.stack([ts.matrix(ref).toarray().reshape(-1)
-                     for ref in _xi_basis(ts)])
+    flat = np.stack([a.toarray().reshape(-1) for a in _xi_basis(ts)])
     assert fp.rank(flat, p) == comb(n * n + n - 1, n)
 
 
@@ -186,12 +197,12 @@ def test_sampled_products_stay_orbit_constant_d4():
     basis elements are constant on orbits of index pairs, i.e. lie in the
     span of the basis."""
     ts = get_space(2, 4, 4)
-    refs = _xi_basis(ts)
-    sample = [refs[13], refs[517], refs[1999], refs[3131]]
+    keys = full_basis_keys(ts)
+    sample = [xi_block(ts, keys[k]) for k in (13, 517, 1999, 3131)]
     letters = ts.letters
-    for r1 in sample:
-        for r2 in sample[::-1]:
-            prod = (ts.matrix(r1) @ ts.matrix(r2)).tocoo()
+    for a1 in sample:
+        for a2 in sample[::-1]:
+            prod = (a1 @ a2).tocoo()
             seen = {}
             for r, c, v in zip(prod.row, prod.col, prod.data % 2):
                 key = tuple(sorted(zip(letters[r], letters[c])))
@@ -206,8 +217,8 @@ def _generated_span(ts):
     the weight idempotents: close the span of the generators under left
     multiplication by them."""
     p = ts.p
-    idempotents = [("xi", ts.weight_key(c)) for c in compositions(ts.D, ts.n)]
-    gens = [ts.matrix(ref) for ref in ts.generator_refs() + idempotents]
+    gens = ([ts.matrix(ref) for ref in ts.generator_refs()]
+            + [xi_block(ts, weight_key(c)) for c in compositions(ts.D, ts.n)])
     rows, _ = fp.basis_rows(
         np.stack([g.toarray().reshape(-1) for g in gens]), p)
     while True:
@@ -224,8 +235,7 @@ def test_generators_generate_the_schur_algebra(p, n, D):
     ts = get_space(p, n, D)
     generated = _generated_span(ts)
     basis, _ = fp.basis_rows(
-        np.stack([ts.matrix(ref).toarray().reshape(-1)
-                  for ref in _xi_basis(ts)]), p)
+        np.stack([a.toarray().reshape(-1) for a in _xi_basis(ts)]), p)
     assert generated.shape[0] == comb(n * n + D - 1, D)
     assert (generated == basis).all()  # RREF is canonical: equal spans
 
@@ -245,23 +255,32 @@ def test_generator_count(p, n, D, count):
 
 
 def test_flip_ref():
-    key = ((0, 0), (0, 1))
-    flipped = flip_ref(("xi", key))
-    assert flipped == ("xi", ((0, 0), (1, 0)))
-    assert flip_ref(flipped) == ("xi", key)
+    words = ("words", (1, 1))
+    flipped = flip_ref(words)
+    assert flipped == ("flip", words)
+    assert flip_ref(flipped) == words
+    assert flip_ref(("gens",)) == ("flip", ("gens",))
     assert flip_ref(("div", 0, 1, 2)) == ("div", 1, 0, 2)
 
 
 def test_contents():
-    key = tuple(sorted(zip((0, 0, 1), (1, 2, 2))))
-    assert key_row_content(key, 3) == (2, 1, 0)
-    # the flip swaps rows and columns
-    assert key_row_content(flip_ref(("xi", key))[1], 3) == (0, 1, 2)
+    """The word xi_{I,J} of t carries weight content(J) to content(I), the
+    content of t, and its flip carries them back."""
+    ts = get_space(2, 3, 3)
+    comp, k = key_word(tuple(sorted(zip((0, 0, 1), (1, 2, 2)))), 3)
+    assert comp == (0, 1, 2)
+    content = (ts.letters[:, :, None] == np.arange(3)).sum(axis=1)
+    for ref, rows, cols in [(("words", comp, "all"), (2, 1, 0), (0, 1, 2)),
+                            (("flip", ("words", comp, "all")), (0, 1, 2),
+                             (2, 1, 0))]:
+        nz = ts.matrix(ref)[k * ts.dim: (k + 1) * ts.dim].tocoo()
+        assert nz.nnz and (content[nz.row] == rows).all()
+        assert (content[nz.col] == cols).all()
 
 
 def test_operator_memo_single_construction():
     ts = TensorSpace(2, 2, 2)
-    ref = ("xi", ts.weight_key((1, 1)))
+    ref = ("words", (1, 1))
     results = []
 
     def fetch():
@@ -277,18 +296,17 @@ def test_operator_memo_single_construction():
 
 def test_lru_eviction_respects_budget():
     ts = TensorSpace(2, 2, 2, op_budget=1)  # absurdly small: evict immediately
-    a = ts.matrix(("xi", ts.weight_key((2, 0))))
-    b = ts.matrix(("xi", ts.weight_key((0, 2))))
+    a = ts.matrix(("words", (2, 0)))
+    b = ts.matrix(("words", (0, 2)))
     assert a is not None and b is not None
     assert len(ts._ops) == 1
 
 
 def test_xi_products_associative_spot_check():
     ts = get_space(2, 2, 2)
-    refs = _xi_basis(ts)
-    trip = [(refs[1], refs[4], refs[7]), (refs[0], refs[5], refs[9])]
-    for r1, r2, r3 in trip:
-        a, b, c = (ts.matrix(r) for r in (r1, r2, r3))
+    ops = _xi_basis(ts)
+    trip = [(ops[1], ops[4], ops[7]), (ops[0], ops[5], ops[9])]
+    for a, b, c in trip:
         left = ((a @ b) @ c).toarray() % 2
         right = (a @ (b @ c)).toarray() % 2
         assert (left == right).all()
@@ -297,7 +315,7 @@ def test_xi_products_associative_spot_check():
 def test_weight_idempotents_orthogonal():
     ts = get_space(3, 3, 3)
     comps = compositions(3, 3)
-    mats = {c: ts.matrix(("xi", ts.weight_key(c))) for c in comps}
+    mats = {c: xi_block(ts, weight_key(c)) for c in comps}
     for a in comps[:4]:
         for b in comps[:4]:
             prod = (mats[a] @ mats[b]).toarray() % 3
@@ -320,7 +338,7 @@ def _divided_by_loop(ts, a, b, r):
         for subset in combinations(slots.tolist(), r):
             new = word.copy()
             new[list(subset)] = a
-            rows.append(ts.encode(tuple(new)))
+            rows.append(encode(ts, tuple(new)))
             cols.append(idx)
     data = np.ones(len(rows), dtype=np.int64)
     mat = sparse.csr_matrix((data, (rows, cols)), shape=(ts.dim, ts.dim))

@@ -13,7 +13,6 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
 from spfext import fp
 from spfext.errors import EquivarianceError
@@ -23,18 +22,20 @@ from spfext.modules import (DualModule, SubmoduleModule, TensorModule,
                             check_equivariance, hom_space)
 from spfext.tensorspace import compositions
 from test_tensorspace import full_generator_refs
+from xi_reference import dense, weight_key, xi_block
 
 
-def _dense(mat):
-    return mat.toarray() if sparse.issparse(mat) else np.asarray(mat)
+def _action(mod, ref):
+    """A weight idempotent read from its word stack, or a divided power."""
+    return dense(xi_block(mod, ref[1]) if ref[0] == "xi" else mod.stack_matrix(ref))
 
 
 def commutes_with_full_set(phi, src, tgt) -> bool:
     """phi commutes with every weight idempotent and every divided power."""
     p = src.p
     for ref in full_generator_refs(src.space):
-        left = fp.matmul(phi, _dense(src.action_matrix(ref)), p)
-        right = fp.matmul(_dense(tgt.action_matrix(ref)), phi, p)
+        left = fp.matmul(phi, _action(src, ref), p)
+        right = fp.matmul(_action(tgt, ref), phi, p)
         if (left != right).any():
             return False
     return True
@@ -64,7 +65,7 @@ def test_contents_match_the_weight_idempotents(kind):
     onto the basis vectors its contents name."""
     mod = _kinds()[kind]
     for comp in compositions(mod.D, mod.n):
-        idem = _dense(mod.action_matrix(("xi", mod.space.weight_key(comp))))
+        idem = dense(xi_block(mod, weight_key(comp)))
         want = np.diag((mod.contents == comp).all(axis=1).astype(np.int64))
         assert (idem % mod.p == want).all(), comp
 

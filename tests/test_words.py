@@ -3,33 +3,40 @@
 `("words", lam)` is checked against the vstack of the per-word xi
 operators it replaces, and its flip against the flipped words.  The
 stacked action of each module kind is checked against one operator at a
-time through the tensor-space bridge.  `ext_dims_by_loop` is the Ext
-assembly as it was before the stack: one word operator and one dense
-block per nonzero differential coefficient.  It is kept here as the slow
-reference for the block-assembled `ext_dims`.
+time through the tensor-space bridge, and a tensor product's split of
+whole stacks against the per-xi split of each operator's orbit across
+its factors.  `ext_dims_by_loop` is the Ext assembly as it was before
+the stack: one word operator and one dense block per nonzero
+differential coefficient.  It is kept here as the slow reference for
+the block-assembled `ext_dims`.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from spfext import fp
-from spfext.functors import evaluate
+from spfext.functors import evaluate, shape_module
 from spfext.homology import (comp_of_partition, ext_dims, gamma_layout,
                              gamma_shape, generator_index, resolve_expression)
 from spfext.modules import (DualModule, ShapeModule, SubmoduleModule,
-                            TensorModule)
-from spfext.tensorspace import flip_ref, get_space, word_key
+                            TensorModule, product)
+from spfext.tensorspace import compositions, flip_ref, get_space, is_dominant
+from xi_reference import (dense, div_by_splitting, flip_key, word_key, xi_block,
+                          xi_by_splitting, xi_matrix)
 
 STACK_CASES = [(2, 4, (1, 1, 1, 1)), (2, 4, (2, 1, 1)), (2, 4, (3, 1)),
                (2, 4, (2, 2)), (2, 4, (4,)), (3, 3, (2, 1)),
                (3, 5, (2, 2, 1)), (5, 5, (1, 1, 1, 1, 1))]
 
 
-def word_refs(p, n, lam, every=False):
+def word_keys(p, n, lam, every=False):
+    """The xi key of each word of Gamma^lam, at dominant weights unless
+    `every`."""
     shape = gamma_shape(p, n, lam)
     words = range(shape.dim) if every else gamma_layout(p, n, lam)[0]
-    return [("xi", word_key(lam, shape.basis_tuple(int(t)))) for t in words]
+    return [word_key(lam, shape.basis_tuple(int(t))) for t in words]
 
 
 def assert_same(got, want):
@@ -40,19 +47,17 @@ def assert_same(got, want):
 @pytest.mark.parametrize("p,n,lam", STACK_CASES)
 def test_word_stack_matches_per_word_operators(p, n, lam):
     space = get_space(p, n, sum(lam))
-    refs = word_refs(p, n, lam)
-    assert space.stack_refs(("words", lam)) == refs
     assert_same(space.matrix(("words", lam)),
-                sparse.vstack([space.matrix(r) for r in refs], format="csr"))
+                sparse.vstack([xi_matrix(space, key)
+                               for key in word_keys(p, n, lam)], format="csr"))
 
 
 @pytest.mark.parametrize("p,n,lam", STACK_CASES)
 def test_flipped_word_stack_is_the_flipped_words(p, n, lam):
     space = get_space(p, n, sum(lam))
-    flipped = [flip_ref(r) for r in word_refs(p, n, lam)]
-    assert space.stack_refs(flip_ref(("words", lam))) == flipped
-    assert_same(space.matrix(flip_ref(("words", lam))),
-                sparse.vstack([space.matrix(r) for r in flipped], format="csr"))
+    assert_same(space.matrix(("flip", ("words", lam))),
+                sparse.vstack([xi_matrix(space, flip_key(key))
+                               for key in word_keys(p, n, lam)], format="csr"))
 
 
 @pytest.mark.parametrize("p,n,comp", [(2, 3, (2, 1, 0)), (3, 3, (1, 2, 0)),
@@ -62,19 +67,85 @@ def test_every_word_stack_matches_per_word_operators(p, n, comp):
     be a partition: block b of Gamma^c pairs with the b-th nonzero letter."""
     space = get_space(p, n, sum(comp))
     shape = gamma_shape(p, n, tuple(part for part in comp if part))
-    refs = [("xi", word_key(comp, shape.basis_tuple(t)))
-            for t in range(shape.dim)]
+    keys = [word_key(comp, shape.basis_tuple(t)) for t in range(shape.dim)]
     assert_same(space.matrix(("words", comp, "all")),
-                sparse.vstack([space.matrix(r) for r in refs], format="csr"))
+                sparse.vstack([xi_matrix(space, key) for key in keys], format="csr"))
 
 
-def apply_by_bridge(mod: ShapeModule, ref, x):
-    """One operator on a batch of rows: lift, act on each parameter word's
-    tensor slots, project."""
+def apply_by_bridge(mod: ShapeModule, op, x):
+    """One tensor-space operator on a batch of rows: lift, act on each
+    parameter word's tensor slots, project."""
     p, N, U = mod.p, mod.space.dim, mod._u_total
     amb = (mod.lift_matrix() @ x.T).reshape(U, N, -1)
-    acted = np.stack([mod.space.matrix(ref) @ amb[u] for u in range(U)]) % p
+    acted = np.stack([op @ amb[u] for u in range(U)]) % p
     return ((mod.project_matrix() @ acted.reshape(U * N, -1)) % p).T
+
+
+def stack_by_tiling(mod: ShapeModule, ref) -> sparse.csr_matrix:
+    """ShapeModule._stack as it was first vectorised: every entry of the
+    tensor-space stack tiled over all m^nletters parameter words before a
+    mask keeps those that lift and project."""
+    mod.lift_matrix()
+    ops = mod.space.matrix(ref).tocoo()
+    N = mod.space.dim
+    block, slot = np.divmod(ops.row, N)
+    words = np.arange(mod._u_total)[:, None] * N
+    src = mod._lifted[(words + ops.col).reshape(-1)]
+    dst = (words + slot).reshape(-1)
+    row = mod._projected[dst]
+    keep = (src >= 0) & (row >= 0)
+    mat = sparse.csr_matrix(
+        ((np.tile(ops.data, mod._u_total) * mod._sign[dst])[keep],
+         ((np.tile(block, mod._u_total) * mod.dim + row)[keep], src[keep])),
+        shape=(ops.shape[0] // N * mod.dim, mod.dim))
+    mat.data %= mod.p
+    mat.eliminate_zeros()
+    return mat
+
+
+def koszul_terms(p, q, m):
+    """The terms of both degree-q Koszul complexes over m parameters."""
+    return [shape_module(p, q, tuple((kind, size, 0) for kind, size
+                                     in ((first, q - j), (second, j)) if size), m)
+            for first, second in (("G", "L"), ("L", "S")) for j in range(q + 1)]
+
+
+@pytest.mark.parametrize("p,q,m", [(2, 2, 1), (2, 2, 2), (3, 3, 1), (3, 3, 2),
+                                   (2, 4, 1), (2, 4, 2), (5, 5, 1), (5, 5, 2)])
+def test_generator_stack_matches_tiling_reference(p, q, m):
+    """Lifting first and expanding each lifted index by its column of the
+    stack gives the tiled-and-masked stack entry for entry."""
+    for mod in koszul_terms(p, q, m):
+        assert_same(sparse.csr_matrix(mod._stack(("gens",))),
+                    stack_by_tiling(mod, ("gens",)))
+
+
+@pytest.mark.parametrize("text", ["param(S(2),2)", "param(G(2),2)",
+                                  "param(L(2)*I,2)"])
+def test_word_stacks_match_tiling_reference(text):
+    mod = evaluate(text, 2)
+    for comp in compositions(mod.D, mod.n):
+        for ref in (("words", comp), ("words", comp, "all"),
+                    ("flip", ("words", comp))):
+            assert_same(sparse.csr_matrix(mod._stack(ref)),
+                        stack_by_tiling(mod, ref))
+
+
+def apply_by_rules(mod, key, x):
+    """xi_key on a batch of rows by each kind's per-operator rule: the
+    bridge of a shape, the transposed flipped xi on a dual's base, the
+    parent's action read at a submodule's pivots, and the orbit split
+    across the factors of a tensor product."""
+    if isinstance(mod, ShapeModule):
+        return apply_by_bridge(mod, xi_matrix(mod.space, key), x)
+    if isinstance(mod, DualModule):
+        base = apply_by_rules(mod.base, flip_key(key),
+                              np.eye(mod.dim, dtype=np.int64))
+        return fp.matmul(x, base.T, mod.p)
+    if isinstance(mod, SubmoduleModule):
+        images = apply_by_rules(mod.parent, key, fp.matmul(x, mod.rows, mod.p))
+        return images[:, list(mod.pivots)]
+    return fp.matmul(x, xi_by_splitting(mod, key).T, mod.p)
 
 
 def test_stacked_action_on_a_parameter_module():
@@ -84,16 +155,16 @@ def test_stacked_action_on_a_parameter_module():
     comp = comp_of_partition((2, 1), mod.n)
     x = np.random.default_rng(7).integers(0, 3, size=(5, mod.dim))
     got = mod.apply_stack(("words", comp), x)
-    refs = word_refs(3, mod.n, (2, 1))
-    assert got.shape == (len(refs), 5, mod.dim)
-    for k, ref in enumerate(refs):
-        assert (got[k] == apply_by_bridge(mod, ref, x)).all(), ref
+    keys = word_keys(3, mod.n, (2, 1))
+    assert got.shape == (len(keys), 5, mod.dim)
+    for k, key in enumerate(keys):
+        assert (got[k] == apply_by_bridge(mod, xi_matrix(mod.space, key), x)).all(), key
 
 
 def test_stacked_action_through_dual_and_submodule():
     """The dual applies the base's transposed flipped stack, a submodule
-    its parent's stack at its pivots, a tensor product each word in turn:
-    each agrees with one word at a time."""
+    its parent's stack at its pivots, a tensor product its factors'
+    stacks: each agrees with one word at a time."""
     p = 2
     base = evaluate("param(S(2)*I,2)", p)
     sub = SubmoduleModule(base, base.weight_basis((2, 1, 0))[0][:3])
@@ -101,15 +172,73 @@ def test_stacked_action_through_dual_and_submodule():
     assert isinstance(cases[-1], TensorModule)
     for mod in cases:
         comp = comp_of_partition((2, 1), mod.n)
-        refs = word_refs(p, mod.n, (2, 1))
+        keys = word_keys(p, mod.n, (2, 1))
         x = np.random.default_rng(3).integers(0, p, size=(4, mod.dim))
         got = mod.apply_stack(("words", comp), x)
-        for k, ref in enumerate(refs):
-            assert (got[k] == mod.apply_ref(ref, x)).all(), (mod, ref)
+        for k, key in enumerate(keys):
+            assert (got[k] == apply_by_rules(mod, key, x)).all(), (mod, key)
     dual = cases[0]
-    for ref in word_refs(p, dual.n, (2, 1)):
-        want = apply_by_bridge(base, flip_ref(ref), np.eye(base.dim, dtype=np.int64))
-        assert (dual.apply_ref(ref, np.eye(dual.dim, dtype=np.int64)) == want.T).all()
+    eye = np.eye(dual.dim, dtype=np.int64)
+    got = dual.apply_stack(("words", comp_of_partition((2, 1), dual.n)), eye)
+    for k, key in enumerate(word_keys(p, dual.n, (2, 1))):
+        want = apply_by_bridge(base, xi_matrix(base.space, flip_key(key)), eye)
+        assert (got[k] == want.T).all()
+
+
+# -- tensor products: whole stacks against the per-xi split -------------------
+
+
+def split_reference(mod: TensorModule, ref) -> np.ndarray:
+    """The stack of ref on a tensor product, one operator at a time, each
+    split across the factors as TensorModule once acted."""
+    flipped = ref[0] == "flip"
+    base = ref[1] if flipped else ref
+    if base[0] == "gens":
+        blocks = [div_by_splitting(mod, *((b, a, r) if flipped else (a, b, r)))
+                  for _, a, b, r in mod.space.generator_refs()]
+    else:
+        comp = base[1]
+        words = gamma_shape(mod.p, mod.n, tuple(c for c in comp if c))
+        keys = [word_key(comp, words.basis_tuple(t)) for t in range(words.dim)]
+        if len(base) == 2:  # at dominant weights: t's weight is the row content
+            keys = [k for k in keys if is_dominant(
+                tuple(sum(a == x for a, _ in k) for x in range(mod.n)))]
+        blocks = [xi_by_splitting(mod, flip_key(k) if flipped else k) for k in keys]
+    return np.concatenate([np.zeros((0, mod.dim), dtype=np.int64)] + blocks)
+
+
+# (p, left, right): shape, dual, submodule (schur, simple) and tensor factors
+TENSOR_PAIRS = [(2, "S(2)", "dual(G(2))"), (2, "simple(2)", "L(2)"),
+                (2, "simple(1)*I", "I"), (3, "schur(2,1)", "I"),
+                (3, "dual(S(2))", "simple(2)"), (3, "I", "dual(L(2)*I)"),
+                (2, "I", "schur(2,1)")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tensor_stack_split_matches_per_xi_reference(data):
+    """Words at any composition, dominant-only or every one, their flips,
+    and the generators: the stack split equals the per-xi split entry for
+    entry, on the tensor product and through its dual."""
+    p, left, right = data.draw(st.sampled_from(TENSOR_PAIRS), label="pair")
+    n = 4
+    mod = TensorModule(evaluate(left, p, n=n), evaluate(right, p, n=n))
+    kind = data.draw(st.sampled_from(("words", "all", "gens")), label="kind")
+    if kind == "gens":
+        ref = ("gens",)
+    else:
+        comp = data.draw(st.sampled_from(compositions(mod.D, n)), label="comp")
+        ref = ("words", comp) if kind == "words" else ("words", comp, "all")
+    if data.draw(st.booleans(), label="flip"):
+        ref = ("flip", ref)
+    got = mod.stack_matrix(ref)
+    want = split_reference(mod, ref)
+    assert got.shape == want.shape
+    assert (dense(got) == want).all()
+    # the dual acts through the flipped stack of the tensor product
+    dual = DualModule(mod).stack_matrix(flip_ref(ref))
+    assert (dense(dual) == want.reshape(-1, mod.dim, mod.dim).transpose(
+        0, 2, 1).reshape(-1, mod.dim)).all()
 
 
 # -- Ext assembly against the per-coefficient loop ----------------------------
@@ -155,9 +284,10 @@ def ext_dims_by_loop(res, target):
                     if coeff == 0:
                         continue
                     local = int(summand_k.rows[group[pos] - summand_k.offset])
-                    ref = ("xi", word_key(summand_k.partition,
-                                          summand_k.shape.basis_tuple(local)))
-                    word = target.apply_ref(ref, rows)[:, list(mu_pivots)]
+                    key = word_key(summand_k.partition,
+                                   summand_k.shape.basis_tuple(local))
+                    word = product(xi_block(target, key), rows.T, p).T[
+                        :, list(mu_pivots)]
                     r0, c0 = offsets[s + 1][j], offsets[s][k]
                     delta[r0:r0 + wmu, c0:c0 + wlam] = (
                         delta[r0:r0 + wmu, c0:c0 + wlam] + coeff * word.T) % p

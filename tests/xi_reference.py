@@ -1,0 +1,140 @@
+"""Single xi-basis operators, kept for the tests as references.
+
+The engine acts only through stacks: ("words", c) and ("words", c,
+"all") hold the word of each basis vector t of Gamma^c, and every
+xi_{I,J} is the word of some t in Gamma^{content(J)}.  So a single xi on
+a module is read here as block t of that module's ("words", c, "all")
+stack (`xi_block`).  `xi_matrix` builds a single xi on tensor space one
+arrangement at a time, as the engine once did, and `xi_by_splitting`
+and `div_by_splitting` act on a tensor product one operator at a time
+through the splittings of its orbit across the factors, as TensorModule
+once did.
+"""
+
+from itertools import combinations, combinations_with_replacement
+
+import numpy as np
+from scipy import sparse
+
+from spfext.modules import TensorModule
+
+
+def distinct_permutations(items: tuple):
+    """Yield the distinct permutations of a multiset, in lex order."""
+    pool = sorted(items)
+    n = len(pool)
+    out: list = []
+
+    def rec(remaining: list):
+        if len(out) == n:
+            yield tuple(out)
+            return
+        prev = object()
+        for k in range(len(remaining)):
+            if remaining[k] == prev:
+                continue
+            prev = remaining[k]
+            out.append(remaining[k])
+            yield from rec(remaining[:k] + remaining[k + 1:])
+            out.pop()
+
+    yield from rec(pool)
+
+
+def encode(ts, letters) -> int:
+    """The basis index of a multi-index of tensor space."""
+    idx = 0
+    for a in letters:
+        if not 0 <= a < ts.n:
+            raise IndexError(f"letter {a} out of range for n={ts.n}")
+        idx = idx * ts.n + a
+    return idx
+
+
+def word_key(comp, tup):
+    """The xi key (sorted letter pairs) carrying the canonical generator
+    of Gamma^comp onto the basis vector `tup`: block b pairs its letters
+    with the b-th nonzero letter of comp."""
+    letters = [a for a, part in enumerate(comp) if part]
+    return tuple(sorted((t, letters[b])
+                        for b, block in enumerate(tup) for t in block))
+
+
+def weight_key(comp):
+    """The xi key of the weight idempotent of comp."""
+    return tuple((a, a) for a, mult in enumerate(comp) for _ in range(mult))
+
+
+def flip_key(key):
+    return tuple(sorted((b, a) for a, b in key))
+
+
+def xi_matrix(ts, key) -> sparse.csr_matrix:
+    """xi_key on tensor space: one entry per arrangement of its pairs."""
+    rows, cols = [], []
+    for arrangement in distinct_permutations(key):
+        rows.append(encode(ts, tuple(a for a, _ in arrangement)))
+        cols.append(encode(ts, tuple(b for _, b in arrangement)))
+    mat = sparse.csr_matrix((np.ones(len(rows), dtype=np.int64), (rows, cols)),
+                            shape=(ts.dim, ts.dim))
+    mat.data %= ts.p
+    mat.eliminate_zeros()
+    return mat
+
+
+def key_word(key, n):
+    """(c, k): xi_key is the word of basis vector k of Gamma^c, c the
+    content of its column letters."""
+    comp = tuple(sum(1 for _, b in key if b == a) for a in range(n))
+    tup = tuple(tuple(sorted(a for a, b in key if b == letter))
+                for letter in range(n) if comp[letter])
+    k = 0
+    for block in tup:
+        basis = list(combinations_with_replacement(range(n), len(block)))
+        k = k * len(basis) + basis.index(block)
+    return comp, k
+
+
+def xi_block(mod, key):
+    """The column action of xi_key on a module, or its matrix on a tensor
+    space: block t of the stack of every word of Gamma^c, sparse or dense
+    as the stack is."""
+    comp, k = key_word(key, mod.n)
+    ref = ("words", comp, "all")
+    stack = mod.stack_matrix(ref) if hasattr(mod, "stack_matrix") else mod.matrix(ref)
+    return stack[k * mod.dim: (k + 1) * mod.dim]
+
+
+def dense(mat) -> np.ndarray:
+    return mat.toarray() if sparse.issparse(mat) else np.asarray(mat)
+
+
+def xi_by_splitting(mod, key) -> np.ndarray:
+    """xi_key on `mod`, dense: on a tensor product the sum, over the
+    distinct splittings of its orbit across the factors, of the Kronecker
+    products of the factors' actions; on any other module its word."""
+    if not isinstance(mod, TensorModule):
+        return dense(xi_block(mod, key)) % mod.p
+    seen, total = set(), np.zeros((mod.dim, mod.dim), dtype=np.int64)
+    for picks in combinations(range(len(key)), mod.left.D):
+        k1 = tuple(key[s] for s in picks)
+        k2 = tuple(key[s] for s in range(len(key)) if s not in picks)
+        if (k1, k2) not in seen:
+            seen.add((k1, k2))
+            total += np.kron(xi_by_splitting(mod.left, k1),
+                             xi_by_splitting(mod.right, k2))
+    return total % mod.p
+
+
+def div_by_splitting(mod, a, b, r) -> np.ndarray:
+    """("div", a, b, r) on `mod`, dense: on a tensor product the sum over
+    r1 of E^(r1) (x) E^(r - r1) on the factors, one operator at a time."""
+    if not isinstance(mod, TensorModule):
+        return dense(mod.stack_matrix(("div", a, b, r))) % mod.p
+
+    def factor(m, s):
+        return np.eye(m.dim, dtype=np.int64) if s == 0 else div_by_splitting(m, a, b, s)
+
+    return sum(np.kron(factor(mod.left, r1), factor(mod.right, r - r1))
+               for r1 in range(max(0, r - mod.right.D), min(r, mod.left.D) + 1)
+               ) % mod.p
