@@ -273,8 +273,7 @@ def shape_module(p: int, n: int, blocks: tuple[Block, ...], m: int = 1) -> Shape
         return _shape_cache[key]
 
 
-def evaluate(expr, p: int, max_param: int = MAX_PARAM,
-             n: int | None = None) -> ModuleRep:
+def evaluate(expr, p: int, n: int | None = None) -> ModuleRep:
     """The module over S(n, D) realizing the expression.
 
     By default n = D = degree (the minimal faithful evaluation); tensor
@@ -295,14 +294,13 @@ def evaluate(expr, p: int, max_param: int = MAX_PARAM,
     shape = to_shape(node, p)
     if shape is not None:
         blocks, m = shape
-        if m > max_param:
-            raise SemanticError(f"parameter multiplicity {m} above cap {max_param}")
+        if m > MAX_PARAM:
+            raise SemanticError(f"parameter multiplicity {m} above cap {MAX_PARAM}")
         mod: ModuleRep = shape_module(p, n, blocks, m)
     elif isinstance(node, Dual):
-        mod = DualModule(evaluate(node.inner, p, max_param, n))
+        mod = DualModule(evaluate(node.inner, p, n=n))
     elif isinstance(node, Tensor):
-        mod = TensorModule(evaluate(node.left, p, max_param, n),
-                           evaluate(node.right, p, max_param, n))
+        mod = TensorModule(evaluate(node.left, p, n=n), evaluate(node.right, p, n=n))
     elif isinstance(node, Atom) and node.kind in ("simple", "schur", "weyl"):
         mod = _build_schur_weyl_simple(node.parts, node.kind, p, n)
     else:
@@ -382,6 +380,9 @@ def canonical_map(kind: str, p: int, *, a: int = 0, b: int = 0,
     column-to-row slot permutation).
     """
     check_field(p)
+    for name, value, least in (("a", a, 0), ("b", b, 0), ("m", m, 1)):
+        if value < least:
+            raise SemanticError(f"canonical_map needs {name} >= {least}, got {value}")
     if kind == "tableau_composite":
         return _tableau_composite(tuple(lam), p, n=n)
     D = a + b

@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def dominant_groups(groups: dict[tuple[int, ...], np.ndarray]
     return {c: ix for c, ix in groups.items() if is_dominant(c)}
 
 
-@lru_cache(maxsize=256)
+@cache
 def gamma_layout(p: int, n: int, lam: tuple[int, ...]
                  ) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
     """The dominant rows of Gamma^lam, ascending, and each dominant

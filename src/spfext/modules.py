@@ -39,10 +39,6 @@ from .tensorspace import (OpRef, block_transpose, compositions, flip_ref,
 
 AMBIENT_CAP = 1 << 22
 
-# One-operator action matrices are cached per module below this
-# dimension; a sparse enough result is cached at any size.
-_ACTION_CACHE_DIM = 220
-
 Block = tuple[str, int, int]  # (kind in {G, S, L}, size, twist order)
 
 
@@ -62,11 +58,6 @@ def diagonal_copies(a, copies: int) -> sparse.csr_matrix:
     return sparse.csr_matrix(
         (np.tile(a.data, copies), (a.indices + shift * cols).reshape(-1), indptr),
         shape=(copies * rows, copies * cols))
-
-
-def product(a, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for a sparse or dense a and a dense b."""
-    return np.asarray(a @ b) % p if sparse.issparse(a) else fp.matmul(a, b, p)
 
 
 def reduced(mat, p: int) -> sparse.csr_matrix:
@@ -103,44 +94,35 @@ class ModuleRep:
         self.D = D
         self.dim = dim
         self.space = get_space(p, n, D)
-        self._action_cache: dict[OpRef, np.ndarray] = {}
+        self._stacks: dict[OpRef, sparse.csr_matrix] = {}
         self._groups: dict[tuple[int, ...], np.ndarray] | None = None
-        self._generators: tuple[list[OpRef], sparse.csr_matrix] | None = None
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
-    def stack_matrix(self, ref: OpRef):
-        """(T * dim, dim): block k is the column action v -> A_k v of the
-        k-th operator of ref.  Cached for one operator on a small module,
-        or for a sparse enough result."""
+    def stack_matrix(self, ref: OpRef) -> sparse.csr_matrix:
+        """(T * dim, dim) CSR: block k is the column action v -> A_k v of
+        the k-th operator of ref.  Built once per module and ref, and kept
+        for the module's lifetime."""
         with self._lock:
-            hit = self._action_cache.get(ref)
+            hit = self._stacks.get(ref)
         if hit is not None:
             return hit
         mat = self._stack(ref)
-        if mat.shape[0] == self.dim <= _ACTION_CACHE_DIM or (
-                sparse.issparse(mat) and mat.nnz * 3 <= mat.shape[0] * 40):
-            with self._lock:
-                self._action_cache[ref] = mat
-        return mat
+        with self._lock:
+            return self._stacks.setdefault(ref, mat)
 
     def apply_stack(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
         """(T, batch, dim): out[k] is the k-th operator of ref applied to
         each row of x."""
         x = np.asarray(x, dtype=np.int64)
-        out = product(self.stack_matrix(ref), x.T, self.p)
+        out = np.asarray(self.stack_matrix(ref) @ x.T) % self.p
         return out.reshape(-1, self.dim, x.shape[0]).transpose(0, 2, 1)
 
     def generator_action(self) -> tuple[list[OpRef], sparse.csr_matrix]:
         """(refs, A) for refs = space.generator_refs(), the simple-root
-        divided powers at powers of p: A stacks their action matrices, so
-        rows g*dim .. (g+1)*dim - 1 are stack_matrix(refs[g]), and has no
-        rows when n = 1.  Built once per module: a Koszul middle term is
-        checked as the target of one map and as the source of the next."""
-        with self._lock:
-            if self._generators is None:
-                self._generators = (self.space.generator_refs(),
-                                    sparse.csr_matrix(self._stack(("gens",))))
-            return self._generators
+        divided powers at powers of p: A = stack_matrix(("gens",)) stacks
+        their action matrices, so rows g*dim .. (g+1)*dim - 1 are the
+        action of refs[g], and has no rows when n = 1."""
+        return self.space.generator_refs(), self.stack_matrix(("gens",))
 
     def content_groups(self) -> dict[tuple[int, ...], np.ndarray]:
         """Each weight's basis indices, ascending, the weights in the order
@@ -416,7 +398,7 @@ class SubmoduleModule(ModuleRep):
         pdim = self.parent.dim
         keep = (np.arange(mat.shape[0] // pdim)[:, None] * pdim
                 + np.array(self.pivots, dtype=np.int64)).reshape(-1)
-        return product(mat[keep], self.rows.T, self.p)
+        return reduced(mat[keep] @ sparse.csr_matrix(self.rows.T), self.p)
 
 
 class TensorModule(ModuleRep):

@@ -198,20 +198,13 @@ def lemma31_cases(**_) -> list[Case]:
             dim = end_dimension(expr, p)
             return dim == want, str(want), str(dim)
         cases.append(Case("lemma31", f"p={p} dim End(I^{d}) = {d}!", p, 1, run))
-    for mod in PAIRING_MODULES:
-        def run(mod=mod):
-            rep = hom_pairing_check("I*I", mod, 2)
+    for mod, p in [(mod, 2) for mod in PAIRING_MODULES] + [("S(2)", 3)]:
+        def run(mod=mod, p=p):
+            rep = hom_pairing_check("I*I", mod, p)
             detail = (f"dims {rep.dim_hom_pm}/{rep.dim_hom_mp}, "
                       f"nondegenerate {rep.right_nondegenerate}")
             return rep.passed, "equal dims, right-nondegenerate", detail
-        cases.append(Case("lemma31", f"p=2 pairing I^2 vs {mod}", 2, 1, run))
-
-    def run_p3():
-        rep = hom_pairing_check("I*I", "S(2)", 3)
-        detail = (f"dims {rep.dim_hom_pm}/{rep.dim_hom_mp}, "
-                  f"nondegenerate {rep.right_nondegenerate}")
-        return rep.passed, "equal dims, right-nondegenerate", detail
-    cases.append(Case("lemma31", "p=3 pairing I^2 vs S(2)", 3, 1, run_p3))
+        cases.append(Case("lemma31", f"p={p} pairing I^2 vs {mod}", p, 1, run))
     return cases
 
 

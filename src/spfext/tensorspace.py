@@ -14,26 +14,23 @@ them iff it preserves weights (Green, LNM 830).  A weight-preserving
 linear map commuting with every ref of generator_refs commutes with all
 of S(n, D).
 
-Operators are built lazily as sparse matrices on E^(x)D and memoized per
-space behind a lock, with least-recently-used eviction against a
-configurable byte budget.  A stack of T operators is one (T n^D x n^D)
-matrix: ("gens",) stacks generator_refs, ("words", c) the words of
-Gamma^c, the xi-basis elements carrying its canonical generator to its
-basis vectors t at dominant weights, in basis order (("words", c, "all")
-for every t), and ("flip", ref) the flipped stack, which is its
-blockwise transpose.  A single ("div", a, b, r) is a stack of one.
+Operators are built lazily as sparse matrices on E^(x)D, once per space
+and ref, and kept behind a lock for the space's lifetime.  A stack of T
+operators is one (T n^D x n^D) matrix: ("gens",) stacks generator_refs,
+("words", c) the words of Gamma^c, the xi-basis elements carrying its
+canonical generator to its basis vectors t at dominant weights, in basis
+order (("words", c, "all") for every t), and ("flip", ref) the flipped
+stack, which is its blockwise transpose.  A single ("div", a, b, r) is a
+stack of one.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 from scipy import sparse
-
-DEFAULT_OP_BUDGET = 512 * 1024 * 1024
 
 OpRef = tuple
 
@@ -50,10 +47,9 @@ def flip_ref(ref: OpRef) -> OpRef:
     raise ValueError(f"unknown operator ref {ref!r}")
 
 
-def block_transpose(mat, dim: int):
-    """Transpose each (dim x dim) block of a vertical stack of blocks."""
-    if not sparse.issparse(mat):
-        return mat.reshape(-1, dim, dim).transpose(0, 2, 1).reshape(-1, dim)
+def block_transpose(mat: sparse.spmatrix, dim: int) -> sparse.csr_matrix:
+    """Transpose each (dim x dim) block of a sparse vertical stack of
+    blocks."""
     mat = mat.tocoo()
     block = mat.row - mat.row % dim
     return sparse.csr_matrix((mat.data, (block + mat.col, mat.row - block)),
@@ -115,17 +111,15 @@ class TensorSpace:
     """E^(x)D for E = k^n over F_p: its basis, the memoized Schur-algebra
     operators named by refs, and the place permutations."""
 
-    def __init__(self, p: int, n: int, D: int, op_budget: int = DEFAULT_OP_BUDGET):
+    def __init__(self, p: int, n: int, D: int):
         if D < 1 or n < D:
             raise ValueError("need D >= 1 and n >= D for a faithful evaluation")
         self.p = p
         self.n = n
         self.D = D
         self.dim = n ** D
-        self._op_budget = op_budget
-        self._ops: OrderedDict[OpRef, sparse.csr_matrix] = OrderedDict()
-        self._ops_bytes = 0
-        self._lock = threading.RLock()
+        self._ops: dict[OpRef, sparse.csr_matrix] = {}
+        self._lock = threading.Lock()
         # letters[idx] is the decoded multi-index of basis vector idx
         self.letters = np.zeros((self.dim, D), dtype=np.int64)
         idx = np.arange(self.dim)
@@ -206,23 +200,14 @@ class TensorSpace:
         return mat
 
     def matrix(self, ref: OpRef) -> sparse.csr_matrix:
-        """The sparse matrix of an operator, memoized with LRU eviction."""
+        """The sparse matrix of an operator, built once per space and ref."""
         with self._lock:
             hit = self._ops.get(ref)
-            if hit is not None:
-                self._ops.move_to_end(ref)
-                return hit
+        if hit is not None:
+            return hit
         built = self._build(ref)
-        nbytes = built.data.nbytes + built.indices.nbytes + built.indptr.nbytes
         with self._lock:
-            if ref not in self._ops:
-                self._ops[ref] = built
-                self._ops_bytes += nbytes
-                while self._ops_bytes > self._op_budget and len(self._ops) > 1:
-                    _, old = self._ops.popitem(last=False)
-                    self._ops_bytes -= (old.data.nbytes + old.indices.nbytes
-                                        + old.indptr.nbytes)
-            return self._ops[ref]
+            return self._ops.setdefault(ref, built)
 
     def place_permutation(self, sigma: tuple[int, ...]) -> sparse.csr_matrix:
         """Permutation matrix of e_j -> e_{j o sigma^-1}: the letter in

@@ -151,9 +151,24 @@ def test_twist_outside_fragment_rejected():
 
 
 def test_param_cap():
+    """The cap refuses m = 3 in evaluate, also once a shape of that m has
+    been built directly."""
+    from spfext.functors import shape_module
     with pytest.raises(SemanticError):
         evaluate("param(G(2),3)", 2)
-    assert evaluate("param(G(2),3)", 2, max_param=3).dim == comb(6 + 1, 2)
+    assert shape_module(2, 2, (("G", 2, 0),), 3).dim == comb(6 + 1, 2)
+    with pytest.raises(SemanticError):
+        evaluate("param(G(2),3)", 2)
+
+
+@pytest.mark.parametrize("kind, sizes, name", [
+    ("sym_mult", {"a": -1, "b": 3, "n": 4}, "a"),
+    ("gamma_comult", {"a": 2, "b": -1}, "b"),
+    ("koszul_diff", {"a": 1, "b": 1, "m": 0}, "m")])
+def test_canonical_map_refuses_bad_sizes(kind, sizes, name):
+    """Each bad size is refused by name, not deep in numpy."""
+    with pytest.raises(SemanticError, match=f"needs {name} >= "):
+        canonical_map(kind, 2, **sizes)
 
 
 def test_freshman_dream_span():

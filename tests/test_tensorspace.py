@@ -294,14 +294,6 @@ def test_operator_memo_single_construction():
     assert all(r is results[0] for r in results)
 
 
-def test_lru_eviction_respects_budget():
-    ts = TensorSpace(2, 2, 2, op_budget=1)  # absurdly small: evict immediately
-    a = ts.matrix(("words", (2, 0)))
-    b = ts.matrix(("words", (0, 2)))
-    assert a is not None and b is not None
-    assert len(ts._ops) == 1
-
-
 def test_xi_products_associative_spot_check():
     ts = get_space(2, 2, 2)
     ops = _xi_basis(ts)

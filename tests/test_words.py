@@ -11,6 +11,8 @@ differential coefficient.  It is kept here as the slow reference for
 the block-assembled `ext_dims`.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from spfext.functors import evaluate, shape_module
 from spfext.homology import (comp_of_partition, ext_dims, gamma_layout,
                              gamma_shape, generator_index, resolve_expression)
 from spfext.modules import (DualModule, ShapeModule, SubmoduleModule,
-                            TensorModule, product)
+                            TensorModule)
 from spfext.tensorspace import compositions, flip_ref, get_space, is_dominant
 from xi_reference import (dense, div_by_splitting, flip_key, word_key, xi_block,
                           xi_by_splitting, xi_matrix)
@@ -185,6 +187,49 @@ def test_stacked_action_through_dual_and_submodule():
         assert (got[k] == want.T).all()
 
 
+# -- one memo per module: every stack is CSR and built once -------------------
+
+# (expression, kind) at p = 3: a shape, a dual of a shape, submodules
+# (schur and the nested simple), a dual of a submodule (weyl) and a tensor
+# product of a shape and a dual
+MEMO_CASES = [("S(2)*L(1)", ShapeModule), ("dual(S(3))", DualModule),
+              ("schur(2,1)", SubmoduleModule), ("simple(2,1)", SubmoduleModule),
+              ("weyl(2,1)", DualModule), ("I*dual(S(2))", TensorModule)]
+
+
+@pytest.mark.parametrize("expr, kind", MEMO_CASES)
+def test_every_stack_is_a_memoized_csr(expr, kind):
+    mod = evaluate(expr, 3)
+    assert isinstance(mod, kind)
+    for ref in [("words", comp_of_partition((2, 1), mod.n)),
+                ("words", (1, 1, 1), "all"), ("gens",), ("div", 0, 1, 2)]:
+        stack = mod.stack_matrix(ref)
+        assert isinstance(stack, sparse.csr_matrix), (expr, ref)
+        assert stack.shape[1] == mod.dim and stack.shape[0] % mod.dim == 0
+        assert mod.stack_matrix(ref) is stack, (expr, ref)
+    refs, gens = mod.generator_action()
+    assert refs == mod.space.generator_refs()
+    assert gens is mod.stack_matrix(("gens",))
+
+
+def test_module_stack_memo_single_construction():
+    """Eight threads asking one module for one stack all get one object."""
+    base = evaluate("S(2)*I", 2)
+    mod = SubmoduleModule(base, base.weight_basis((2, 1, 0))[0])
+    ref = ("words", (1, 1, 1), "all")
+    results = []
+
+    def fetch():
+        results.append(mod.stack_matrix(ref))
+
+    threads = [threading.Thread(target=fetch) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(results) == 8 and all(r is results[0] for r in results)
+
+
 # -- tensor products: whole stacks against the per-xi split -------------------
 
 
@@ -286,7 +331,7 @@ def ext_dims_by_loop(res, target):
                     local = int(summand_k.rows[group[pos] - summand_k.offset])
                     key = word_key(summand_k.partition,
                                    summand_k.shape.basis_tuple(local))
-                    word = product(xi_block(target, key), rows.T, p).T[
+                    word = (np.asarray(xi_block(target, key) @ rows.T) % p).T[
                         :, list(mu_pivots)]
                     r0, c0 = offsets[s + 1][j], offsets[s][k]
                     delta[r0:r0 + wmu, c0:c0 + wlam] = (
