@@ -5,6 +5,12 @@ Dense matrices are numpy int64 arrays with every entry reduced into
 elimination routines pivot deterministically (leftmost nonzero column,
 topmost row) so echelon forms are reproducible across runs and
 platforms.
+
+Row reduction works in the narrowest storage that holds every
+intermediate value exactly: booleans updated by XOR at p = 2, int16
+while (p - 1)^2 + p < 2^15, int64 otherwise.  Each pivot updates only
+the columns from its own rightwards, since the pivot row is zero left of
+it.  Whatever the storage, the result is returned as int64.
 """
 
 from __future__ import annotations
@@ -41,6 +47,16 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
+def _storage(p: int):
+    """The narrowest dtype row reduction at p can work in: entries stay
+    in [0, p), and an update forms at most (p - 1)^2 in magnitude."""
+    if p == 2:
+        return np.bool_
+    if (p - 1) * (p - 1) + p < 2**15:
+        return np.int16
+    return np.int64
+
+
 def row_reduce(a, p: int) -> tuple[np.ndarray, list[int]]:
     """Full reduced row echelon form; returns (matrix, pivot columns).
 
@@ -49,28 +65,34 @@ def row_reduce(a, p: int) -> tuple[np.ndarray, list[int]]:
     a = as_fp(a, p)
     if a.ndim != 2:
         raise ValueError("row_reduce expects a 2-d array")
+    a = a.astype(_storage(p), copy=False)
     m, n = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        v = int(a[r, c])
-        if v != 1:
-            a[r] = a[r] * pow(v, -1, p) % p
-        other = np.flatnonzero(a[:, c])
+        other = a[:, c].nonzero()[0]
         other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        if p == 2:
+            if other.size:
+                a[other, c:] ^= a[r, c:]
+        else:
+            v = int(a[r, c])
+            if v != 1:
+                a[r, c:] = a[r, c:] * pow(v, -1, p) % p
+            if other.size:
+                a[other, c:] = (a[other, c:]
+                                - np.outer(a[other, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a.astype(np.int64, copy=False), pivots
 
 
 def rank(a, p: int) -> int:
@@ -107,12 +129,30 @@ def image_basis(a, p: int) -> np.ndarray:
 
 
 def residual(rows: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> np.ndarray:
-    """Reduce `v` (or a batch of row vectors) against an RREF basis."""
-    if rows.shape[0] == 0:
-        return v % p
+    """Reduce `v` (or a batch of row vectors) against an RREF basis,
+    through the basis rows whose pivot `v` meets: a batch already reduced
+    against part of the basis costs a product with the rest only."""
     coeff = v[..., list(pivots)]
-    return (v - matmul(coeff, rows, p)) % p
+    used = np.flatnonzero(np.atleast_2d(coeff).any(axis=0))
+    if not used.size:
+        return v % p
+    return (v - matmul(coeff[..., used], rows[used], p)) % p
 
 
-def in_rowspace(rows: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> bool:
-    return not residual(rows, pivots, v, p).any()
+def extend_rref(rows: np.ndarray, pivots: list[int], new: np.ndarray,
+                p: int) -> tuple[np.ndarray, list[int]]:
+    """The RREF basis of the span of `rows` and `new`, with its pivots,
+    for `rows` an RREF basis with pivots `pivots`.
+
+    Only what `new` adds is eliminated: its residual against the old
+    pivots is reduced on its own, one product clears the new pivot
+    columns from the old rows, and the rows are merged in pivot order.
+    An RREF is unique, so this equals basis_rows([rows; new]).
+    """
+    added, new_pivots = basis_rows(residual(rows, pivots, new, p), p)
+    if not new_pivots:
+        return rows, pivots
+    rows = (rows - matmul(rows[:, new_pivots], added, p)) % p
+    merged = list(pivots) + new_pivots
+    order = np.argsort(merged)
+    return np.concatenate([rows, added])[order], [merged[k] for k in order]

@@ -384,10 +384,17 @@ def canonical_map(kind: str, p: int, *, a: int = 0, b: int = 0,
         if value < least:
             raise SemanticError(f"canonical_map needs {name} >= {least}, got {value}")
     if kind == "tableau_composite":
-        return _tableau_composite(tuple(lam), p, n=n)
-    D = a + b
+        D, what = sum(young.check_partition(lam)), "|lam|"
+    else:
+        D, what = a + b, "a + b"
+    if D < 1:
+        raise SemanticError(f"canonical_map needs {what} >= 1, got {D}")
     if n is None:
         n = D
+    elif n < D:
+        raise SemanticError(f"canonical_map needs n >= {what} = {D}, got {n}")
+    if kind == "tableau_composite":
+        return _tableau_composite(tuple(lam), p, n=n)
     if kind == "gamma_comult":
         src = shape_module(p, n, _blocks(("G", a + b)), m)
         tgt = shape_module(p, n, _blocks(("G", a), ("G", b)), m)

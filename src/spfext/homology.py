@@ -8,8 +8,11 @@ whose differential columns are those images, and the submodule generated
 so far is, weight by weight, the row space of the differential columns
 picked so far.  Weights are swept in a fixed total order refining
 dominance, and a kernel vector becomes a new pick only when it lies
-outside that row space.  Every map here is weight-graded, so all linear
-algebra is done per weight block.
+outside that row space.  That span is kept in RREF and extended by what
+each pick adds (fp.extend_rref), and the kernel rows not reached yet are
+kept reduced against it, so no pick re-reduces what came before.  Every
+map here is weight-graded, so all linear algebra is done per weight
+block.
 
 Only dominant weights (partitions, padded with zeros) are kept: the
 stages, the differential blocks, the kernels and the Yoneda words all
@@ -26,7 +29,9 @@ spaces of N at partitions.  Each block of a differential, between the
 summands of partition mu and those of lam, is one product: the
 differential's coefficients on the words of Gamma^lam of weight mu,
 times the stacked action of those words on N_lam read at N_mu.  The
-same stacked words, ("words", lam), give the Yoneda maps of `resolve`.
+same stacked words, ("words", lam), give the Yoneda maps: one
+`yoneda_operator` per level and weight, cut from the stack once and
+applied to every vector picked there.
 """
 
 from __future__ import annotations
@@ -132,34 +137,45 @@ class Stage:
 # -- weight spaces and Yoneda ------------------------------------------------
 
 
-def yoneda_images(level: ModuleRep | Stage, comp: tuple[int, ...],
-                  v: np.ndarray, dominant: bool = False) -> np.ndarray:
-    """The Yoneda map Gamma^comp -> level sending the canonical generator
-    to the weight-comp vector v: column k is the k-th word of Gamma^comp
-    applied to v, over every word (the whole map) or, with `dominant`,
-    over the dominant ones in gamma_layout order, as `resolve` asks.
+def yoneda_operator(level: ModuleRep | Stage, comp: tuple[int, ...],
+                    dominant: bool = False):
+    """The Yoneda maps Gamma^comp -> level, as v -> images: for v a
+    weight-comp vector, the map sending the canonical generator to v,
+    whose column k is the k-th word of Gamma^comp applied to v, over
+    every word (the whole map) or, with `dominant`, over the dominant ones
+    in gamma_layout order, as `resolve` asks.
 
-    The words act as one stacked operator, ("words", comp).  A module
-    applies it to v in one call.  On a resolution stage, whose rows are
-    its dominant coordinates, the summands of one partition share a
-    shape, and one product of its stacked action, cut to the dominant
-    rows, serves them all.
+    The words act as one stacked operator, ("words", comp), and the
+    operator is cut from it once, so every v it is applied to costs one
+    product.  A module applies its memoized stack to v.  On a resolution
+    stage, whose rows are its dominant coordinates, the summands of one
+    partition share a shape, and its stacked action, cut to the words'
+    rows at the dominant rows and to the dominant columns, serves them
+    all in one product.
     """
-    v = np.asarray(v, dtype=np.int64).reshape(-1)
     ref = ("words", tuple(comp)) if dominant else ("words", tuple(comp), "all")
     if not isinstance(level, Stage):
-        return level.apply_stack(ref, v.reshape(1, -1))[:, 0, :].T
+        def apply(v):
+            v = np.asarray(v, dtype=np.int64).reshape(1, -1)
+            return level.apply_stack(ref, v)[:, 0, :].T
+        return apply
     space = get_space(level.p, level.n, sum(comp))
     T = space.matrix(ref).shape[0] // space.dim
-    out = fp.zeros(level.dim, T)
+    cuts = []
     for shape, rows, offsets in level.blocks.values():
         coords = offsets[None, :] + np.arange(rows.size)[:, None]
-        x = np.zeros((shape.dim, offsets.size), dtype=np.int64)
-        x[rows] = v[coords]
         keep = (np.arange(T)[:, None] * shape.dim + rows).reshape(-1)
-        images = (shape.stack_matrix(ref)[keep] @ x) % level.p
-        out[coords] = images.reshape(T, rows.size, -1).transpose(1, 2, 0)
-    return out
+        cuts.append((coords, shape.stack_matrix(ref)[keep][:, rows]))
+
+    def apply(v):
+        v = np.asarray(v, dtype=np.int64).reshape(-1)
+        out = fp.zeros(level.dim, T)
+        for coords, cut in cuts:
+            images = (cut @ v[coords]) % level.p
+            out[coords] = images.reshape(T, coords.shape[0], -1).transpose(
+                1, 2, 0)
+        return out
+    return apply
 
 
 def weight_space(module: ModuleRep, comp: tuple[int, ...]) -> np.ndarray:
@@ -170,7 +186,7 @@ def weight_space(module: ModuleRep, comp: tuple[int, ...]) -> np.ndarray:
 def hom_from_gamma(comp: tuple[int, ...], module: ModuleRep):
     """dim Hom(Gamma^comp, M) plus the realization of weight vectors:
     realize(v) is the equivariant matrix Gamma^comp(E) -> M sending the
-    canonical generator to v (see yoneda_images).  realize raises
+    canonical generator to v (see yoneda_operator).  realize raises
     ValueError unless v is a weight-comp vector of M."""
     comp = tuple(comp)
     if len(comp) < module.n:
@@ -178,12 +194,13 @@ def hom_from_gamma(comp: tuple[int, ...], module: ModuleRep):
     if sum(comp) != module.D:
         raise SemanticError(f"{comp} does not sum to the degree {module.D}")
     idxs = module.weight_indices(comp)
+    yoneda = yoneda_operator(module, comp)
 
     def realize(v):
         v = np.asarray(v, dtype=np.int64).reshape(-1)
         if v.size != module.dim or (np.delete(v, idxs) % module.p).any():
             raise ValueError(f"v is no vector of weight {comp} in the module")
-        return yoneda_images(module, comp, v)
+        return yoneda(v)
 
     return idxs.size, realize
 
@@ -265,16 +282,26 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
             # each pick extends it by its own block there, which holds v
             span, piv = fp.zeros(0, idxs.size), []
             fresh = columns.get(comp, [])
-            for row in kern:
+            yoneda = None  # cut at the first pick of this weight
+            # the kernel rows not reached yet, reduced against the span as
+            # it grows: the first of them left nonzero is the next pick
+            left = kern
+            while left.shape[0]:
                 if fresh:
-                    span, piv = fp.basis_rows(
-                        np.concatenate([span] + [b.T for b in fresh]), p)
+                    span, piv = fp.extend_rref(
+                        span, piv, np.concatenate([b.T for b in fresh]), p)
                     fresh = []
-                if fp.in_rowspace(span, piv, row, p):
-                    continue
+                left = fp.residual(span, piv, left, p)
+                outside = np.flatnonzero(left.any(axis=1))
+                if not outside.size:
+                    break
+                row = kern[kern.shape[0] - left.shape[0] + outside[0]]
+                left = left[outside[0] + 1:]
+                if yoneda is None:
+                    yoneda = yoneda_operator(prev, comp, dominant=True)
                 v = np.zeros(prev.dim, dtype=np.int64)
                 v[idxs] = row
-                images = yoneda_images(prev, comp, v, dominant=True)
+                images = yoneda(v)
                 gens.append(lam)
                 for c, local in local_groups.items():
                     tgt_ix = groups.get(c)

@@ -243,14 +243,21 @@ def test_a9_jobs_byte_identical(capsys):
 
 @pytest.mark.skipif(not os.environ.get("SPFEXT_STRETCH"),
                     reason="degree-5 stretch run is opt-in (SPFEXT_STRETCH=1)")
-def test_stretch_degree_five_lemma22():
-    """Lemma 2.2 at p = 5: Ext(I^(1), S(5)) is one F_5 in degree 0.  The
-    resolution lives on a 3125-dimensional tensor space; it took about
-    9 s and 190 MB on a 2-core machine, and the bound is under 10 times
+def test_stretch_degree_five_oracles():
+    """Degree 5 at p = 5 against two oracles, on one resolution of I^(1):
+    Lemma 2.2 puts one F_5 in degree 0, 4 and 8 for S(5), L(5) and G(5),
+    and Friedlander-Suslin gives F_5 in every even degree of
+    Ext(I^(1), I^(1)) below 2p.  The four tables share the memoized
+    resolution, on a 3125-dimensional tensor space; together they took
+    4.4-4.5 s on a 2-core machine, and the bound is under 10 times
     that."""
-    with criterion("Stretch Lemma 2.2 at p=5, D=5", 85):
-        table = ext("twist(I,1)", "S(5)", 5, i=1)
-        assert table.dims == [1] + [0] * 8
+    with criterion("Stretch Lemma 2.2 and Friedlander-Suslin at p=5, D=5",
+                   40):
+        for target, degree in (("S(5)", 0), ("L(5)", 4), ("G(5)", 8)):
+            table = ext("twist(I,1)", target, 5, i=1)
+            assert table.dims == [int(s == degree) for s in range(9)], target
+        table = ext("twist(I,1)", "twist(I,1)", 5, i=1)
+        assert table.dims == [1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 @pytest.mark.skipif(not os.environ.get("SPFEXT_STRETCH"),

@@ -79,7 +79,7 @@ def full_resolve(module, depth, sweep):
             idxs = groups[comp]
             for row in kern:
                 rows, piv = span.get(comp, (fp.zeros(0, idxs.size), []))
-                if rows.shape[0] and fp.in_rowspace(rows, piv, row, p):
+                if rows.shape[0] and not fp.residual(rows, piv, row, p).any():
                     continue
                 v = np.zeros(prev.dim, dtype=np.int64)
                 v[idxs] = row

@@ -30,9 +30,9 @@ def test_rref_idempotent_and_row_space_preserved():
         assert pivots == again_pivots
         rows, piv = fp.basis_rows(a, p)
         for v in reduced[: len(pivots)]:
-            assert fp.in_rowspace(rows, piv, v, p)
+            assert not fp.residual(rows, piv, v, p).any()
         for v in a:
-            assert fp.in_rowspace(reduced[: len(pivots)], pivots, v % p, p)
+            assert not fp.residual(reduced[: len(pivots)], pivots, v % p, p).any()
 
 
 def test_kernel_identity_is_zero():
@@ -120,8 +120,8 @@ def test_subspace_sum_intersection_dims():
     rows_a, piv_a = fp.basis_rows(a, 2)
     rows_b, piv_b = fp.basis_rows(b, 2)
     members = [v for v in np.ndindex(2, 2, 2)
-               if fp.in_rowspace(rows_a, piv_a, np.array(v), 2)
-               and fp.in_rowspace(rows_b, piv_b, np.array(v), 2)]
+               if not fp.residual(rows_a, piv_a, np.array(v), 2).any()
+               and not fp.residual(rows_b, piv_b, np.array(v), 2).any()]
     assert members == [(0, 0, 0)]
 
 
@@ -152,3 +152,98 @@ def test_quotient_coords():
     free = [c for c in range(3) if c not in pivots]
     assert fp.residual(rows, pivots, np.array([1, 1, 0]), 2)[free].tolist() == [1, 1]
     assert not fp.residual(rows, pivots, np.array([1, 0, 1]), 2)[free].any()
+
+
+# -- row reduction and span extension against their loop references -----------
+
+
+def _row_reduce_by_loop(a, p):
+    """Whole-row int64 elimination, the loop `row_reduce` replaced: the
+    reference for its narrow storage and column-restricted updates."""
+    a = fp.as_fp(a, p)
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        v = int(a[r, c])
+        if v != 1:
+            a[r] = a[r] * pow(v, -1, p) % p
+        other = np.flatnonzero(a[:, c])
+        other = other[other != r]
+        if other.size:
+            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@st.composite
+def fp_matrices(draw, p, max_rows=9, max_cols=10):
+    """Matrices over F_p with 0 rows, 0 columns or one row among them, and
+    of every rank up to full, zero columns included."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    rank = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols))) % p
+    if cols:
+        a[:, rng.random(cols) < 0.2] = 0
+    return a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 193])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_reduce_matches_loop_reference(p, data):
+    a = data.draw(fp_matrices(p), label="a")
+    got, pivots = fp.row_reduce(a, p)
+    want, want_pivots = _row_reduce_by_loop(a, p)
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert pivots == want_pivots
+
+
+def test_row_reduce_storage_by_prime():
+    # 193 is the least prime whose products no longer fit int16 storage
+    assert [fp._storage(p) for p in (2, 3, 181, 193)] == [
+        np.bool_, np.int16, np.int16, np.int64]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 193])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extend_rref_matches_basis_rows_of_the_concatenation(p, data):
+    old = data.draw(fp_matrices(p, max_cols=8), label="old")
+    cols = old.shape[1]
+    rows, pivots = fp.basis_rows(old, p)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["random", "in span", "repeated"]))
+    if kind == "random":
+        new = rng.integers(0, p, (data.draw(st.integers(1, 4)), cols))
+    elif kind == "in span":
+        new = (rng.integers(0, p, (3, rows.shape[0])) @ rows) % p
+    else:
+        row = rng.integers(0, p, (1, cols))
+        new = np.concatenate([row, row, old[:1] if old.size else row])
+    got, got_pivots = fp.extend_rref(rows, pivots, new, p)
+    want, want_pivots = fp.basis_rows(np.concatenate([rows, new]), p)
+    assert got_pivots == want_pivots
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_extend_rref_of_an_empty_span():
+    new = np.array([[0, 2, 1], [0, 1, 2]])
+    got, pivots = fp.extend_rref(fp.zeros(0, 3), [], new, 3)
+    assert got.tolist() == [[0, 1, 2]]
+    assert pivots == [1]

@@ -164,10 +164,16 @@ def test_param_cap():
 @pytest.mark.parametrize("kind, sizes, name", [
     ("sym_mult", {"a": -1, "b": 3, "n": 4}, "a"),
     ("gamma_comult", {"a": 2, "b": -1}, "b"),
-    ("koszul_diff", {"a": 1, "b": 1, "m": 0}, "m")])
+    ("koszul_diff", {"a": 1, "b": 1, "m": 0}, "m"),
+    ("sym_mult", {"a": 2, "b": 2, "n": 3}, "n"),
+    ("sym_mult", {}, "a + b"),
+    ("gamma_comult", {"a": 1, "b": 1, "n": 0}, "n"),
+    ("tableau_composite", {"lam": (2, 1), "n": 2}, "n"),
+    ("tableau_composite", {"lam": ()}, "|lam|")])
 def test_canonical_map_refuses_bad_sizes(kind, sizes, name):
-    """Each bad size is refused by name, not deep in numpy."""
-    with pytest.raises(SemanticError, match=f"needs {name} >= "):
+    """Each bad size is refused by name, not deep in numpy or in the
+    tensor space."""
+    with pytest.raises(SemanticError, match=f"needs {re.escape(name)} >= "):
         canonical_map(kind, 2, **sizes)
 
 
@@ -186,7 +192,7 @@ def test_freshman_dream_span():
             for b in range(2):
                 vec[2 * a + b] = coeffs[a] * coeffs[b]
         cls = (sym.project_matrix() @ vec.reshape(-1, 1)).reshape(-1) % p
-        assert fp.in_rowspace(rows, pivots, cls, p)
+        assert not fp.residual(rows, pivots, cls, p).any()
 
 
 # -- duals --------------------------------------------------------------------

@@ -301,9 +301,9 @@ def test_generator_selection_pinned():
     assert reversed_.meta["stage_dims"] == [100, 576, 1288, 1920, 1700, 1088]
 
 
-def test_yoneda_images_carry_generator_to_v():
+def test_yoneda_operator_carries_generator_to_v():
     from spfext.homology import (comp_of_partition, gamma_shape,
-                                 generator_index, yoneda_images)
+                                 generator_index, yoneda_operator)
     res = resolve_expression("twist(I,1)*twist(I,1)", 2, 5)
     stage = res.stages[0]
     cases = [(evaluate("twist(I,1)*twist(I,1)", 2), (2, 2)),
@@ -318,7 +318,7 @@ def test_yoneda_images_carry_generator_to_v():
             v[idxs] = np.arange(1, idxs.size + 1) % 2
         else:
             v = level.weight_basis(comp)[0][-1]
-        images = yoneda_images(level, comp, v)
+        images = yoneda_operator(level, comp)(v)
         shape = gamma_shape(2, level.n, lam)
         assert images.shape == (level.dim, shape.dim)
         assert (images[:, generator_index(shape, lam)] == v).all()

@@ -1,5 +1,6 @@
-"""The stage loop of `resolve` against its span-per-pick reference, and
-its in-flight checks under injected faults.
+"""The stage loop of `resolve` against its span-per-pick reference, the
+Yoneda operator against its per-pick reference, and the loop's
+in-flight checks under injected faults.
 
 `resolve_by_span_per_pick` is the stage loop as it was before each
 weight's span was built only when the sweep reaches it: after every pick
@@ -8,6 +9,11 @@ block's rank with its own elimination and computes the kernels in a
 separate pass.  An RREF is unique, so the span it tests a kernel row
 against is the same matrix, and the generators and blocks must agree
 byte for byte.
+
+`yoneda_images_by_loop` is the Yoneda map as it was before the operator
+was cut once per stage and weight: on a stage it re-cuts each
+partition's stacked action at every call and applies it to v padded out
+to the whole shape.
 """
 
 import numpy as np
@@ -17,7 +23,9 @@ from spfext import fp, young
 from spfext.errors import SpfextError
 from spfext.functors import evaluate
 from spfext.homology import (Stage, comp_of_partition, dominant_groups,
-                             gamma_layout, resolve, yoneda_images)
+                             gamma_layout, resolve, resolve_expression,
+                             yoneda_operator)
+from spfext.tensorspace import get_space
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -46,11 +54,11 @@ def resolve_by_span_per_pick(module, depth, sweep):
             idxs = groups[comp]
             for row in kern:
                 rows, piv = span.get(comp, (fp.zeros(0, idxs.size), []))
-                if rows.shape[0] and fp.in_rowspace(rows, piv, row, p):
+                if rows.shape[0] and not fp.residual(rows, piv, row, p).any():
                     continue
                 v = np.zeros(prev.dim, dtype=np.int64)
                 v[idxs] = row
-                images = yoneda_images(prev, comp, v, dominant=True)
+                images = yoneda_operator(prev, comp, dominant=True)(v)
                 gens.append(lam)
                 for c, local in gamma_layout(p, n, lam)[1].items():
                     if c not in groups:
@@ -110,6 +118,53 @@ def test_resolve_matches_span_per_pick_reference_on_random_sources(data):
     module = evaluate(src, p)
     for sweep in ("dominance", "reversed"):
         assert_matches_reference(module, degree + 1, sweep)
+
+
+def yoneda_images_by_loop(level, comp, v, dominant=False):
+    v = np.asarray(v, dtype=np.int64).reshape(-1)
+    ref = ("words", tuple(comp)) if dominant else ("words", tuple(comp), "all")
+    if not isinstance(level, Stage):
+        return level.apply_stack(ref, v.reshape(1, -1))[:, 0, :].T
+    space = get_space(level.p, level.n, sum(comp))
+    T = space.matrix(ref).shape[0] // space.dim
+    out = fp.zeros(level.dim, T)
+    for shape, rows, offsets in level.blocks.values():
+        coords = offsets[None, :] + np.arange(rows.size)[:, None]
+        x = np.zeros((shape.dim, offsets.size), dtype=np.int64)
+        x[rows] = v[coords]
+        keep = (np.arange(T)[:, None] * shape.dim + rows).reshape(-1)
+        images = (shape.stack_matrix(ref)[keep] @ x) % level.p
+        out[coords] = images.reshape(T, rows.size, -1).transpose(1, 2, 0)
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_yoneda_operator_matches_per_pick_reference(data):
+    """On a source module and on the stages of its resolution, at every
+    weight a stage keeps, with every word or the dominant ones, one
+    operator applied to several vectors agrees byte for byte with the
+    reference applied to each."""
+    p = data.draw(st.sampled_from((2, 3)), label="p")
+    degree = data.draw(st.integers(1, 4), label="degree")
+    src = data.draw(fragment(p, degree), label="source")
+    res = resolve_expression(src, p, 2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    levels = [res.module] + [stage for stage in res.stages if stage.dim]
+    for level in levels:
+        groups = (dominant_groups(level.content_groups())
+                  if level is res.module else level.groups)
+        for comp, idxs in groups.items():
+            for dominant in (False, True):
+                yoneda = yoneda_operator(level, comp, dominant=dominant)
+                for _ in range(2):
+                    v = np.zeros(level.dim, dtype=np.int64)
+                    v[idxs] = rng.integers(0, p, idxs.size)
+                    got = yoneda(v)
+                    want = yoneda_images_by_loop(level, comp, v, dominant)
+                    assert got.dtype == want.dtype
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 # -- fault injection: each check must fire on a broken resolution --------------
