@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +96,6 @@ def resolution_payload(res) -> dict:
         "stages": stages,
         "diffs": diffs,
         "truncated": res.truncated,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
 
@@ -133,8 +131,6 @@ def resolution_from_payload(payload: dict):
     res = Resolution(source=ctx["expression"], p=p, n=n, module=module,
                      stages=stages, diffs=diffs, depth=ctx["depth"],
                      sweep=ctx["sweep"], truncated=payload["truncated"])
-    res.meta["stage_dims"] = [st.gamma_dim for st in stages]
-    res.meta["cache_key"] = payload["key"]
     return res
 
 

@@ -39,7 +39,7 @@ _FLAGS = {
                                          f"{ENV_CACHE_DIR} overrides)"),
     "mem-budget": dict(type=int, default=None,
                        help="resolution memory budget in bytes"),
-    "jobs": dict(type=int, default=1, help="parallel workers for independent cases"),
+    "jobs": dict(type=int, default=1, help="worker threads for the cases of a suite"),
     "allow-large": dict(action="store_true",
                         help=f"lift the degree <= {LARGE_DEGREE_LIMIT} guard"),
 }

@@ -18,7 +18,6 @@ derived module representations.
 from __future__ import annotations
 
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial, isqrt, prod
@@ -262,15 +261,14 @@ def check_field(p: int, i: int = 1) -> None:
 
 _shape_cache: dict[tuple, ShapeModule] = {}
 _eval_cache: dict[tuple, ModuleRep] = {}
-_cache_lock = threading.RLock()
 
 
 def shape_module(p: int, n: int, blocks: tuple[Block, ...], m: int = 1) -> ShapeModule:
     key = (p, n, canonical_blocks(blocks), m)
-    with _cache_lock:
-        if key not in _shape_cache:
-            _shape_cache[key] = ShapeModule(p, n, blocks, m)
-        return _shape_cache[key]
+    hit = _shape_cache.get(key)
+    if hit is not None:
+        return hit
+    return _shape_cache.setdefault(key, ShapeModule(p, n, blocks, m))
 
 
 def evaluate(expr, p: int, n: int | None = None) -> ModuleRep:
@@ -287,8 +285,7 @@ def evaluate(expr, p: int, n: int | None = None) -> ModuleRep:
     if n < deg:
         raise SemanticError(f"evaluation dimension {n} below degree {deg}")
     key = (canon(node), p, n)
-    with _cache_lock:
-        hit = _eval_cache.get(key)
+    hit = _eval_cache.get(key)
     if hit is not None:
         return hit
     shape = to_shape(node, p)
@@ -306,9 +303,7 @@ def evaluate(expr, p: int, n: int | None = None) -> ModuleRep:
     else:
         raise UnsupportedExpressionError(
             f"{canon(node)} is outside the substitution fragment")
-    with _cache_lock:
-        _eval_cache.setdefault(key, mod)
-        return _eval_cache[key]
+    return _eval_cache.setdefault(key, mod)
 
 
 def kuhn_dual(module: ModuleRep) -> ModuleRep:

@@ -37,8 +37,7 @@ applied to every vector picked there.
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -216,11 +215,14 @@ class Resolution:
     depth: int
     sweep: str
     truncated: bool = False
-    meta: dict = field(default_factory=dict)
 
     @property
     def built(self) -> int:
         return len(self.stages) - 1
+
+    @property
+    def stage_dims(self) -> list[int]:
+        return [st.gamma_dim for st in self.stages]
 
     def term_partitions(self) -> list[list[tuple[int, ...]]]:
         return [st.partitions() for st in self.stages]
@@ -350,13 +352,13 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
             break
         kernel_blocks = {c: k for c, k in kernels.items() if k.shape[0]}
         prev, groups = stage, stage.groups
-    res.meta["stage_dims"] = [st.gamma_dim for st in res.stages]
     return res
 
 
 _RES_CACHE: dict[tuple, Resolution] = {}
-_RES_LOCKS: dict[tuple, threading.Lock] = {}
-_RES_GUARD = threading.Lock()
+# Held over lookup, disk load, resolve and disk store, so that each
+# resolution is built once even when suite cases run on threads.
+_RES_LOCK = threading.Lock()
 
 
 def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
@@ -371,16 +373,10 @@ def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
     """
     module = _shape_source(evaluate(as_node(expr), p))
     key = (p, module.n, module.blocks, module.m, depth, sweep, budget)
-    with _RES_GUARD:
+    with _RES_LOCK:
         hit = _RES_CACHE.get(key)
         if hit is not None:
             return hit
-        lock = _RES_LOCKS.setdefault(key, threading.Lock())
-    with lock:
-        with _RES_GUARD:
-            hit = _RES_CACHE.get(key)
-            if hit is not None:
-                return hit
         res = None
         store = None
         if cache_dir is not None:
@@ -391,15 +387,12 @@ def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
             res = resolve(module, depth, sweep=sweep, budget=budget)
             if store is not None and not res.truncated:
                 store.store(res)
-        with _RES_GUARD:
-            _RES_CACHE[key] = res
+        _RES_CACHE[key] = res
         return res
 
 
 def clear_resolution_memo() -> None:
-    with _RES_GUARD:
-        _RES_CACHE.clear()
-        _RES_LOCKS.clear()
+    _RES_CACHE.clear()
 
 
 # -- Ext tables ---------------------------------------------------------------
@@ -415,7 +408,6 @@ class ExtTable:
     dims: list[int]
     depth: int
     truncated: bool
-    meta: dict = field(default_factory=dict)
 
     def payload(self) -> dict:
         return {
@@ -496,7 +488,6 @@ def ext(src, tgt, p: int, i: int = 1, depth: int | None = None,
         sweep: str = "dominance", budget: int | None = None,
         cache_dir: str | None = None) -> ExtTable:
     """Graded dims of Ext^s(source, target) for s = 0 .. depth-1."""
-    t0 = time.perf_counter()
     check_field(p, i)
     src_node = as_node(src)
     tgt_node = as_node(tgt)
@@ -516,8 +507,6 @@ def ext(src, tgt, p: int, i: int = 1, depth: int | None = None,
     table = ExtTable(p=p, i=i, d=d_param, source=canon(src_node),
                      target=canon(tgt_node), dims=dims,
                      depth=depth, truncated=res.truncated)
-    table.meta["seconds"] = time.perf_counter() - t0
-    table.meta["stage_dims"] = res.meta.get("stage_dims")
     return table
 
 

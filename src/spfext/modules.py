@@ -26,7 +26,6 @@ products of the two factors' stacks.
 
 from __future__ import annotations
 
-import threading
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -96,19 +95,15 @@ class ModuleRep:
         self.space = get_space(p, n, D)
         self._stacks: dict[OpRef, sparse.csr_matrix] = {}
         self._groups: dict[tuple[int, ...], np.ndarray] | None = None
-        self._lock = threading.Lock()
 
     def stack_matrix(self, ref: OpRef) -> sparse.csr_matrix:
         """(T * dim, dim) CSR: block k is the column action v -> A_k v of
-        the k-th operator of ref.  Built once per module and ref, and kept
-        for the module's lifetime."""
-        with self._lock:
-            hit = self._stacks.get(ref)
+        the k-th operator of ref, kept for the module's lifetime; the first
+        stack stored for a ref is the one every caller gets."""
+        hit = self._stacks.get(ref)
         if hit is not None:
             return hit
-        mat = self._stack(ref)
-        with self._lock:
-            return self._stacks.setdefault(ref, mat)
+        return self._stacks.setdefault(ref, self._stack(ref))
 
     def apply_stack(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
         """(T, batch, dim): out[k] is the k-th operator of ref applied to
@@ -203,13 +198,6 @@ class ShapeModule(ModuleRep):
         self._proj: sparse.csr_matrix | None = None
 
     # basis handling ------------------------------------------------------
-
-    def basis_tuple(self, idx: int) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for bb in reversed(self.block_bases):
-            out.append(bb[idx % len(bb)])
-            idx //= len(bb)
-        return tuple(reversed(out))
 
     def basis_index(self, tup: tuple[tuple[int, ...], ...]) -> int:
         idx = 0

@@ -3,7 +3,10 @@
 Each suite is a deterministic list of cases; a case computes an actual
 value, compares against its expected value, and reports PASS/FAIL.
 Cases are independent, so the runner may fan them out over a thread
-pool; results are always emitted in definition order.
+pool; results are always emitted in definition order.  The cases are
+Python-bound, so the threads take turns under the interpreter lock; the
+memos they share keep the first value stored per key, and one lock in
+`homology.resolve_expression` builds each resolution once.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from . import young
 from .functors import NaturalMap, canonical_map
 from .homology import duality_check, end_dimension, ext, hom_pairing_check, kr_cohomology
 from .modules import reduced
-
-SUITE_NAMES = ("lemma22", "koszul", "ex34", "ex35", "thm32", "lemma31")
 
 
 @dataclass
@@ -216,6 +217,7 @@ _BUILDERS = {
     "thm32": thm32_cases,
     "lemma31": lemma31_cases,
 }
+SUITE_NAMES = tuple(_BUILDERS)
 
 
 def build_cases(suite: str, p: int | None = None, i: int | None = None,

@@ -14,19 +14,18 @@ them iff it preserves weights (Green, LNM 830).  A weight-preserving
 linear map commuting with every ref of generator_refs commutes with all
 of S(n, D).
 
-Operators are built lazily as sparse matrices on E^(x)D, once per space
-and ref, and kept behind a lock for the space's lifetime.  A stack of T
-operators is one (T n^D x n^D) matrix: ("gens",) stacks generator_refs,
-("words", c) the words of Gamma^c, the xi-basis elements carrying its
-canonical generator to its basis vectors t at dominant weights, in basis
-order (("words", c, "all") for every t), and ("flip", ref) the flipped
-stack, which is its blockwise transpose.  A single ("div", a, b, r) is a
-stack of one.
+Operators are built lazily as sparse matrices on E^(x)D and kept for the
+space's lifetime; the first matrix stored for a ref is the one every
+caller gets.  A stack of T operators is one (T n^D x n^D) matrix:
+("gens",) stacks generator_refs, ("words", c) the words of Gamma^c, the
+xi-basis elements carrying its canonical generator to its basis vectors
+t at dominant weights, in basis order (("words", c, "all") for every t),
+and ("flip", ref) the flipped stack, which is its blockwise transpose.
+A single ("div", a, b, r) is a stack of one.
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
@@ -119,7 +118,6 @@ class TensorSpace:
         self.D = D
         self.dim = n ** D
         self._ops: dict[OpRef, sparse.csr_matrix] = {}
-        self._lock = threading.Lock()
         # letters[idx] is the decoded multi-index of basis vector idx
         self.letters = np.zeros((self.dim, D), dtype=np.int64)
         idx = np.arange(self.dim)
@@ -200,14 +198,11 @@ class TensorSpace:
         return mat
 
     def matrix(self, ref: OpRef) -> sparse.csr_matrix:
-        """The sparse matrix of an operator, built once per space and ref."""
-        with self._lock:
-            hit = self._ops.get(ref)
+        """The sparse matrix of an operator, kept per space and ref."""
+        hit = self._ops.get(ref)
         if hit is not None:
             return hit
-        built = self._build(ref)
-        with self._lock:
-            return self._ops.setdefault(ref, built)
+        return self._ops.setdefault(ref, self._build(ref))
 
     def place_permutation(self, sigma: tuple[int, ...]) -> sparse.csr_matrix:
         """Permutation matrix of e_j -> e_{j o sigma^-1}: the letter in
@@ -233,13 +228,12 @@ class TensorSpace:
 
 
 _SPACES: dict[tuple[int, int, int], TensorSpace] = {}
-_SPACES_LOCK = threading.Lock()
 
 
 def get_space(p: int, n: int, D: int) -> TensorSpace:
     """Shared TensorSpace instances so operator caches are reused."""
     key = (p, n, D)
-    with _SPACES_LOCK:
-        if key not in _SPACES:
-            _SPACES[key] = TensorSpace(p, n, D)
-        return _SPACES[key]
+    hit = _SPACES.get(key)
+    if hit is not None:
+        return hit
+    return _SPACES.setdefault(key, TensorSpace(p, n, D))

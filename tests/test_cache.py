@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -41,10 +42,8 @@ def test_resolution_round_trip(tmp_path):
         assert set(a) == set(b)
         for comp in a:
             assert (a[comp] == b[comp]).all()
-    # serialize -> deserialize -> serialize is byte stable (sans timestamp)
+    # serialize -> deserialize -> serialize is byte stable
     second = ca.resolution_payload(rebuilt)
-    payload.pop("created")
-    second.pop("created")
     assert ca.stable_json(payload) == ca.stable_json(second)
 
 
@@ -59,6 +58,32 @@ def test_store_and_load(tmp_path):
     loaded = store.load("twist(I,1)", 2, 2, 3, "dominance")
     assert loaded is not None
     assert loaded.term_partitions() == res.term_partitions()
+
+
+def test_equal_resolutions_give_byte_identical_files(tmp_path, monkeypatch):
+    """A stored file holds no wall-clock time: one resolution, and a fresh
+    resolve of the same module a day later, store byte for byte alike."""
+    clock = iter(range(0, 10 ** 7, 86400))
+    real_gmtime = time.gmtime
+    monkeypatch.setattr(time, "gmtime", lambda *_: real_gmtime(next(clock)))
+    clear_resolution_memo()
+    res = resolve_expression("twist(I,1)", 2, 3)
+    first = ca.ResolutionCache(tmp_path / "a").store(res)
+    again = ca.ResolutionCache(tmp_path / "b").store(res)
+    clear_resolution_memo()
+    fresh = ca.ResolutionCache(tmp_path / "c").store(
+        resolve_expression("twist(I,1)", 2, 3))
+    assert first.name == again.name == fresh.name
+    assert first.read_bytes() == again.read_bytes() == fresh.read_bytes()
+    # a file written with the former "created" field still loads
+    payload = json.loads(first.read_text(encoding="utf-8"))
+    first.write_text(json.dumps(dict(payload, created="2026-01-01T00:00:00Z")),
+                     encoding="utf-8")
+    loaded = ca.ResolutionCache(tmp_path / "a").load(
+        "twist(I,1)", 2, 2, 3, "dominance")
+    assert loaded is not None
+    assert loaded.term_partitions() == res.term_partitions()
+    clear_resolution_memo()
 
 
 def test_cache_hit_reproduces_tables(tmp_path):

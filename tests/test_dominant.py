@@ -19,7 +19,7 @@ from spfext import cache as ca
 from spfext import fp, young
 from spfext.functors import evaluate
 from spfext.homology import comp_of_partition, gamma_shape, resolve
-from xi_reference import word_key, xi_matrix
+from xi_reference import basis_tuple, word_key, xi_matrix
 
 
 class FullStage:
@@ -52,7 +52,7 @@ def full_yoneda(level, pieces, comp, v):
                              format="csr")
     out = fp.zeros(level.dim, shape.dim)
     for t in range(shape.dim):
-        word = xi_matrix(shape.space, word_key(comp, shape.basis_tuple(t)))
+        word = xi_matrix(shape.space, word_key(comp, basis_tuple(shape, t)))
         acted = (word @ amb) % p
         out[:, t] = (proj @ acted.T.reshape(-1)) % p
     return out

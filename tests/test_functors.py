@@ -17,7 +17,8 @@ from spfext.modules import (ModuleRep, ShapeModule, check_equivariance,
                             hom_space)
 from spfext.tensorspace import compositions
 from test_tensorspace import full_basis_keys, full_generator_refs
-from xi_reference import dense, distinct_permutations, encode, weight_key, xi_block
+from xi_reference import (basis_tuple, dense, distinct_permutations, encode,
+                          weight_key, xi_block)
 
 
 # -- parser -------------------------------------------------------------------
@@ -260,7 +261,7 @@ def _lambda_comult_by_loop(src, tgt, a, b, p):
     Entries are collected sparsely, so the p = 5, m = 2 maps fit."""
     entries = {}
     for idx in range(src.dim):
-        tup = src.basis_tuple(idx)
+        tup = basis_tuple(src, idx)
         lam_part = tup[0]
         sym_part = tup[1] if b > 0 else ()
         for s, letter in enumerate(lam_part):
@@ -651,7 +652,7 @@ def _lift_by_loop(mod):
     and one arrangement of its G blocks at a time."""
     rows, cols = [], []
     for idx in range(mod.dim):
-        tup = mod.basis_tuple(idx)
+        tup = basis_tuple(mod, idx)
         expansions = [list(distinct_permutations(tup[b])) if kind == "G"
                       else [tup[b]] for b, (kind, _, _) in enumerate(mod.blocks)]
         for arrangement in product(*expansions):

@@ -295,10 +295,10 @@ def test_friedlander_suslin_twisted_identity(p, r):
 
 def test_generator_selection_pinned():
     dominance = resolve_expression("twist(I,1)*twist(I,1)", 2, 5)
-    assert dominance.meta["stage_dims"] == [135, 355, 721, 1255, 1290, 625]
+    assert dominance.stage_dims == [135, 355, 721, 1255, 1290, 625]
     reversed_ = resolve_expression("twist(I,1)*twist(I,1)", 2, 5,
                                    sweep="reversed")
-    assert reversed_.meta["stage_dims"] == [100, 576, 1288, 1920, 1700, 1088]
+    assert reversed_.stage_dims == [100, 576, 1288, 1920, 1700, 1088]
 
 
 def test_yoneda_operator_carries_generator_to_v():

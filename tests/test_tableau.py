@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spfext import fp, young
 from spfext.functors import canonical_map, schur_weyl_simple, shape_module
-from xi_reference import distinct_permutations
+from xi_reference import basis_tuple, distinct_permutations
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -42,7 +42,7 @@ def _tableau_by_loop(lam, p, n):
     for idx in range(src.dim):
         expansions = [[(tuple(column[k] for k in perm), _perm_sign(perm))
                        for perm in distinct_permutations(tuple(range(len(column))))]
-                      for column in src.basis_tuple(idx)]
+                      for column in basis_tuple(src, idx)]
         for combo in product(*expansions):
             sign = 1
             for _, s in combo:

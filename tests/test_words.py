@@ -25,8 +25,8 @@ from spfext.homology import (comp_of_partition, ext_dims, gamma_layout,
 from spfext.modules import (DualModule, ShapeModule, SubmoduleModule,
                             TensorModule)
 from spfext.tensorspace import compositions, flip_ref, get_space, is_dominant
-from xi_reference import (dense, div_by_splitting, flip_key, word_key, xi_block,
-                          xi_by_splitting, xi_matrix)
+from xi_reference import (basis_tuple, dense, div_by_splitting, flip_key, word_key,
+                          xi_block, xi_by_splitting, xi_matrix)
 
 STACK_CASES = [(2, 4, (1, 1, 1, 1)), (2, 4, (2, 1, 1)), (2, 4, (3, 1)),
                (2, 4, (2, 2)), (2, 4, (4,)), (3, 3, (2, 1)),
@@ -38,7 +38,7 @@ def word_keys(p, n, lam, every=False):
     `every`."""
     shape = gamma_shape(p, n, lam)
     words = range(shape.dim) if every else gamma_layout(p, n, lam)[0]
-    return [word_key(lam, shape.basis_tuple(int(t))) for t in words]
+    return [word_key(lam, basis_tuple(shape, int(t))) for t in words]
 
 
 def assert_same(got, want):
@@ -69,7 +69,7 @@ def test_every_word_stack_matches_per_word_operators(p, n, comp):
     be a partition: block b of Gamma^c pairs with the b-th nonzero letter."""
     space = get_space(p, n, sum(comp))
     shape = gamma_shape(p, n, tuple(part for part in comp if part))
-    keys = [word_key(comp, shape.basis_tuple(t)) for t in range(shape.dim)]
+    keys = [word_key(comp, basis_tuple(shape, t)) for t in range(shape.dim)]
     assert_same(space.matrix(("words", comp, "all")),
                 sparse.vstack([xi_matrix(space, key) for key in keys], format="csr"))
 
@@ -244,7 +244,7 @@ def split_reference(mod: TensorModule, ref) -> np.ndarray:
     else:
         comp = base[1]
         words = gamma_shape(mod.p, mod.n, tuple(c for c in comp if c))
-        keys = [word_key(comp, words.basis_tuple(t)) for t in range(words.dim)]
+        keys = [word_key(comp, basis_tuple(words, t)) for t in range(words.dim)]
         if len(base) == 2:  # at dominant weights: t's weight is the row content
             keys = [k for k in keys if is_dominant(
                 tuple(sum(a == x for a, _ in k) for x in range(mod.n)))]
@@ -330,7 +330,7 @@ def ext_dims_by_loop(res, target):
                         continue
                     local = int(summand_k.rows[group[pos] - summand_k.offset])
                     key = word_key(summand_k.partition,
-                                   summand_k.shape.basis_tuple(local))
+                                   basis_tuple(summand_k.shape, local))
                     word = (np.asarray(xi_block(target, key) @ rows.T) % p).T[
                         :, list(mu_pivots)]
                     r0, c0 = offsets[s + 1][j], offsets[s][k]

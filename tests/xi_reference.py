@@ -1,4 +1,5 @@
-"""Single xi-basis operators, kept for the tests as references.
+"""Single xi-basis operators, kept for the tests as references, and the
+letter tuples of ShapeModule basis vectors (`basis_tuple`) that name them.
 
 The engine acts only through stacks: ("words", c) and ("words", c,
 "all") hold the word of each basis vector t of Gamma^c, and every
@@ -39,6 +40,16 @@ def distinct_permutations(items: tuple):
             out.pop()
 
     yield from rec(pool)
+
+
+def basis_tuple(shape, idx: int) -> tuple[tuple[int, ...], ...]:
+    """The letter tuple of each block of basis vector idx of a
+    ShapeModule, the inverse of its basis_index."""
+    out = []
+    for bb in reversed(shape.block_bases):
+        out.append(bb[idx % len(bb)])
+        idx //= len(bb)
+    return tuple(reversed(out))
 
 
 def encode(ts, letters) -> int:
