@@ -9,7 +9,8 @@ are a miss.  Matrices are stored
 as rows of digit strings, each entry a fixed-width run of len(str(p - 1))
 decimal digits, which round-trip bit exactly and diff cleanly.  Writes
 go through a temporary file and a rename so concurrent runs never
-observe torn entries; a load that finds a damaged entry reports a miss.
+observe torn entries; a load that finds a damaged entry, such as a stage
+label that names no partition of the source's degree, reports a miss.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .young import check_partition, format_partition
 
 SCHEMA_VERSION = 2
 
@@ -68,12 +71,18 @@ def decode_matrix(payload: dict, p: int) -> np.ndarray:
     return entries
 
 
-def _comp_str(comp: tuple[int, ...]) -> str:
-    return ",".join(str(x) for x in comp)
-
-
 def _comp_parse(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",")) if text else ()
+
+
+def _stage_label(text, degree: int, n: int) -> tuple[int, ...]:
+    """The partition a stored stage label names; ValueError unless it is
+    text naming a partition of the source's degree into at most n parts."""
+    lam = check_partition(_comp_parse(text)) if isinstance(text, str) else None
+    if lam is None or sum(lam) != degree or len(lam) > n:
+        raise ValueError(f"cache stage label {text!r} is no partition of "
+                         f"{degree} into at most {n} parts")
+    return lam
 
 
 def resolution_context(source: str, p: int, n: int, depth: int, sweep: str) -> dict:
@@ -83,11 +92,11 @@ def resolution_context(source: str, p: int, n: int, depth: int, sweep: str) -> d
 
 def resolution_payload(res) -> dict:
     context = resolution_context(res.source, res.p, res.n, res.depth, res.sweep)
-    stages = [[_comp_str(s.partition) for s in stage.summands]
+    stages = [[format_partition(lam) for lam in stage.summands]
               for stage in res.stages]
     diffs = []
     for diff in res.diffs:
-        diffs.append({_comp_str(comp): encode_matrix(block, res.p)
+        diffs.append({format_partition(comp): encode_matrix(block, res.p)
                       for comp, block in sorted(diff.items())})
     return {
         "version": SCHEMA_VERSION,
@@ -100,16 +109,17 @@ def resolution_payload(res) -> dict:
 
 
 def resolution_from_payload(payload: dict):
-    """The resolution a payload stores.  Each block's shape is checked
-    against the dominant weight groups of its source and target stage,
-    which the rebuilt stages already carry; a mismatch raises ValueError."""
+    """The resolution a payload stores.  Each stage label is checked to be
+    a partition of the source's degree, and each block's shape against the
+    dominant weight groups of its source and target stage; a mismatch
+    raises ValueError."""
     from .functors import evaluate
     from .homology import Resolution, Stage, dominant_groups
 
     ctx = payload["context"]
     p, n = ctx["p"], ctx["n"]
     module = evaluate(ctx["expression"], p)
-    stages = [Stage([_comp_parse(text) for text in parts], p, n)
+    stages = [Stage([_stage_label(text, module.D, n) for text in parts], p, n)
               for parts in payload["stages"]]
     if len(payload["diffs"]) != len(stages):
         raise ValueError("cache entry has not one differential per stage")

@@ -32,7 +32,7 @@ from .modules import (Block, DualModule, ModuleRep, ShapeModule, SubmoduleModule
                       TensorModule, canonical_blocks, check_equivariance,
                       hom_space,  # unused here; benchmarks/layers.py wraps this name
                       reduced)
-from .tensorspace import is_dominant
+from .tensorspace import comp_of_partition, is_dominant
 
 MAX_PARAM = 2
 
@@ -483,7 +483,7 @@ def _build_schur_weyl_simple(lam: tuple[int, ...], which: str, p: int,
     schur = evaluate(Atom("schur", lam), p, n=n)
     if which == "weyl":
         return DualModule(schur)
-    comp = tuple(lam) + (0,) * (n - len(lam))
+    comp = comp_of_partition(lam, n)
     top = schur.weight_basis(comp)[0]
     if top.shape[0] != 1:
         raise SpfextError(

@@ -48,11 +48,7 @@ from .errors import (AdmissibilityError, DegreeMismatchError, SemanticError,
 from .functors import (Atom, Dual, Ident, Node, Param, Tensor, Twist, as_node,
                        canon, check_field, degree, evaluate, shape_module)
 from .modules import ModuleRep, ShapeModule, hom_space
-from .tensorspace import get_space, is_dominant
-
-
-def comp_of_partition(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return tuple(lam) + (0,) * (n - len(lam))
+from .tensorspace import comp_of_partition, get_space, is_dominant
 
 
 def gamma_shape(p: int, n: int, lam: tuple[int, ...]) -> ShapeModule:
@@ -90,47 +86,33 @@ def gamma_layout(p: int, n: int, lam: tuple[int, ...]
 # -- resolution data ----------------------------------------------------------
 
 
-@dataclass
-class Summand:
-    partition: tuple[int, ...]
-    shape: ShapeModule
-    offset: int  # the stage coordinate of the first dominant row
-    rows: np.ndarray  # the shape's dominant rows, ascending
-
-
 class Stage:
     """A direct sum of Gamma^lam summands, kept at its dominant rows.
 
-    The coordinates of a stage are the dominant rows of each summand in
-    turn, so dim counts only those; gamma_dim is the dimension of the
-    whole sum.  groups maps each dominant weight to its coordinates.
+    summands lists each summand's partition.  The coordinates of a stage
+    are the dominant rows of each summand in turn, so dim counts only
+    those.  groups maps each dominant weight to its coordinates.
     """
 
     def __init__(self, partitions: list[tuple[int, ...]], p: int, n: int):
         self.p = p
         self.n = n
-        self.summands: list[Summand] = []
+        self.summands = list(partitions)
         groups: dict[tuple[int, ...], list[np.ndarray]] = {}
         offsets: dict[tuple[int, ...], list[int]] = {}
         offset = 0
-        for lam in partitions:
+        for lam in self.summands:
             rows, local_groups = gamma_layout(p, n, lam)
-            self.summands.append(Summand(lam, gamma_shape(p, n, lam), offset,
-                                         rows))
             for c, local in local_groups.items():
                 groups.setdefault(c, []).append(local + offset)
             offsets.setdefault(lam, []).append(offset)
             offset += rows.size
         self.dim = offset
-        self.gamma_dim = sum(s.shape.dim for s in self.summands)
         self.groups = {c: np.concatenate(parts) for c, parts in groups.items()}
         # per partition: the common shape and dominant rows, and each offset
         self.blocks = {lam: (gamma_shape(p, n, lam), gamma_layout(p, n, lam)[0],
                              np.array(offs, dtype=np.int64))
                        for lam, offs in offsets.items()}
-
-    def partitions(self) -> list[tuple[int, ...]]:
-        return [s.partition for s in self.summands]
 
 
 # -- weight spaces and Yoneda ------------------------------------------------
@@ -187,9 +169,7 @@ def hom_from_gamma(comp: tuple[int, ...], module: ModuleRep):
     realize(v) is the equivariant matrix Gamma^comp(E) -> M sending the
     canonical generator to v (see yoneda_operator).  realize raises
     ValueError unless v is a weight-comp vector of M."""
-    comp = tuple(comp)
-    if len(comp) < module.n:
-        comp = comp + (0,) * (module.n - len(comp))
+    comp = comp_of_partition(comp, module.n)
     if sum(comp) != module.D:
         raise SemanticError(f"{comp} does not sum to the degree {module.D}")
     idxs = module.weight_indices(comp)
@@ -220,12 +200,8 @@ class Resolution:
     def built(self) -> int:
         return len(self.stages) - 1
 
-    @property
-    def stage_dims(self) -> list[int]:
-        return [st.gamma_dim for st in self.stages]
-
     def term_partitions(self) -> list[list[tuple[int, ...]]]:
-        return [st.partitions() for st in self.stages]
+        return [list(st.summands) for st in self.stages]
 
 
 DEFAULT_MEM_BUDGET = 1 << 31

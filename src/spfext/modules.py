@@ -33,8 +33,9 @@ from scipy import sparse
 
 from . import fp
 from .errors import BudgetExceededError, EquivarianceError
-from .tensorspace import (OpRef, block_transpose, compositions, flip_ref,
-                          gamma_index, gamma_letters, get_space)
+from .tensorspace import (OpRef, block_transpose, comp_of_partition,
+                          compositions, flip_ref, gamma_index, gamma_letters,
+                          get_space)
 
 AMBIENT_CAP = 1 << 22
 
@@ -440,7 +441,7 @@ class TensorModule(ModuleRep):
         of the factors' stacks of every word; pairs whose t is not at a
         dominant weight are dropped unless `every`."""
         n, d1, d2 = self.n, self.left.dim, self.right.dim
-        comp = comp + (0,) * (n - len(comp))
+        comp = comp_of_partition(comp, n)
         pieces = []
         for c1 in compositions(self.left.D, n):
             c2 = tuple(c - x for c, x in zip(comp, c1))

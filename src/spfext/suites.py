@@ -11,7 +11,6 @@ memos they share keep the first value stored per key, and one lock in
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -28,7 +27,6 @@ class CaseResult:
     passed: bool
     expected: str
     actual: str
-    seconds: float = 0.0
 
     def payload(self) -> dict:
         return {"suite": self.suite, "name": self.name, "passed": self.passed,
@@ -234,10 +232,7 @@ def build_cases(suite: str, p: int | None = None, i: int | None = None,
 
 def run_cases(cases: list[Case], jobs: int = 1) -> list[CaseResult]:
     def execute(case: Case) -> CaseResult:
-        start = time.perf_counter()
-        passed, expected, actual = case.run()
-        return CaseResult(case.suite, case.name, passed, expected, actual,
-                          time.perf_counter() - start)
+        return CaseResult(case.suite, case.name, *case.run())
 
     if jobs <= 1 or len(cases) <= 1:
         return [execute(c) for c in cases]

@@ -84,6 +84,11 @@ def gamma_index(comp: tuple[int, ...], n: int, letters: np.ndarray) -> np.ndarra
     return idx
 
 
+def comp_of_partition(lam: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """lam padded with zeros to n parts, the weight it names."""
+    return tuple(lam) + (0,) * (n - len(lam))
+
+
 def is_dominant(comp: tuple[int, ...]) -> bool:
     """Parts never increase: a partition, padded with zeros."""
     return all(a >= b for a, b in zip(comp, comp[1:]))
@@ -151,7 +156,7 @@ class TensorSpace:
         the same permutations of the rows.
         """
         n, D, N = self.n, self.D, self.dim
-        comp = tuple(comp) + (0,) * (n - len(comp))
+        comp = comp_of_partition(comp, n)
         j0 = np.repeat(np.arange(n), comp)
         if j0.size != D:
             raise ValueError(f"{comp} is not a composition of {D}")
@@ -191,11 +196,10 @@ class TensorSpace:
             cols.append(idx)
         rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
         cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-        data = np.ones(rows.size, dtype=np.int64)
-        mat = sparse.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
-        mat.data %= self.p
-        mat.eliminate_zeros()
-        return mat
+        # distinct subsets shift a column by distinct sums of powers of n,
+        # so each entry is met once and is 1
+        return sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)),
+                                 shape=(self.dim, self.dim))
 
     def matrix(self, ref: OpRef) -> sparse.csr_matrix:
         """The sparse matrix of an operator, kept per space and ref."""

@@ -6,6 +6,10 @@ slicing is an unordered tiling of a diagram by rim p-hooks that admits
 at least one valid successive-removal order.  Slicings carry the degree
 statistic sum-of-leg-lengths, which the homological engine is checked
 against.
+
+Slicings are enumerated in one memoized recursion over successive
+removals.  Removable hooks are tried in cell-lex order, so the first
+removal order found for a tiling is its lex-least one, and it is kept.
 """
 
 from __future__ import annotations
@@ -49,10 +53,6 @@ def format_partition(parts: tuple[int, ...]) -> str:
     return ",".join(str(x) for x in parts)
 
 
-def weight(parts: tuple[int, ...]) -> int:
-    return sum(parts)
-
-
 def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Transpose of the diagram."""
     parts = check_partition(parts)
@@ -78,9 +78,7 @@ def partitions_of(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]
         for part in range(min(largest, remaining), 0, -1):
             rec(remaining - part, part, prefix + [part])
 
-    rec(n, n if n else 0, [])
-    if n == 0:
-        return [()]
+    rec(n, n, [])
     return sorted(out, reverse=True)
 
 
@@ -101,22 +99,6 @@ class RimHook:
     def leg_length(self) -> int:
         return len({r for r, _ in self.cells}) - 1
 
-    def is_valid(self) -> bool:
-        """Edge-connected, no 2x2 block."""
-        cs = set(self.cells)
-        for (r, c) in cs:
-            if {(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cs:
-                return False
-        seen = {self.cells[0]}
-        frontier = [self.cells[0]]
-        while frontier:
-            r, c = frontier.pop()
-            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if nb in cs and nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        return len(seen) == len(cs)
-
 
 @dataclass(frozen=True)
 class Slicing:
@@ -131,33 +113,6 @@ class Slicing:
     @property
     def degree(self) -> int:
         return sum(h.leg_length for h in self.hooks)
-
-    def is_valid(self) -> bool:
-        covered: set[tuple[int, int]] = set()
-        for hook in self.hooks:
-            if not hook.is_valid():
-                return False
-            if covered & set(hook.cells):
-                return False
-            covered |= set(hook.cells)
-            if not _is_diagram_cells(covered):
-                return False
-        return covered == set(cells(self.base))
-
-
-def _is_diagram_cells(cell_set: set[tuple[int, int]]) -> bool:
-    if not cell_set:
-        return True
-    rows: dict[int, int] = {}
-    for r, c in cell_set:
-        rows[r] = max(rows.get(r, -1), c)
-    nrows = max(rows) + 1
-    if set(rows) != set(range(nrows)):
-        return False
-    lens = [rows[r] + 1 for r in range(nrows)]
-    if any(lens[i] < lens[i + 1] for i in range(nrows - 1)):
-        return False
-    return sum(lens) == len(cell_set)
 
 
 def _beta_numbers(parts: tuple[int, ...], nbeads: int) -> list[int]:
@@ -217,10 +172,6 @@ def p_core_and_weight(parts: tuple[int, ...], p: int) -> tuple[tuple[int, ...], 
     return _partition_from_betas(core_betas), moves
 
 
-def is_p_core(parts: tuple[int, ...], p: int) -> bool:
-    return p_core_and_weight(parts, p)[1] == 0
-
-
 def is_single_simple_block(parts: tuple[int, ...], p: int) -> bool:
     """Whether the block of the simple labeled by `parts` contains it alone.
 
@@ -229,32 +180,22 @@ def is_single_simple_block(parts: tuple[int, ...], p: int) -> bool:
     admits several labels).  The general criterion for projective simples
     with e > 0 is not pinned down here.
     """
-    return is_p_core(parts, p)
+    return p_core_and_weight(parts, p)[1] == 0
 
 
 @lru_cache(maxsize=None)
-def _tilings(parts: tuple[int, ...], p: int) -> frozenset[frozenset[RimHook]]:
+def _slicings(parts: tuple[int, ...], p: int
+              ) -> dict[frozenset[RimHook], tuple[RimHook, ...]]:
+    """Each tiling that successive removals of rim p-hooks reach, with its
+    lex-least removal order, outermost hook first (the first one found).
+    The memo is shared: callers must not mutate it."""
     if not parts:
-        return frozenset([frozenset()])
-    out: set[frozenset[RimHook]] = set()
+        return {frozenset(): ()}
+    out: dict[frozenset[RimHook], tuple[RimHook, ...]] = {}
     for smaller, hook in removable_hooks(parts, p):
-        for rest in _tilings(smaller, p):
-            out.add(rest | {hook})
-    return frozenset(out)
-
-
-def _canonical_removal_order(parts: tuple[int, ...], p: int,
-                             tiling: frozenset[RimHook]) -> tuple[RimHook, ...] | None:
-    """Lex-least removal order realizing `tiling`, or None if none exists."""
-    if not tiling:
-        return ()
-    options = [(smaller, hook) for smaller, hook in removable_hooks(parts, p)
-               if hook in tiling]
-    for smaller, hook in options:  # removable_hooks is already cell-lex sorted
-        rest = _canonical_removal_order(smaller, p, tiling - {hook})
-        if rest is not None:
-            return (hook,) + rest
-    return None
+        for rest, order in _slicings(smaller, p).items():
+            out.setdefault(rest | {hook}, (hook,) + order)
+    return out
 
 
 def enumerate_slicings(parts: tuple[int, ...], p: int) -> list[Slicing]:
@@ -264,16 +205,12 @@ def enumerate_slicings(parts: tuple[int, ...], p: int) -> list[Slicing]:
     divide the weight a SlicingWarning is emitted and the list is empty.
     """
     parts = check_partition(parts)
-    if weight(parts) % p != 0:
+    if sum(parts) % p != 0:
         warnings.warn(f"{p} does not divide the weight of {parts}", SlicingWarning,
                       stacklevel=2)
         return []
-    out = []
-    for tiling in _tilings(parts, p):
-        order = _canonical_removal_order(parts, p, tiling)
-        if order is None:  # tiling with no valid removal order: not a slicing
-            continue
-        out.append(Slicing(base=parts, hooks=tuple(reversed(order))))
+    out = [Slicing(base=parts, hooks=tuple(reversed(order)))
+           for order in _slicings(parts, p).values()]
     out.sort(key=lambda s: tuple(h.cells for h in s.hooks))
     return out
 

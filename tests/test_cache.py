@@ -175,6 +175,51 @@ def test_damaged_entry_is_recomputed(tmp_path, corrupt):
     clear_resolution_memo()
 
 
+@pytest.mark.parametrize("label", ["40", "2,0", "3", "1", 2])
+def test_stage_label_that_is_no_partition_of_the_degree_is_a_miss(tmp_path, label):
+    """A stage label must be a partition of the source's degree into at
+    most n parts: "40" would build a Gamma^40 summand past the memory
+    budget, "2,0" would load with a zero part, and the number 2 is no
+    label at all."""
+    clear_resolution_memo()
+    store = ca.ResolutionCache(tmp_path)
+    cold = ext("twist(I,1)", "S(2)", 2, cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["stages"][0] == ["2"]
+    payload["stages"][0] = [label]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="stage label|parts must be"):
+        ca.resolution_from_payload(payload)
+    assert store.load("twist(I,1)", 2, 2, 3, "dominance") is None
+    clear_resolution_memo()
+    again = ext("twist(I,1)", "S(2)", 2, cache_dir=str(tmp_path))
+    assert again.payload() == cold.payload()
+    loaded = store.load("twist(I,1)", 2, 2, 3, "dominance")
+    assert loaded is not None and loaded.term_partitions()[0] == [(2,)]
+    clear_resolution_memo()
+
+
+def test_cli_recomputes_a_damaged_stage_label(tmp_path, capsys):
+    from spfext import cli
+
+    argv = ["ext", "--p", "2", "--src", "twist(I,1)", "--tgt", "S(2)",
+            "--cache-dir", str(tmp_path)]
+    clear_resolution_memo()
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    (path,) = tmp_path.glob("*.json")
+    for label in ("40", "2,0"):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["stages"][0] = [label]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        clear_resolution_memo()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert json.loads(path.read_text(encoding="utf-8"))["stages"][0] == ["2"]
+    clear_resolution_memo()
+
+
 # A schema 1 entry of twist(I,1) at p = 2, depth 3, as written before
 # resolutions were cut to dominant weights: it holds the (0,2) blocks too.
 V1_TWISTED_IDENTITY = {

@@ -289,6 +289,17 @@ def test_tensor_stack_split_matches_per_xi_reference(data):
 # -- Ext assembly against the per-coefficient loop ----------------------------
 
 
+def summand_layout(stage):
+    """Per summand of a stage: its partition, shape, the stage coordinate
+    of its first dominant row, and its dominant rows, ascending."""
+    out, offset = [], 0
+    for lam in stage.summands:
+        rows, _ = gamma_layout(stage.p, stage.n, lam)
+        out.append((lam, gamma_shape(stage.p, stage.n, lam), offset, rows))
+        offset += rows.size
+    return out
+
+
 def ext_dims_by_loop(res, target):
     """Graded dims of Ext^s from Hom(P_*, N): delta^s built one nonzero
     differential coefficient at a time, each adding the transposed block
@@ -296,8 +307,8 @@ def ext_dims_by_loop(res, target):
     p, n, built = res.p, res.n, res.built
     wdims, offsets = [], []
     for stage in res.stages:
-        ws = [target.weight_dim(comp_of_partition(s.partition, n))
-              for s in stage.summands]
+        ws = [target.weight_dim(comp_of_partition(lam, n))
+              for lam in stage.summands]
         wdims.append(ws)
         offsets.append(list(np.cumsum([0] + ws[:-1])))
     totals = [sum(ws) for ws in wdims]
@@ -305,32 +316,32 @@ def ext_dims_by_loop(res, target):
     for s in range(built):
         stage_s, stage_next = res.stages[s], res.stages[s + 1]
         delta = fp.zeros(totals[s + 1], totals[s])
-        for j, summand_j in enumerate(stage_next.summands):
+        for j, (part_j, shape_j, offset_j, rows_j) in enumerate(
+                summand_layout(stage_next)):
             wmu = wdims[s + 1][j]
-            mu = comp_of_partition(summand_j.partition, n)
+            mu = comp_of_partition(part_j, n)
             block = res.diffs[s + 1].get(mu)
             group = stage_s.groups.get(mu)
             if wmu == 0 or block is None or block.size == 0 or group is None:
                 continue
-            e_idx = generator_index(summand_j.shape, summand_j.partition)
-            coord = summand_j.offset + int(np.searchsorted(summand_j.rows, e_idx))
+            e_idx = generator_index(shape_j, part_j)
+            coord = offset_j + int(np.searchsorted(rows_j, e_idx))
             gvec = block[:, int(np.searchsorted(stage_next.groups[mu], coord))]
-            for k, summand_k in enumerate(stage_s.summands):
+            for k, (part_k, shape_k, offset_k, rows_k) in enumerate(
+                    summand_layout(stage_s)):
                 wlam = wdims[s][k]
                 if wlam == 0:
                     continue
-                lam = comp_of_partition(summand_k.partition, n)
+                lam = comp_of_partition(part_k, n)
                 rows, _ = target.weight_basis(lam)
                 _, mu_pivots = target.weight_basis(mu)
                 for pos in np.flatnonzero(
-                        (group >= summand_k.offset)
-                        & (group < summand_k.offset + summand_k.rows.size)):
+                        (group >= offset_k) & (group < offset_k + rows_k.size)):
                     coeff = int(gvec[pos])
                     if coeff == 0:
                         continue
-                    local = int(summand_k.rows[group[pos] - summand_k.offset])
-                    key = word_key(summand_k.partition,
-                                   basis_tuple(summand_k.shape, local))
+                    local = int(rows_k[group[pos] - offset_k])
+                    key = word_key(part_k, basis_tuple(shape_k, local))
                     word = (np.asarray(xi_block(target, key) @ rows.T) % p).T[
                         :, list(mu_pivots)]
                     r0, c0 = offsets[s + 1][j], offsets[s][k]
