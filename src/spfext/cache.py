@@ -156,8 +156,9 @@ class ResolutionCache:
 
     def load(self, source: str, p: int, n: int, depth: int, sweep: str):
         """The stored resolution, or None on a miss.  A damaged entry (bad
-        JSON, another context, a malformed or misshapen block) is a miss,
-        so the caller recomputes it and the store overwrites the file."""
+        JSON, a value of the wrong JSON type, another context, a malformed
+        or misshapen block) is a miss, so the caller recomputes it and the
+        store overwrites the file."""
         context = resolution_context(source, p, n, depth, sweep)
         path = self.path_for(context)
         if not path.exists():
@@ -169,7 +170,7 @@ class ResolutionCache:
                     or payload.get("context") != context):
                 return None
             return resolution_from_payload(payload)
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, TypeError, AttributeError):
             return None
 
     def store(self, res) -> Path:

@@ -1,10 +1,12 @@
 """Exact linear algebra over prime fields F_p.
 
 Dense matrices are numpy int64 arrays with every entry reduced into
-[0, p).  Sparse operators use scipy CSR with the same convention.  All
-elimination routines pivot deterministically (leftmost nonzero column,
-topmost row) so echelon forms are reproducible across runs and
-platforms.
+[0, p).  Sparse operators are CSR, this module's compressed-row type,
+with the same convention: every CSR is canonical, so equal matrices
+have equal arrays, and every operation on CSRs returns a canonical CSR
+without re-validating its input.  All elimination routines pivot
+deterministically (leftmost nonzero column, topmost row) so echelon
+forms are reproducible across runs and platforms.
 
 Row reduction works in the narrowest storage that holds every
 intermediate value exactly: booleans updated by XOR at p = 2, int16
@@ -14,6 +16,8 @@ it.  Whatever the storage, the result is returned as int64.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,3 +160,170 @@ def extend_rref(rows: np.ndarray, pivots: list[int], new: np.ndarray,
     merged = list(pivots) + new_pivots
     order = np.argsort(merged)
     return np.concatenate([rows, added])[order], [merged[k] for k in order]
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A sparse (rows x cols) matrix over F_p in canonical compressed-row
+    form: row r holds the columns indices[indptr[r]:indptr[r + 1]],
+    ascending, with their entries data[...], each in [1, p).  No zero is
+    stored and no position twice.  p is kept so that sums and products
+    stay canonical.  The constructor trusts its arrays; from_coo and
+    from_dense make a canonical CSR of anything."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+    p: int
+
+    @classmethod
+    def from_coo(cls, rows, cols, data, shape, p: int) -> CSR:
+        """The matrix whose entry at (r, c) is the sum of data[k] over the
+        k with (rows[k], cols[k]) = (r, c), mod p: duplicates summed, zeros
+        dropped, each row's columns sorted."""
+        m, n = shape
+        data = np.asarray(data, dtype=np.int64)
+        key = (np.asarray(rows, dtype=np.int64) * n
+               + np.asarray(cols, dtype=np.int64))
+        if (key[1:] <= key[:-1]).any():
+            order = np.argsort(key)
+            key, data = key[order], data[order]
+            first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+            if first.size < key.size:
+                key, data = key[first], np.add.reduceat(data, first)
+        data = data % p
+        nz = data != 0
+        if not nz.all():
+            key, data = key[nz], data[nz]
+        row, col = np.divmod(key, max(n, 1))
+        return cls(_indptr(row, m), col, data, (m, n), p)
+
+    @classmethod
+    def from_dense(cls, a, p: int) -> CSR:
+        a = np.atleast_2d(np.asarray(a, dtype=np.int64) % p)
+        row, col = np.nonzero(a)
+        return cls(_indptr(row, a.shape[0]), col, a[row, col], a.shape, p)
+
+    @classmethod
+    def identity(cls, n: int, p: int) -> CSR:
+        return cls.from_coo(np.arange(n), np.arange(n), np.ones(n), (n, n), p)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, data) of the stored entries, in row-major order."""
+        row = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return row, self.indices, self.data
+
+    def toarray(self) -> np.ndarray:
+        out = zeros(*self.shape)
+        row, col, data = self.coo()
+        out[row, col] = data
+        return out
+
+    def __matmul__(self, other):
+        """The product mod p: a CSR for a CSR, a dense array for an array."""
+        if other.shape[:1] != self.shape[1:]:
+            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        if isinstance(other, CSR):
+            # each entry (r, k) meets row k of other: expand, then sum
+            row, col, data = self.coo()
+            counts = np.diff(other.indptr)[col]
+            at = _ranges(other.indptr[col], counts)
+            return CSR.from_coo(np.repeat(row, counts), other.indices[at],
+                                np.repeat(data, counts) * other.data[at],
+                                (self.shape[0], other.shape[1]), self.p)
+        out = np.zeros((self.shape[0],) + other.shape[1:], dtype=np.int64)
+        filled = np.flatnonzero(self.indptr[1:] > self.indptr[:-1])
+        if filled.size:
+            terms = (self.data.reshape((-1,) + (1,) * (other.ndim - 1))
+                     * other[self.indices])
+            out[filled] = np.add.reduceat(terms, self.indptr[filled], axis=0) % self.p
+        return out
+
+    def __add__(self, other: CSR) -> CSR:
+        (r1, c1, d1), (r2, c2, d2) = self.coo(), other.coo()
+        return CSR.from_coo(np.concatenate([r1, r2]), np.concatenate([c1, c2]),
+                            np.concatenate([d1, d2]), self.shape, self.p)
+
+    def __sub__(self, other: CSR) -> CSR:
+        return self + CSR(other.indptr, other.indices, self.p - other.data,
+                          other.shape, self.p)
+
+    def __getitem__(self, rows) -> CSR:
+        """The rows at `rows`, a slice or an index array, in that order."""
+        if isinstance(rows, slice):
+            rows = np.arange(*rows.indices(self.shape[0]))
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = np.diff(self.indptr)[rows]
+        at = _ranges(self.indptr[rows], counts)
+        return CSR(np.concatenate([[0], np.cumsum(counts)]), self.indices[at],
+                   self.data[at], (rows.size, self.shape[1]), self.p)
+
+    def take_cols(self, cols) -> CSR:
+        """The columns at `cols`, in that order."""
+        return self.T[cols].T
+
+    @property
+    def T(self) -> CSR:
+        row, col, data = self.coo()
+        order = np.argsort(col, kind="stable")
+        return CSR(_indptr(col[order], self.shape[1]), row[order], data[order],
+                   self.shape[::-1], self.p)
+
+    def block_transpose(self, dim: int) -> CSR:
+        """Each (dim x dim) block of a vertical stack of blocks transposed."""
+        row, col, data = self.coo()
+        block = row - row % dim
+        return CSR.from_coo(block + col, row - block, data, self.shape, self.p)
+
+    def reshape(self, rows: int, cols: int) -> CSR:
+        """The same entries in row-major order, read as (rows x cols)."""
+        row, col, data = self.coo()
+        row, col = np.divmod(row * self.shape[1] + col, cols)
+        return CSR(_indptr(row, rows), col, data, (rows, cols), self.p)
+
+
+def _indptr(row: np.ndarray, rows: int) -> np.ndarray:
+    """Row pointers of entries whose (sorted) rows are `row`."""
+    return np.concatenate([[0], np.cumsum(np.bincount(row, minlength=rows))])
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + counts[k] - 1, for each k."""
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(
+        starts - ends + counts, counts)
+
+
+def vstack(mats: list[CSR], cols: int, p: int) -> CSR:
+    """The matrices, each `cols` wide, one below the other."""
+    indptr, nnz = [np.zeros(1, dtype=np.int64)], 0
+    for m in mats:
+        indptr.append(m.indptr[1:] + nnz)
+        nnz += m.nnz
+    indptr, none = np.concatenate(indptr), [np.zeros(0, dtype=np.int64)]
+    return CSR(indptr, np.concatenate(none + [m.indices for m in mats]),
+               np.concatenate(none + [m.data for m in mats]), (indptr.size - 1, cols), p)
+
+
+def kron(a: CSR, b: CSR, pairs=None) -> CSR:
+    """The Kronecker product, or, given `pairs` = (ra, rb), only its rows
+    ra[k] * b.rows + rb[k], in that order: row k is row ra[k] of a times
+    row rb[k] of b.  Each row comes out sorted, and a product of units
+    mod a prime is a unit, so no entry needs summing or dropping."""
+    if pairs is None:
+        pairs = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
+    ra, rb = (np.asarray(r, dtype=np.int64) for r in pairs)
+    ca, cb = np.diff(a.indptr)[ra], np.diff(b.indptr)[rb]
+    counts = ca * cb
+    own = np.repeat(np.arange(ra.size), counts)
+    i, j = np.divmod(_ranges(np.zeros_like(counts), counts), cb[own])
+    at, bt = a.indptr[ra][own] + i, b.indptr[rb][own] + j
+    return CSR(np.concatenate([[0], np.cumsum(counts)]),
+               a.indices[at] * b.shape[1] + b.indices[bt],
+               a.data[at] * b.data[bt] % a.p,
+               (ra.size, a.shape[1] * b.shape[1]), a.p)

@@ -23,15 +23,13 @@ from dataclasses import dataclass
 from math import factorial, isqrt, prod
 
 import numpy as np
-from scipy import sparse
 
 from . import fp, young
 from .errors import (ParseError, SemanticError, SpfextError,
                      UnsupportedExpressionError)
 from .modules import (Block, DualModule, ModuleRep, ShapeModule, SubmoduleModule,
                       TensorModule, canonical_blocks, check_equivariance,
-                      hom_space,  # unused here; benchmarks/layers.py wraps this name
-                      reduced)
+                      hom_space)  # unused here; benchmarks/layers.py wraps this name
 from .tensorspace import comp_of_partition, is_dominant
 
 MAX_PARAM = 2
@@ -330,12 +328,11 @@ def orbit_size(comp: tuple[int, ...]) -> int:
 class NaturalMap:
     """An equivariant map between two shape modules, proved so when built.
 
-    matrix is (target.dim, source.dim) CSR, column action, entries reduced
-    mod p with no stored zeros."""
+    matrix is the (target.dim, source.dim) fp.CSR of the column action."""
 
     source: ShapeModule
     target: ShapeModule
-    matrix: sparse.csr_matrix
+    matrix: fp.CSR
 
     @property
     def rank(self) -> int:
@@ -350,13 +347,13 @@ class NaturalMap:
         total = 0
         for comp, src_idx in cols.items():
             if comp in rows and is_dominant(comp):
-                block = self.matrix[rows[comp]][:, src_idx].toarray()
+                block = self.matrix[rows[comp]].take_cols(src_idx).toarray()
                 total += orbit_size(comp) * fp.rank(block, self.source.p)
         return total
 
 
-def _compose_lift_project(src: ShapeModule, tgt: ShapeModule) -> sparse.csr_matrix:
-    return reduced(tgt.project_matrix() @ src.lift_matrix(), src.p)
+def _compose_lift_project(src: ShapeModule, tgt: ShapeModule) -> fp.CSR:
+    return tgt.project_matrix() @ src.lift_matrix()
 
 
 def _blocks(*sized: tuple[str, int]) -> tuple[Block, ...]:
@@ -416,16 +413,15 @@ def canonical_map(kind: str, p: int, *, a: int = 0, b: int = 0,
         # the transpose of koszul_diff(b+1, a-1): G^{b+1} * L^{a-1} ->
         # G^b * L^a, with the two factors swapped on both sides (G and S
         # share a basis, and L is its own dual with no sign)
-        kos = (shape_module(p, n, _blocks(("G", b), ("L", a)), m).project_matrix()
-               @ shape_module(p, n, _blocks(("G", b + 1), ("L", a - 1)), m)
-               .lift_matrix()).tocoo()
+        kos_row, kos_col, kos_data = _compose_lift_project(
+            shape_module(p, n, _blocks(("G", b + 1), ("L", a - 1)), m),
+            shape_module(p, n, _blocks(("G", b), ("L", a)), m)).coo()
         s_src = src.dim // len(src.block_bases[0])  # S^b, 1 when b = 0
         s_tgt = len(tgt.block_bases[-1])  # S^{b+1}
-        sym_col, ext_col = np.divmod(kos.row, src.dim // s_src)
-        sym_row, ext_row = np.divmod(kos.col, tgt.dim // s_tgt)
-        mat = reduced(sparse.csr_matrix(
-            (kos.data, (ext_row * s_tgt + sym_row, ext_col * s_src + sym_col)),
-            shape=(tgt.dim, src.dim)), p)
+        sym_col, ext_col = np.divmod(kos_row, src.dim // s_src)
+        sym_row, ext_row = np.divmod(kos_col, tgt.dim // s_tgt)
+        mat = fp.CSR.from_coo(ext_row * s_tgt + sym_row, ext_col * s_src + sym_col,
+                              kos_data, (tgt.dim, src.dim), p)
     else:
         raise ValueError(f"unknown canonical map kind {kind!r}")
     check_equivariance(mat, src, tgt)
@@ -451,8 +447,8 @@ def _tableau_composite(lam: tuple[int, ...], p: int,
     row_start = np.cumsum((0,) + lam[:-1])
     sigma = tuple(int(row_start[r]) + c
                   for c, height in enumerate(conj) for r in range(height))
-    mat = reduced(tgt.project_matrix() @ src.space.place_permutation(sigma)
-                  @ src.project_matrix().T, p)
+    mat = (tgt.project_matrix() @ src.space.place_permutation(sigma)
+           @ src.project_matrix().T)
     check_equivariance(mat, src, tgt)
     return NaturalMap(src, tgt, mat)
 

@@ -146,13 +146,13 @@ def yoneda_operator(level: ModuleRep | Stage, comp: tuple[int, ...],
     for shape, rows, offsets in level.blocks.values():
         coords = offsets[None, :] + np.arange(rows.size)[:, None]
         keep = (np.arange(T)[:, None] * shape.dim + rows).reshape(-1)
-        cuts.append((coords, shape.stack_matrix(ref)[keep][:, rows]))
+        cuts.append((coords, shape.stack_matrix(ref)[keep].take_cols(rows)))
 
     def apply(v):
         v = np.asarray(v, dtype=np.int64).reshape(-1)
         out = fp.zeros(level.dim, T)
         for coords, cut in cuts:
-            images = (cut @ v[coords]) % level.p
+            images = cut @ v[coords]
             out[coords] = images.reshape(T, coords.shape[0], -1).transpose(
                 1, 2, 0)
         return out

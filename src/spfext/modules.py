@@ -29,13 +29,11 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-from scipy import sparse
 
 from . import fp
 from .errors import BudgetExceededError, EquivarianceError
-from .tensorspace import (OpRef, block_transpose, comp_of_partition,
-                          compositions, flip_ref, gamma_index, gamma_letters,
-                          get_space)
+from .tensorspace import (OpRef, comp_of_partition, compositions, flip_ref,
+                          gamma_index, gamma_letters, get_space)
 
 AMBIENT_CAP = 1 << 22
 
@@ -46,27 +44,6 @@ def canonical_blocks(blocks) -> tuple[Block, ...]:
     """Blocks as a ShapeModule stores them: a one-letter block is G."""
     return tuple(("G" if size == 1 else kind, size, twist)
                  for kind, size, twist in blocks)
-
-
-def diagonal_copies(a, copies: int) -> sparse.csr_matrix:
-    """kron(I_copies, a): `copies` copies of a down the diagonal, built
-    straight from a's CSR arrays."""
-    a = sparse.csr_matrix(a)
-    rows, cols = a.shape
-    shift = np.arange(copies)[:, None]
-    indptr = np.concatenate([[0], (a.indptr[1:] + shift * a.nnz).reshape(-1)])
-    return sparse.csr_matrix(
-        (np.tile(a.data, copies), (a.indices + shift * cols).reshape(-1), indptr),
-        shape=(copies * rows, copies * cols))
-
-
-def reduced(mat, p: int) -> sparse.csr_matrix:
-    """`mat` as CSR with its entries reduced mod p and zeros dropped; a CSR
-    argument is reduced in place."""
-    mat = sparse.csr_matrix(mat)
-    mat.data %= p
-    mat.eliminate_zeros()
-    return mat
 
 
 class ModuleRep:
@@ -94,10 +71,10 @@ class ModuleRep:
         self.D = D
         self.dim = dim
         self.space = get_space(p, n, D)
-        self._stacks: dict[OpRef, sparse.csr_matrix] = {}
+        self._stacks: dict[OpRef, fp.CSR] = {}
         self._groups: dict[tuple[int, ...], np.ndarray] | None = None
 
-    def stack_matrix(self, ref: OpRef) -> sparse.csr_matrix:
+    def stack_matrix(self, ref: OpRef) -> fp.CSR:
         """(T * dim, dim) CSR: block k is the column action v -> A_k v of
         the k-th operator of ref, kept for the module's lifetime; the first
         stack stored for a ref is the one every caller gets."""
@@ -110,10 +87,10 @@ class ModuleRep:
         """(T, batch, dim): out[k] is the k-th operator of ref applied to
         each row of x."""
         x = np.asarray(x, dtype=np.int64)
-        out = np.asarray(self.stack_matrix(ref) @ x.T) % self.p
+        out = self.stack_matrix(ref) @ x.T
         return out.reshape(-1, self.dim, x.shape[0]).transpose(0, 2, 1)
 
-    def generator_action(self) -> tuple[list[OpRef], sparse.csr_matrix]:
+    def generator_action(self) -> tuple[list[OpRef], fp.CSR]:
         """(refs, A) for refs = space.generator_refs(), the simple-root
         divided powers at powers of p: A = stack_matrix(("gens",)) stacks
         their action matrices, so rows g*dim .. (g+1)*dim - 1 are the
@@ -195,8 +172,8 @@ class ShapeModule(ModuleRep):
         self._amb = amb
         self._u_total = m ** self.nletters
         self.contents = self._compute_contents()
-        self._lift: sparse.csr_matrix | None = None
-        self._proj: sparse.csr_matrix | None = None
+        self._lift: fp.CSR | None = None
+        self._proj: fp.CSR | None = None
 
     # basis handling ------------------------------------------------------
 
@@ -282,22 +259,22 @@ class ShapeModule(ModuleRep):
         self._sign = np.ones(self._amb, dtype=np.int64)
         self._sign[amb[odd]] = self.p - 1
         rows = np.flatnonzero(self._lifted >= 0)
-        self._lift = sparse.csr_matrix(
-            (np.ones(rows.size, dtype=np.int64), (rows, self._lifted[rows])),
-            shape=(self._amb, self.dim))
+        self._lift = fp.CSR.from_coo(rows, self._lifted[rows],
+                                     np.ones(rows.size, dtype=np.int64),
+                                     (self._amb, self.dim), self.p)
         cols = np.flatnonzero(self._projected >= 0)
-        self._proj = sparse.csr_matrix(
-            (self._sign[cols], (self._projected[cols], cols)),
-            shape=(self.dim, self._amb))
+        self._proj = fp.CSR.from_coo(self._projected[cols], cols,
+                                     self._sign[cols], (self.dim, self._amb),
+                                     self.p)
 
-    def lift_matrix(self) -> sparse.csr_matrix:
+    def lift_matrix(self) -> fp.CSR:
         """Section of the subquotient: orbit sums on G blocks, canonical
         representatives on S and L blocks."""
         if self._lift is None:
             self._build_bridge()
         return self._lift
 
-    def project_matrix(self) -> sparse.csr_matrix:
+    def project_matrix(self) -> fp.CSR:
         """Coordinates of an ambient vector known to lie over the module:
         groups must be pure powers, G blocks are gathered at their sorted
         representative, S blocks sort, L blocks sort with sign."""
@@ -307,7 +284,7 @@ class ShapeModule(ModuleRep):
 
     # action --------------------------------------------------------------
 
-    def _stack(self, ref: OpRef) -> sparse.csr_matrix:
+    def _stack(self, ref: OpRef) -> fp.CSR:
         """kron(I_T, P) @ S @ L for the T stacked tensor-space operators S
         of ref, acting on the E slots and as the identity on parameter
         letters.  L and P each touch an ambient index at most once, so
@@ -316,22 +293,20 @@ class ShapeModule(ModuleRep):
         pass over those columns and one projection."""
         if self._lift is None:
             self._build_bridge()
-        ops = sparse.csc_matrix(self.space.matrix(ref))
+        S = self.space.matrix(ref)
         N = self.space.dim
         amb = np.flatnonzero(self._lifted >= 0)
         word, col = np.divmod(amb, N)
-        counts = np.diff(ops.indptr)[col]
-        owner = np.repeat(np.arange(amb.size), counts)
-        at = (np.arange(owner.size) + np.repeat(ops.indptr[col] - np.cumsum(counts)
-                                                + counts, counts))
-        block, slot = np.divmod(ops.indices[at], N)
+        # row k of S.T[col] is the column of S that lifted index amb[k] meets
+        owner, hit, data = S.T[col].coo()
+        block, slot = np.divmod(hit, N)
         dst = word[owner] * N + slot
         row = self._projected[dst]
         keep = row >= 0
-        return reduced(sparse.csr_matrix(
-            ((ops.data[at] * self._sign[dst])[keep],
-             ((block * self.dim + row)[keep], self._lifted[amb][owner][keep])),
-            shape=(ops.shape[0] // N * self.dim, self.dim)), self.p)
+        return fp.CSR.from_coo((block * self.dim + row)[keep],
+                               self._lifted[amb][owner][keep],
+                               (data * self._sign[dst])[keep],
+                               (S.shape[0] // N * self.dim, self.dim), self.p)
 
     def expression(self) -> str:
         """The shape as a fragment expression that evaluates back to it:
@@ -360,7 +335,7 @@ class DualModule(ModuleRep):
     def _stack(self, ref: OpRef):
         # each block is the transpose of the base's block for the flipped
         # ref; on tensor space the flip of a word is its transpose
-        return block_transpose(self.base.stack_matrix(flip_ref(ref)), self.dim)
+        return self.base.stack_matrix(flip_ref(ref)).block_transpose(self.dim)
 
 
 class SubmoduleModule(ModuleRep):
@@ -387,7 +362,7 @@ class SubmoduleModule(ModuleRep):
         pdim = self.parent.dim
         keep = (np.arange(mat.shape[0] // pdim)[:, None] * pdim
                 + np.array(self.pivots, dtype=np.int64)).reshape(-1)
-        return reduced(mat[keep] @ sparse.csr_matrix(self.rows.T), self.p)
+        return mat[keep] @ fp.CSR.from_dense(self.rows.T, self.p)
 
 
 class TensorModule(ModuleRep):
@@ -405,7 +380,7 @@ class TensorModule(ModuleRep):
         self.contents = (left.contents[:, None] + right.contents[None, :]).reshape(
             self.dim, self.n)
 
-    def _stack(self, ref: OpRef) -> sparse.csr_matrix:
+    def _stack(self, ref: OpRef) -> fp.CSR:
         # the flip is a coalgebra map: a flipped stack splits into the
         # factors' flipped stacks
         flipped = ref[0] == "flip"
@@ -416,32 +391,30 @@ class TensorModule(ModuleRep):
         if base[0] not in ("gens", "div"):
             raise ValueError(f"cannot split operator ref {ref!r}")
         refs = self.space.generator_refs() if base[0] == "gens" else [base]
-        return sparse.vstack([sparse.csr_matrix((0, self.dim), dtype=np.int64)]
-                             + [self._divided(*orient(r)[1:]) for r in refs],
-                             format="csr")
+        return fp.vstack([self._divided(*orient(r)[1:]) for r in refs],
+                         self.dim, self.p)
 
-    def _divided(self, a: int, b: int, r: int) -> sparse.csr_matrix:
+    def _divided(self, a: int, b: int, r: int) -> fp.CSR:
         """E^(r) of the root mover b -> a is the sum of E^(r1) (x)
         E^(r - r1); a factor moves at most as many letters as its degree."""
         def factor(mod: ModuleRep, s: int):
-            return (sparse.identity(mod.dim, dtype=np.int64, format="csr")
+            return (fp.CSR.identity(mod.dim, self.p)
                     if s == 0 else mod.stack_matrix(("div", a, b, s)))
 
-        return reduced(sum(
-            sparse.kron(factor(self.left, r1), factor(self.right, r - r1),
-                        format="csr")
-            for r1 in range(max(0, r - self.right.D), min(r, self.left.D) + 1)),
-            self.p)
+        terms = [fp.kron(factor(self.left, r1), factor(self.right, r - r1))
+                 for r1 in range(max(0, r - self.right.D), min(r, self.left.D) + 1)]
+        return sum(terms[1:], terms[0])
 
-    def _words(self, comp: tuple[int, ...], every: bool, orient) -> sparse.csr_matrix:
+    def _words(self, comp: tuple[int, ...], every: bool, orient) -> fp.CSR:
         """Word t of Gamma^comp acts as the sum, over comp = c1 + c2 with
         |c1| = left.D and over the splits t = t1 + t2 letter by letter, of
         word(c1, t1) (x) word(c2, t2).  Each pair (t1, t2) merges into
         exactly one t, so each c1 adds the rows of one Kronecker product
-        of the factors' stacks of every word; pairs whose t is not at a
-        dominant weight are dropped unless `every`."""
+        of the factors' stacks of every word, built only at the pairs
+        whose t is at a dominant weight unless `every`."""
         n, d1, d2 = self.n, self.left.dim, self.right.dim
         comp = comp_of_partition(comp, n)
+        i1, i2 = np.divmod(np.arange(d1 * d2), d2)
         pieces = []
         for c1 in compositions(self.left.D, n):
             c2 = tuple(c - x for c, x in zip(comp, c1))
@@ -457,20 +430,20 @@ class TensorModule(ModuleRep):
             content = (both[:, :, None] == np.arange(n)).sum(axis=1)
             merged = np.where(every | (np.diff(content, axis=1) <= 0).all(axis=1),
                               gamma_index(comp, n, both), -1)
-            kron = sparse.kron(self.left.stack_matrix(orient(("words", c1, "all"))),
-                               self.right.stack_matrix(orient(("words", c2, "all"))),
-                               format="coo")
-            k1, i1 = np.divmod(kron.row // (T2 * d2), d1)
-            k2, i2 = np.divmod(kron.row % (T2 * d2), d2)
-            pieces.append((merged, merged[k1 * T2 + k2], i1 * d2 + i2, kron.col,
-                           kron.data))
-        merged, t, row, col, data = (np.concatenate(x) for x in zip(*pieces))
-        kept = np.unique(merged[merged >= 0])
-        keep = t >= 0
-        return reduced(sparse.csr_matrix(
-            (data[keep], (np.searchsorted(kept, t[keep]) * self.dim + row[keep],
-                          col[keep])),
-            shape=(kept.size * self.dim, self.dim)), self.p)
+            t = merged[merged >= 0]
+            k1, k2 = np.divmod(np.flatnonzero(merged >= 0), T2)
+            # row (k, i1 * d2 + i2) is block k1[k] of the left stack at row
+            # i1 times block k2[k] of the right stack at row i2
+            row, col, data = fp.kron(
+                self.left.stack_matrix(orient(("words", c1, "all"))),
+                self.right.stack_matrix(orient(("words", c2, "all"))),
+                ((k1[:, None] * d1 + i1).reshape(-1),
+                 (k2[:, None] * d2 + i2).reshape(-1))).coo()
+            pieces.append((t, t[row // self.dim], row % self.dim, col, data))
+        kept, t, row, col, data = (np.concatenate(x) for x in zip(*pieces))
+        kept = np.unique(kept)
+        return fp.CSR.from_coo(np.searchsorted(kept, t) * self.dim + row, col,
+                               data, (kept.size * self.dim, self.dim), self.p)
 
 
 # Hom spaces ---------------------------------------------------------------
@@ -500,9 +473,9 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
     if not flat:
         return []
     flat = np.concatenate(flat)
-    maps = sparse.csr_matrix(
-        (np.ones(flat.size, dtype=np.int64), (np.arange(flat.size), flat)),
-        shape=(flat.size, t * s))
+    maps = fp.CSR.from_coo(np.arange(flat.size), flat,
+                           np.ones(flat.size, dtype=np.int64),
+                           (flat.size, t * s), p)
 
     # row k of the sparse stack `maps` is map k, flattened
     refs, a_src = src.generator_action()
@@ -515,18 +488,19 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
         act_tgt = a_tgt[g * t: (g + 1) * t]
         # X A_src - A_tgt X for all K maps X at once; only the entries
         # where some map fails to commute constrain the kernel
-        stacked = maps.reshape(K * t, s).tocsr()
-        resid = reduced(stacked @ act_src - diagonal_copies(act_tgt, K) @ stacked, p)
-        resid = resid.reshape(K, t * s).tocoo()
-        entries, at = np.unique(resid.col, return_inverse=True)
+        stacked = maps.reshape(K * t, s)
+        resid = (stacked @ act_src
+                 - fp.kron(fp.CSR.identity(K, p), act_tgt) @ stacked).reshape(K, t * s)
+        row, col, data = resid.coo()
+        entries, at = np.unique(col, return_inverse=True)
         dense = fp.zeros(entries.size, K)
-        dense[at, resid.row] = resid.data
+        dense[at, row] = data
         coeffs = fp.kernel_basis(dense, p)
         if coeffs.shape[0] == K:
             continue
         # maps depend linearly on their weight-block entries, so the
         # surviving maps are the kernel coefficients times the current ones
-        maps = reduced(sparse.csr_matrix(coeffs) @ maps, p)
+        maps = fp.CSR.from_dense(coeffs, p) @ maps
     return list(maps.toarray().reshape(-1, t, s))
 
 
@@ -539,26 +513,26 @@ def check_equivariance(matrix, src: ModuleRep, tgt: ModuleRep) -> None:
     kron(I_R, phi) @ A_src and A_tgt @ phi of generator_action.  The
     weight idempotents and these divided powers generate the Schur
     algebra, so a pass is a proof.  The error names the first weight
-    mismatch, or else the first failing ref.  `matrix` may be dense or
-    sparse; it is not modified.
+    mismatch, or else the first failing ref.  `matrix` may be dense or a
+    CSR; it is not modified.
     """
     if src.space is not tgt.space:
         raise ValueError("equivariance between modules in different categories")
     p = src.p
-    phi = reduced(sparse.csr_matrix(matrix, dtype=np.int64, copy=True), p)
+    phi = matrix if isinstance(matrix, fp.CSR) else fp.CSR.from_dense(matrix, p)
     if phi.shape != (tgt.dim, src.dim):
         raise ValueError(f"a {phi.shape} matrix is no map of a {src.dim}-"
                          f"dimensional module to a {tgt.dim}-dimensional one")
-    nz = phi.tocoo()
-    clash = np.flatnonzero((tgt.contents[nz.row] != src.contents[nz.col]).any(axis=1))
+    row, col, _ = phi.coo()
+    clash = np.flatnonzero((tgt.contents[row] != src.contents[col]).any(axis=1))
     if clash.size:
         k = clash[0]
         raise EquivarianceError(
-            f"map sends weight {tuple(src.contents[nz.col[k]].tolist())} to "
-            f"weight {tuple(tgt.contents[nz.row[k]].tolist())}")
+            f"map sends weight {tuple(src.contents[col[k]].tolist())} to "
+            f"weight {tuple(tgt.contents[row[k]].tolist())}")
     refs, a_src = src.generator_action()
     _, a_tgt = tgt.generator_action()
-    diff = reduced(diagonal_copies(phi, len(refs)) @ a_src - a_tgt @ phi, p)
+    diff = fp.kron(fp.CSR.identity(len(refs), p), phi) @ a_src - a_tgt @ phi
     if diff.nnz:
         row = int(np.flatnonzero(np.diff(diff.indptr))[0])
         raise EquivarianceError(

@@ -29,7 +29,8 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-from scipy import sparse
+
+from . import fp
 
 OpRef = tuple
 
@@ -44,15 +45,6 @@ def flip_ref(ref: OpRef) -> OpRef:
     if kind in ("gens", "words"):
         return ("flip", ref)
     raise ValueError(f"unknown operator ref {ref!r}")
-
-
-def block_transpose(mat: sparse.spmatrix, dim: int) -> sparse.csr_matrix:
-    """Transpose each (dim x dim) block of a sparse vertical stack of
-    blocks."""
-    mat = mat.tocoo()
-    block = mat.row - mat.row % dim
-    return sparse.csr_matrix((mat.data, (block + mat.col, mat.row - block)),
-                             shape=mat.shape)
 
 
 def gamma_letters(comp: tuple[int, ...], n: int) -> np.ndarray:
@@ -122,7 +114,7 @@ class TensorSpace:
         self.n = n
         self.D = D
         self.dim = n ** D
-        self._ops: dict[OpRef, sparse.csr_matrix] = {}
+        self._ops: dict[OpRef, fp.CSR] = {}
         # letters[idx] is the decoded multi-index of basis vector idx
         self.letters = np.zeros((self.dim, D), dtype=np.int64)
         idx = np.arange(self.dim)
@@ -132,21 +124,20 @@ class TensorSpace:
 
     # -- operator construction -------------------------------------------
 
-    def _build(self, ref: OpRef) -> sparse.csr_matrix:
+    def _build(self, ref: OpRef) -> fp.CSR:
         kind = ref[0]
         if kind == "div":
             return self._build_divided(*ref[1:])
         if kind == "gens":  # every generator, stacked in generator_refs order
-            return sparse.vstack(
-                [sparse.csr_matrix((0, self.dim), dtype=np.int64)]
-                + [self.matrix(r) for r in self.generator_refs()], format="csr")
+            return fp.vstack([self.matrix(r) for r in self.generator_refs()],
+                             self.dim, self.p)
         if kind == "words":
             return self._build_words(ref[1], every=len(ref) > 2)
         if kind == "flip":
-            return block_transpose(self.matrix(ref[1]), self.dim)
+            return self.matrix(ref[1]).block_transpose(self.dim)
         raise ValueError(f"unknown operator ref {ref!r}")
 
-    def _build_words(self, comp: tuple[int, ...], every: bool) -> sparse.csr_matrix:
+    def _build_words(self, comp: tuple[int, ...], every: bool) -> fp.CSR:
         """Every word of Gamma^comp stacked, from one decode of the space.
 
         Against the column J0 = 0^c_0 1^c_1 ..., each row I0 lies in
@@ -172,12 +163,12 @@ class TensorSpace:
         place = n ** np.arange(D - 1, -1, -1)
         rows = (np.searchsorted(kept, word[rows0])[:, None] * N
                 + self.letters[rows0][:, inv] @ place)
-        return sparse.csr_matrix(
-            (np.ones(rows.size, dtype=np.int64),
-             (rows.reshape(-1), np.broadcast_to(cols, rows.shape).reshape(-1))),
-            shape=(kept.size * N, N))
+        return fp.CSR.from_coo(rows.reshape(-1),
+                               np.broadcast_to(cols, rows.shape).reshape(-1),
+                               np.ones(rows.size, dtype=np.int64),
+                               (kept.size * N, N), self.p)
 
-    def _build_divided(self, a: int, b: int, r: int) -> sparse.csr_matrix:
+    def _build_divided(self, a: int, b: int, r: int) -> fp.CSR:
         """Divided power of the root mover b -> a: sum over r-subsets of
         the slots holding letter b, replaced by a.  Each r-subset of slot
         positions moves every basis vector holding b at all of them."""
@@ -198,26 +189,26 @@ class TensorSpace:
         cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
         # distinct subsets shift a column by distinct sums of powers of n,
         # so each entry is met once and is 1
-        return sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)),
-                                 shape=(self.dim, self.dim))
+        return fp.CSR.from_coo(rows, cols, np.ones(rows.size, dtype=np.int64),
+                               (self.dim, self.dim), self.p)
 
-    def matrix(self, ref: OpRef) -> sparse.csr_matrix:
+    def matrix(self, ref: OpRef) -> fp.CSR:
         """The sparse matrix of an operator, kept per space and ref."""
         hit = self._ops.get(ref)
         if hit is not None:
             return hit
         return self._ops.setdefault(ref, self._build(ref))
 
-    def place_permutation(self, sigma: tuple[int, ...]) -> sparse.csr_matrix:
+    def place_permutation(self, sigma: tuple[int, ...]) -> fp.CSR:
         """Permutation matrix of e_j -> e_{j o sigma^-1}: the letter in
         slot s moves to slot sigma[s]."""
         if sorted(sigma) != list(range(self.D)):
             raise ValueError(f"{sigma} is not a permutation of {self.D} letters")
         place = self.n ** np.arange(self.D - 1, -1, -1)
         rows = self.letters[:, np.argsort(sigma)] @ place
-        return sparse.csr_matrix(
-            (np.ones(self.dim, dtype=np.int64), (rows, np.arange(self.dim))),
-            shape=(self.dim, self.dim))
+        return fp.CSR.from_coo(rows, np.arange(self.dim),
+                               np.ones(self.dim, dtype=np.int64),
+                               (self.dim, self.dim), self.p)
 
     # -- basis and generators ---------------------------------------------
 

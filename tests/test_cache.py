@@ -154,11 +154,27 @@ def _letter_in_block(payload):
     return json.dumps(payload)
 
 
+def _data_not_a_list(payload):
+    block = next(b for diff in payload["diffs"] for b in diff.values())
+    block["data"] = 5
+    return json.dumps(payload)
+
+
+def _stages_not_a_list(payload):
+    return json.dumps(dict(payload, stages=5))
+
+
+def _top_level_list(payload):
+    return json.dumps([payload])
+
+
+# a wrong JSON type is damage too: it must not escape as a TypeError
 @pytest.mark.parametrize("corrupt", [
     _drop_last_column, _letter_in_block,
     lambda payload: json.dumps(payload)[:-40],
     lambda payload: json.dumps(dict(payload, context=dict(
-        payload["context"], expression="twist(I,2)")))])
+        payload["context"], expression="twist(I,2)"))),
+    _data_not_a_list, _stages_not_a_list, _top_level_list])
 def test_damaged_entry_is_recomputed(tmp_path, corrupt):
     clear_resolution_memo()
     cold = ext("twist(I,1)", "G(2)", 2, cache_dir=str(tmp_path))

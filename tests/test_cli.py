@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +252,35 @@ def test_resolve_prints_the_users_spelling(capsys):
                                "--depth", "1", "--format", "json")
         assert json.loads(out)["source"] == expr
     clear_resolution_memo()
+
+
+NO_SCIPY = textwrap.dedent("""
+    import json, sys
+
+    class RefuseScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"{name} is refused")
+
+    sys.meta_path.insert(0, RefuseScipy())
+    from spfext.cli import main
+    assert main(["selftest"]) == 0
+    assert main(["ext", "--p", "2", "--src", "twist(I,1)", "--tgt", "G(2)",
+                 "--i", "1", "--format", "json"]) == 0
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+""")
+
+
+def test_cli_runs_without_scipy():
+    """The runtime needs numpy only: with every scipy import refused, the
+    self-test and a degree-2 Ext table run, and no scipy module loads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "SPFEXT_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    *selftest, table, loaded = done.stdout.splitlines()
+    assert selftest and all(line.startswith("PASS") for line in selftest)
+    assert json.loads(table)["dims"] == [0, 0, 1]
+    assert json.loads(loaded) == []

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from csr_reference import as_scipy
 from spfext import cache as ca
 from spfext import fp, young
 from spfext.functors import evaluate
@@ -48,7 +49,7 @@ def full_yoneda(level, pieces, comp, v):
     amb = np.concatenate(
         [((piece.lift_matrix() @ v[off: off + piece.dim]) % p)
          .reshape(piece._u_total, nD).T for piece, off in pieces], axis=1)
-    proj = sparse.block_diag([piece.project_matrix() for piece, _ in pieces],
+    proj = sparse.block_diag([as_scipy(piece.project_matrix()) for piece, _ in pieces],
                              format="csr")
     out = fp.zeros(level.dim, shape.dim)
     for t in range(shape.dim):

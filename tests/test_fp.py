@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
+from csr_reference import assert_canonical, assert_same
 from spfext import fp
+from spfext.functors import evaluate
+from spfext.modules import check_equivariance
 
 
 def test_rref_identity_fixed():
@@ -247,3 +251,155 @@ def test_extend_rref_of_an_empty_span():
     got, pivots = fp.extend_rref(fp.zeros(0, 3), [], new, 3)
     assert got.tolist() == [[0, 1, 2]]
     assert pivots == [1]
+
+
+# -- fp.CSR against scipy -----------------------------------------------------
+#
+# Every operation is checked against scipy at p in {2, 3, 5}: the result
+# must be canonical and, array for array, equal to scipy's answer made
+# canonical mod p (csr_reference.assert_same).  Shapes may be empty.
+
+CSR_PRIMES = [2, 3, 5]
+
+
+@st.composite
+def coo_entries(draw, p, rows=None, cols=None, max_dim=6):
+    """(rows, cols, data, shape) of a COO matrix with repeated positions,
+    entries that vanish mod p and entries outside [0, p)."""
+    m = draw(st.integers(0, max_dim)) if rows is None else rows
+    n = draw(st.integers(0, max_dim)) if cols is None else cols
+    count = draw(st.integers(0, 3 * m * n)) if m * n else 0
+    pos = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)) if m * n else st.nothing()
+    at = draw(st.lists(pos, min_size=count, max_size=count))
+    data = draw(st.lists(st.integers(-2 * p, 3 * p), min_size=count, max_size=count))
+    r = np.array([a for a, _ in at], dtype=np.int64)
+    c = np.array([b for _, b in at], dtype=np.int64)
+    return r, c, np.array(data, dtype=np.int64), (m, n)
+
+
+@st.composite
+def csr_pairs(draw, p, **dims):
+    """(fp.CSR, the scipy matrix it was built from)."""
+    r, c, data, shape = draw(coo_entries(p, **dims))
+    return fp.CSR.from_coo(r, c, data, shape, p), sparse.csr_matrix(
+        (data, (r, c)), shape=shape)
+
+
+@pytest.mark.parametrize("p", CSR_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csr_from_coo_sums_duplicates_and_drops_zeros(p, data):
+    r, c, values, shape = data.draw(coo_entries(p))
+    got = fp.CSR.from_coo(r, c, values, shape, p)
+    assert_same(got, sparse.coo_matrix((values, (r, c)), shape=shape))
+    want = np.zeros(shape, dtype=np.int64)
+    np.add.at(want, (r, c), values)
+    assert (got.toarray() == want % p).all()
+    assert got.nnz == np.count_nonzero(want % p)
+
+
+@pytest.mark.parametrize("p", CSR_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csr_from_dense_and_identity(p, data):
+    a, want = data.draw(csr_pairs(p))
+    dense = want.toarray()
+    assert_same(fp.CSR.from_dense(dense, p), dense)
+    assert (fp.CSR.from_dense(dense, p).toarray() == dense % p).all()
+    k = data.draw(st.integers(0, 5))
+    assert_same(fp.CSR.identity(k, p), sparse.identity(k, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", CSR_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csr_products(p, data):
+    a, sa = data.draw(csr_pairs(p))
+    b, sb = data.draw(csr_pairs(p, rows=a.shape[1]))
+    assert_same(a @ b, sa @ sb)
+    x = np.array(data.draw(st.lists(st.integers(-p, 2 * p), min_size=a.shape[1] * 3,
+                                    max_size=a.shape[1] * 3))).reshape(a.shape[1], 3)
+    for v in (x, x[:, 0], x[:, :0]):
+        got = a @ v
+        assert got.dtype == np.int64 and got.shape == (a.shape[0],) + v.shape[1:]
+        assert (got == (sa @ v) % p).all()
+    with pytest.raises(ValueError):
+        a @ np.zeros((a.shape[1] + 1, 2), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", CSR_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csr_sum_and_difference(p, data):
+    a, sa = data.draw(csr_pairs(p))
+    b, sb = data.draw(csr_pairs(p, rows=a.shape[0], cols=a.shape[1]))
+    assert_same(a + b, sa + sb)
+    assert_same(a - b, sa - sb)
+    assert (a - a).nnz == 0
+
+
+@pytest.mark.parametrize("p", CSR_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csr_transposes_and_reshape(p, data):
+    dim = data.draw(st.integers(1, 3))
+    blocks = data.draw(st.integers(0, 3))
+    a, sa = data.draw(csr_pairs(p, rows=blocks * dim, cols=dim))
+    assert_same(a.T, sa.T)
+    dense = sa.toarray().reshape(blocks, dim, dim).transpose(0, 2, 1)
+    assert_same(a.block_transpose(dim), dense.reshape(blocks * dim, dim))
+    assert_same(a.reshape(blocks, dim * dim), sa.reshape(blocks, dim * dim))
+    assert_same(a.reshape(blocks * dim * dim, 1), sa.reshape(-1, 1))
+
+
+@pytest.mark.parametrize("p", CSR_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csr_row_and_column_takes(p, data):
+    a, sa = data.draw(csr_pairs(p))
+    m, n = a.shape
+    rows = data.draw(st.lists(st.integers(0, m - 1), max_size=8) if m else st.just([]))
+    assert_same(a[np.array(rows, dtype=np.int64)], sa[rows] if rows else sa[:0])
+    start, stop = sorted(data.draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
+    assert_same(a[start:stop], sa[start:stop])
+    cols = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    assert_same(a.take_cols(cols), sa[:, cols] if cols else sa[:, :0])
+
+
+@pytest.mark.parametrize("p", CSR_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csr_kron_diagonal_copies_and_vstack(p, data):
+    a, sa = data.draw(csr_pairs(p, max_dim=4))
+    b, sb = data.draw(csr_pairs(p, max_dim=4))
+    full = sparse.kron(sa, sb, format="csr")
+    assert_same(fp.kron(a, b), full)
+    rows = data.draw(st.lists(st.integers(0, full.shape[0] - 1), max_size=10)
+                     if full.shape[0] else st.just([]))
+    ra, rb = np.divmod(np.array(rows, dtype=np.int64), max(b.shape[0], 1))
+    assert_same(fp.kron(a, b, (ra, rb)), full[rows] if rows else full[:0])
+    copies = data.draw(st.integers(0, 3))
+    assert_same(fp.kron(fp.CSR.identity(copies, p), a),
+                sparse.kron(sparse.identity(copies, dtype=np.int64), sa))
+    c, sc = data.draw(csr_pairs(p, cols=a.shape[1]))
+    assert_same(fp.vstack([a, c, a], a.shape[1], p), sparse.vstack([sa, sc, sa]))
+    empty = fp.vstack([], a.shape[1], p)
+    assert empty.shape == (0, a.shape[1])
+    assert_same(empty, sparse.csr_matrix((0, a.shape[1]), dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", CSR_PRIMES)
+def test_csr_empty_generator_stack_at_n_1(p):
+    """At n = 1 there are no generators: ("gens",) has no rows, and every
+    operation on it keeps the empty shape."""
+    mod = evaluate("I", p)
+    refs, gens = mod.generator_action()
+    assert refs == [] and gens.shape == (0, 1)
+    assert_canonical(gens)
+    assert_same(gens, sparse.csr_matrix((0, 1), dtype=np.int64))
+    assert (gens @ np.ones((1, 2), dtype=np.int64)).shape == (0, 2)
+    assert (gens @ fp.CSR.identity(1, p)).shape == (0, 1)
+    assert gens.T.shape == (1, 0) and gens.block_transpose(1).shape == (0, 1)
+    assert fp.kron(fp.CSR.identity(0, p), gens).shape == (0, 0)
+    assert gens.toarray().shape == (0, 1) and gens[0:0].shape == (0, 1)
+    check_equivariance(np.eye(1, dtype=np.int64), mod, mod)

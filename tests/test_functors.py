@@ -16,6 +16,7 @@ from spfext.functors import (Atom, Dual, Ident, Param, Tensor, Twist, canon,
 from spfext.modules import (ModuleRep, ShapeModule, check_equivariance,
                             hom_space)
 from spfext.tensorspace import compositions
+from csr_reference import assert_canonical, assert_same
 from test_tensorspace import full_basis_keys, full_generator_refs
 from xi_reference import (basis_tuple, dense, distinct_permutations, encode,
                           weight_key, xi_block)
@@ -279,9 +280,8 @@ def _lambda_comult_by_loop(src, tgt, a, b, p):
 def test_dual_koszul_diff_matches_loop_reference(p, m):
     for a in range(1, p + 1):
         nat = canonical_map("dual_koszul_diff", p, a=a, b=p - a, m=m, n=p)
-        want = _lambda_comult_by_loop(nat.source, nat.target, a, p - a, p)
-        assert nat.matrix.shape == want.shape
-        assert (nat.matrix != want).nnz == 0
+        assert_same(nat.matrix,
+                    _lambda_comult_by_loop(nat.source, nat.target, a, p - a, p))
 
 
 def test_gamma_comult_injective():
@@ -322,29 +322,29 @@ _EVERY_KIND = [("gamma_comult", 1, 1), ("gamma_comult", 2, 1),
 @pytest.mark.parametrize("m", [1, 2])
 def test_rank_by_dominant_blocks_matches_dense_rank(p, m):
     """NaturalMap.rank (orbit-weighted ranks of the dominant weight blocks)
-    equals the rank of the whole map, densified; every matrix is CSR with
-    entries in [1, p)."""
+    equals the rank of the whole map, densified; every matrix is a
+    canonical fp.CSR: entries in [1, p), columns sorted, no duplicates."""
     maps = [canonical_map(kind, p, a=a, b=b, m=m, n=n)
             for kind, a, b in _EVERY_KIND for n in (a + b, a + b + 1)]
     maps += [canonical_map("tableau_composite", p, lam=lam, n=n)
              for lam in ((2,), (1, 1), (2, 1), (1, 1, 1), (3, 1), (2, 2))
              for n in (sum(lam), sum(lam) + 1)]
     for nat in maps:
-        assert sparse.isspmatrix_csr(nat.matrix)
-        assert ((nat.matrix.data > 0) & (nat.matrix.data < p)).all()
+        assert_canonical(nat.matrix)
+        assert nat.matrix.p == p
         assert nat.rank == fp.rank(nat.matrix.toarray(), p)
 
 
 def test_equivariance_checker_takes_sparse_and_dense():
     nat = canonical_map("koszul_diff", 3, a=2, b=1)
-    before = nat.matrix.copy()
+    before = nat.matrix.toarray()
     check_equivariance(nat.matrix, nat.source, nat.target)
     check_equivariance(nat.matrix.toarray(), nat.source, nat.target)
-    check_equivariance((nat.matrix * 4).toarray().tolist(), nat.source, nat.target)
-    assert (nat.matrix != before).nnz == 0
-    bad = nat.matrix.tolil()
+    check_equivariance((nat.matrix.toarray() * 4).tolist(), nat.source, nat.target)
+    assert (nat.matrix.toarray() == before).all()
+    bad = nat.matrix.toarray()
     bad[0, 0] = (bad[0, 0] + 1) % 3
-    for form in (bad.tocsr(), bad.toarray()):
+    for form in (fp.CSR.from_dense(bad, 3), bad):
         with pytest.raises(EquivarianceError):
             check_equivariance(form, nat.source, nat.target)
 
@@ -417,7 +417,7 @@ def test_equivariance_error_names_the_last_generator():
             mat = dense(mod.stack_matrix(ref)).copy()
             if ref == ("gens",):
                 mat[-mod.dim:] += 1
-            return sparse.csr_matrix(mat % mod.p)
+            return fp.CSR.from_dense(mat, mod.p)
 
     with pytest.raises(EquivarianceError, match=re.escape(repr(last))):
         check_equivariance(np.eye(mod.dim, dtype=np.int64), mod, Twin())
@@ -737,8 +737,5 @@ def test_bridge_matches_loop_reference(p, blocks, m):
     entry for entry, with the same stored entries."""
     D = sum(size * p ** twist for _, size, twist in blocks)
     mod = ShapeModule(p, D, blocks, m)
-    for got, want in [(mod.lift_matrix(), _lift_by_loop(mod)),
-                      (mod.project_matrix(), _project_by_loop(mod))]:
-        assert got.shape == want.shape
-        assert got.nnz == want.nnz
-        assert (got != want).nnz == 0
+    assert_same(mod.lift_matrix(), _lift_by_loop(mod))
+    assert_same(mod.project_matrix(), _project_by_loop(mod))

@@ -18,13 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from csr_reference import as_scipy, assert_canonical, assert_same
 from spfext import fp
 from spfext.functors import evaluate, shape_module
 from spfext.homology import (comp_of_partition, ext_dims, gamma_layout,
                              gamma_shape, generator_index, resolve_expression)
 from spfext.modules import (DualModule, ShapeModule, SubmoduleModule,
                             TensorModule)
-from spfext.tensorspace import compositions, flip_ref, get_space, is_dominant
+from spfext.tensorspace import (compositions, flip_ref, gamma_index,
+                                 gamma_letters, get_space, is_dominant)
 from xi_reference import (basis_tuple, dense, div_by_splitting, flip_key, word_key,
                           xi_block, xi_by_splitting, xi_matrix)
 
@@ -39,11 +41,6 @@ def word_keys(p, n, lam, every=False):
     shape = gamma_shape(p, n, lam)
     words = range(shape.dim) if every else gamma_layout(p, n, lam)[0]
     return [word_key(lam, basis_tuple(shape, int(t))) for t in words]
-
-
-def assert_same(got, want):
-    assert got.shape == want.shape and got.nnz == want.nnz
-    assert (got != want).nnz == 0
 
 
 @pytest.mark.parametrize("p,n,lam", STACK_CASES)
@@ -88,7 +85,7 @@ def stack_by_tiling(mod: ShapeModule, ref) -> sparse.csr_matrix:
     tensor-space stack tiled over all m^nletters parameter words before a
     mask keeps those that lift and project."""
     mod.lift_matrix()
-    ops = mod.space.matrix(ref).tocoo()
+    ops = as_scipy(mod.space.matrix(ref)).tocoo()
     N = mod.space.dim
     block, slot = np.divmod(ops.row, N)
     words = np.arange(mod._u_total)[:, None] * N
@@ -118,8 +115,7 @@ def test_generator_stack_matches_tiling_reference(p, q, m):
     """Lifting first and expanding each lifted index by its column of the
     stack gives the tiled-and-masked stack entry for entry."""
     for mod in koszul_terms(p, q, m):
-        assert_same(sparse.csr_matrix(mod._stack(("gens",))),
-                    stack_by_tiling(mod, ("gens",)))
+        assert_same(mod._stack(("gens",)), stack_by_tiling(mod, ("gens",)))
 
 
 @pytest.mark.parametrize("text", ["param(S(2),2)", "param(G(2),2)",
@@ -129,8 +125,7 @@ def test_word_stacks_match_tiling_reference(text):
     for comp in compositions(mod.D, mod.n):
         for ref in (("words", comp), ("words", comp, "all"),
                     ("flip", ("words", comp))):
-            assert_same(sparse.csr_matrix(mod._stack(ref)),
-                        stack_by_tiling(mod, ref))
+            assert_same(mod._stack(ref), stack_by_tiling(mod, ref))
 
 
 def apply_by_rules(mod, key, x):
@@ -187,7 +182,7 @@ def test_stacked_action_through_dual_and_submodule():
         assert (got[k] == want.T).all()
 
 
-# -- one memo per module: every stack is CSR and built once -------------------
+# -- one memo per module: every stack is a canonical CSR, built once ----------
 
 # (expression, kind) at p = 3: a shape, a dual of a shape, submodules
 # (schur and the nested simple), a dual of a submodule (weyl) and a tensor
@@ -204,7 +199,7 @@ def test_every_stack_is_a_memoized_csr(expr, kind):
     for ref in [("words", comp_of_partition((2, 1), mod.n)),
                 ("words", (1, 1, 1), "all"), ("gens",), ("div", 0, 1, 2)]:
         stack = mod.stack_matrix(ref)
-        assert isinstance(stack, sparse.csr_matrix), (expr, ref)
+        assert_canonical(stack)
         assert stack.shape[1] == mod.dim and stack.shape[0] % mod.dim == 0
         assert mod.stack_matrix(ref) is stack, (expr, ref)
     refs, gens = mod.generator_action()
@@ -284,6 +279,58 @@ def test_tensor_stack_split_matches_per_xi_reference(data):
     dual = DualModule(mod).stack_matrix(flip_ref(ref))
     assert (dense(dual) == want.reshape(-1, mod.dim, mod.dim).transpose(
         0, 2, 1).reshape(-1, mod.dim)).all()
+
+
+def words_by_full_kron(mod: TensorModule, ref) -> sparse.csr_matrix:
+    """TensorModule's word stack as it was first written: for each c1, the
+    whole Kronecker product of the factors' stacks of every word, then the
+    rows of each pair (t1, t2) whose merged t is not dominant dropped."""
+    flipped = ref[0] == "flip"
+    base = ref[1] if flipped else ref
+    orient = flip_ref if flipped else (lambda r: r)
+    every = len(base) > 2
+    n, d1, d2 = mod.n, mod.left.dim, mod.right.dim
+    comp = comp_of_partition(base[1], n)
+    pieces = []
+    for c1 in compositions(mod.left.D, n):
+        c2 = tuple(c - x for c, x in zip(comp, c1))
+        if min(c2) < 0:
+            continue
+        w1, w2 = gamma_letters(c1, n), gamma_letters(c2, n)
+        T2 = len(w2)
+        order = np.argsort(np.repeat(np.tile(np.arange(n), 2), c1 + c2),
+                           kind="stable")
+        both = np.concatenate([np.repeat(w1, T2, axis=0),
+                               np.tile(w2, (len(w1), 1))], axis=1)[:, order]
+        content = (both[:, :, None] == np.arange(n)).sum(axis=1)
+        merged = np.where(every | (np.diff(content, axis=1) <= 0).all(axis=1),
+                          gamma_index(comp, n, both), -1)
+        kron = sparse.kron(
+            as_scipy(mod.left.stack_matrix(orient(("words", c1, "all")))),
+            as_scipy(mod.right.stack_matrix(orient(("words", c2, "all")))),
+            format="coo")
+        k1, i1 = np.divmod(kron.row // (T2 * d2), d1)
+        k2, i2 = np.divmod(kron.row % (T2 * d2), d2)
+        pieces.append((merged, merged[k1 * T2 + k2], i1 * d2 + i2, kron.col,
+                       kron.data))
+    merged, t, row, col, data = (np.concatenate(x) for x in zip(*pieces))
+    kept = np.unique(merged[merged >= 0])
+    keep = t >= 0
+    return sparse.csr_matrix(
+        (data[keep], (np.searchsorted(kept, t[keep]) * mod.dim + row[keep],
+                      col[keep])),
+        shape=(kept.size * mod.dim, mod.dim))
+
+
+@pytest.mark.parametrize("p, left, right", TENSOR_PAIRS)
+def test_tensor_word_stack_matches_full_kron_reference(p, left, right):
+    """Building only the rows of the kept pairs gives the stack the whole
+    Kronecker product gives once the other rows are dropped."""
+    mod = TensorModule(evaluate(left, p, n=4), evaluate(right, p, n=4))
+    for comp in compositions(mod.D, mod.n):
+        for base in (("words", comp), ("words", comp, "all")):
+            for ref in (base, ("flip", base)):
+                assert_same(mod.stack_matrix(ref), words_by_full_kron(mod, ref))
 
 
 # -- Ext assembly against the per-coefficient loop ----------------------------

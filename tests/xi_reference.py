@@ -117,7 +117,7 @@ def xi_block(mod, key):
 
 
 def dense(mat) -> np.ndarray:
-    return mat.toarray() if sparse.issparse(mat) else np.asarray(mat)
+    return mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
 
 
 def xi_by_splitting(mod, key) -> np.ndarray:
