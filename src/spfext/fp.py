@@ -186,18 +186,12 @@ class CSR:
         data = np.asarray(data, dtype=np.int64)
         key = (np.asarray(rows, dtype=np.int64) * n
                + np.asarray(cols, dtype=np.int64))
-        if (key[1:] <= key[:-1]).any():
-            order = np.argsort(key)
-            key, data = key[order], data[order]
-            first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-            if first.size < key.size:
-                key, data = key[first], np.add.reduceat(data, first)
-        data = data % p
-        nz = data != 0
-        if not nz.all():
-            key, data = key[nz], data[nz]
-        row, col = np.divmod(key, max(n, 1))
-        return cls(_indptr(row, m), col, data, (m, n), p)
+        order = np.argsort(key)
+        key, data = key[order], data[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, data = key[first], np.add.reduceat(data, first) % p
+        row, col = np.divmod(key[data != 0], max(n, 1))
+        return cls(_indptr(row, m), col, data[data != 0], (m, n), p)
 
     @classmethod
     def from_dense(cls, a, p: int) -> CSR:
@@ -238,10 +232,8 @@ class CSR:
                                 (self.shape[0], other.shape[1]), self.p)
         out = np.zeros((self.shape[0],) + other.shape[1:], dtype=np.int64)
         filled = np.flatnonzero(self.indptr[1:] > self.indptr[:-1])
-        if filled.size:
-            terms = (self.data.reshape((-1,) + (1,) * (other.ndim - 1))
-                     * other[self.indices])
-            out[filled] = np.add.reduceat(terms, self.indptr[filled], axis=0) % self.p
+        terms = self.data.reshape((-1,) + (1,) * (other.ndim - 1)) * other[self.indices]
+        out[filled] = np.add.reduceat(terms, self.indptr[filled], axis=0) % self.p
         return out
 
     def __add__(self, other: CSR) -> CSR:

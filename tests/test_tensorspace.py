@@ -195,20 +195,25 @@ def test_span_rank_equals_schur_dimension(p, n):
 def test_sampled_products_stay_orbit_constant_d4():
     """At D = 4 full Gram checks are skipped; instead verify products of
     basis elements are constant on orbits of index pairs, i.e. lie in the
-    span of the basis."""
+    span of the basis.  Every position counts, zeros included, so an orbit
+    holding both a zero and a nonzero entry fails."""
     ts = get_space(2, 4, 4)
     keys = full_basis_keys(ts)
     sample = [xi_block(ts, keys[k]) for k in (13, 517, 1999, 3131)]
-    letters = ts.letters
+    n, letters = ts.n, ts.letters
+    # orbit key of (r, c): the sorted multiset of letter pairs, in base n * n
+    pairs = np.sort(letters[:, None, :] * n + letters[None, :, :], axis=2)
+    orbit = (pairs * (n * n) ** np.arange(ts.D)).sum(axis=2).ravel()
+    order = np.argsort(orbit, kind="stable")
+    same = orbit[order][1:] == orbit[order][:-1]
+    assert same.any()
+    nonzero = 0
     for a1 in sample:
         for a2 in sample[::-1]:
-            seen = {}
-            for r, c, v in zip(*(a1 @ a2).coo()):
-                key = tuple(sorted(zip(letters[r], letters[c])))
-                if key in seen:
-                    assert seen[key] == v
-                else:
-                    seen[key] = v
+            v = (a1 @ a2).toarray().ravel()[order]
+            assert (v[1:][same] == v[:-1][same]).all()
+            nonzero += np.count_nonzero(v)
+    assert nonzero
 
 
 def _generated_span(ts):
