@@ -27,6 +27,14 @@ def as_fp(a, p: int) -> np.ndarray:
     return np.array(a, dtype=np.int64) % p
 
 
+def distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for a 1-D a, without the numpy.ma import it makes."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
 

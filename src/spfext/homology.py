@@ -26,19 +26,22 @@ therefore still a proof of exactness.
 
 Ext groups are the cohomology of Hom(P_*, N), whose terms are weight
 spaces of N at partitions.  Each block of a differential, between the
-summands of partition mu and those of lam, is one product: the
-differential's coefficients on the words of Gamma^lam of weight mu,
-times the stacked action of those words on N_lam read at N_mu.  The
-same stacked words, ("words", lam), give the Yoneda maps: one
-`yoneda_operator` per level and weight, cut from the stack once and
-applied to every vector picked there.
+summands of partition mu and those of lam, is one product of two
+halves: the differential's coefficients on the words of Gamma^lam of
+weight mu, which depend on the resolution alone and are gathered once
+per resolution (`coefficient_blocks`), times the stacked action of those
+words on N_lam read at N_mu, the target's half.  The same stacked words,
+("words", lam), give the Yoneda maps: one `yoneda_operator` per level
+and weight, cut from the stack once and applied to every vector picked
+there.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -195,6 +198,9 @@ class Resolution:
     depth: int
     sweep: str
     truncated: bool = False
+    # per stage: its coefficient blocks, built on first use and never stored
+    _coefficients: dict[int, list] = field(default_factory=dict, init=False,
+                                           repr=False, compare=False)
 
     @property
     def built(self) -> int:
@@ -202,6 +208,13 @@ class Resolution:
 
     def term_partitions(self) -> list[list[tuple[int, ...]]]:
         return [list(st.summands) for st in self.stages]
+
+    def coefficients(self, s: int) -> list[tuple]:
+        """coefficient_blocks(self, s); the first list stored for s wins."""
+        hit = self._coefficients.get(s)
+        if hit is not None:
+            return hit
+        return self._coefficients.setdefault(s, coefficient_blocks(self, s))
 
 
 DEFAULT_MEM_BUDGET = 1 << 31
@@ -394,6 +407,34 @@ class ExtTable:
         }
 
 
+def coefficient_blocks(res: Resolution, s: int) -> list[tuple]:
+    """The half of ext_dims that reads the resolution alone, at stage s:
+    one (mu, lam, local, G, n_mu, n_lam) per partition mu of stage s+1 and
+    lam of stage s whose G has a nonzero.  local lists the dominant rows
+    (words) of Gamma^lam of weight mu, and row i * n_lam + j of G is the
+    i-th mu summand's differential column read there in the j-th lam one."""
+    p, n = res.p, res.n
+    stage, upper = res.stages[s], res.stages[s + 1]
+    out = []
+    for mu, (shape, rows, gens_at) in upper.blocks.items():
+        c = comp_of_partition(mu, n)
+        block = res.diffs[s + 1].get(c)
+        group = stage.groups.get(c)
+        if block is None or not block.size or group is None:
+            continue
+        gen = int(np.searchsorted(rows, generator_index(shape, mu)))
+        cols = block[:, np.searchsorted(upper.groups[c], gens_at + gen)]
+        for lam, (_, _, offs) in stage.blocks.items():
+            local = gamma_layout(p, n, lam)[1].get(c)
+            if local is None:
+                continue
+            pos = np.searchsorted(group, offs[:, None] + local[None, :])
+            G = cols[pos].transpose(2, 0, 1).reshape(-1, local.size)
+            if G.any():
+                out.append((mu, lam, local, G, gens_at.size, offs.size))
+    return out
+
+
 def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
     """Graded dimensions of Ext^s for s < built depth, from Hom(P_*, N).
 
@@ -401,51 +442,36 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
     over the summands of stage s, and delta^s sends a map to its
     composite with the differential.  Rows and columns are grouped by
     partition, which changes no rank.  For the summands of partition mu
-    in stage s+1 and of lam in stage s, the block is one product
-    G @ W: G holds the differential's coefficients on the words of each
-    lam summand that have weight mu (one row per pair of summands, one
-    column per word), and W is the stacked action of those words on
-    N_lam's basis, read at N_mu's pivots.
+    in stage s+1 and of lam in stage s, the block is one product G @ W:
+    G, from res.coefficients, is the resolution's half, and W, the stacked
+    action of G's words on N_lam's basis read at N_mu's pivots, the target's.
     """
     p, n = res.p, res.n
     comp = {lam: comp_of_partition(lam, n)
             for stage in res.stages for lam in stage.blocks}
-    wdim = {lam: target.weight_dim(c) for lam, c in comp.items()}
+    pivots = {lam: target.weight_indices(c) for lam, c in comp.items()}
+    wdim = {lam: ix.size for lam, ix in pivots.items()}
     actions: dict[tuple[int, ...], np.ndarray] = {}  # (words, w_lam, dim)
     starts = []  # per stage: each partition's first row, and the total
     for stage in res.stages:
         sizes = {lam: offs.size * wdim[lam]
                  for lam, (_, _, offs) in stage.blocks.items()}
-        ends = np.cumsum([0] + list(sizes.values())).tolist()
+        ends = list(accumulate(sizes.values(), initial=0))
         starts.append((dict(zip(sizes, ends)), ends[-1]))
     ranks = []
     for s in range(res.built):
-        stage, upper = res.stages[s], res.stages[s + 1]
         delta = fp.zeros(starts[s + 1][1], starts[s][1])
-        for mu, (shape, rows, gens_at) in upper.blocks.items():
-            block = res.diffs[s + 1].get(comp[mu])
-            group = stage.groups.get(comp[mu])
-            if not wdim[mu] or block is None or not block.size or group is None:
+        for mu, lam, local, G, n_mu, n_lam in res.coefficients(s):
+            if not wdim[mu] or not wdim[lam]:
                 continue
-            gen = int(np.searchsorted(rows, generator_index(shape, mu)))
-            cols = block[:, np.searchsorted(upper.groups[comp[mu]], gens_at + gen)]
-            mu_pivots = target.weight_indices(comp[mu])
-            for lam, (_, _, offs) in stage.blocks.items():
-                local = gamma_layout(p, n, lam)[1].get(comp[mu])
-                if not wdim[lam] or local is None:
-                    continue
-                if lam not in actions:
-                    actions[lam] = target.apply_stack(
-                        ("words", comp[lam]), target.weight_basis(comp[lam])[0])
-                pos = np.searchsorted(group, offs[:, None] + local[None, :])
-                G = cols[pos].transpose(2, 0, 1).reshape(-1, local.size)
-                W = actions[lam][local][:, :, mu_pivots].reshape(local.size, -1)
-                piece = fp.matmul(G, W, p).reshape(
-                    cols.shape[1], offs.size, wdim[lam], wdim[mu])
-                r0, c0 = starts[s + 1][0][mu], starts[s][0][lam]
-                delta[r0: r0 + cols.shape[1] * wdim[mu],
-                      c0: c0 + offs.size * wdim[lam]] = piece.transpose(
-                          0, 3, 1, 2).reshape(-1, offs.size * wdim[lam])
+            if lam not in actions:
+                actions[lam] = target.apply_stack(
+                    ("words", comp[lam]), target.weight_basis(comp[lam])[0])
+            W = actions[lam][local][:, :, pivots[mu]].reshape(local.size, -1)
+            piece = fp.matmul(G, W, p).reshape(n_mu, n_lam, wdim[lam], wdim[mu])
+            r0, c0 = starts[s + 1][0][mu], starts[s][0][lam]
+            delta[r0: r0 + n_mu * wdim[mu], c0: c0 + n_lam * wdim[lam]] = (
+                piece.transpose(0, 3, 1, 2).reshape(-1, n_lam * wdim[lam]))
         ranks.append(fp.rank(delta, p))
     return [starts[s][1] - ranks[s] - (ranks[s - 1] if s else 0)
             for s in range(res.built)]

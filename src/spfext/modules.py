@@ -125,9 +125,6 @@ class ModuleRep:
         rows[np.arange(idxs.size), idxs] = 1
         return rows, tuple(int(i) for i in idxs)
 
-    def weight_dim(self, comp: tuple[int, ...]) -> int:
-        return self.weight_indices(comp).size
-
     def character(self) -> dict[tuple[int, ...], int]:
         return {comp: idxs.size for comp, idxs in self.content_groups().items()}
 
@@ -441,7 +438,7 @@ class TensorModule(ModuleRep):
                  (k2[:, None] * d2 + i2).reshape(-1))).coo()
             pieces.append((t, t[row // self.dim], row % self.dim, col, data))
         kept, t, row, col, data = (np.concatenate(x) for x in zip(*pieces))
-        kept = np.unique(kept)
+        kept = fp.distinct(kept)
         return fp.CSR.from_coo(np.searchsorted(kept, t) * self.dim + row, col,
                                data, (kept.size * self.dim, self.dim), self.p)
 

@@ -11,7 +11,6 @@ memos they share keep the first value stored per key, and one lock in
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import young
@@ -234,6 +233,8 @@ def run_cases(cases: list[Case], jobs: int = 1) -> list[CaseResult]:
 
     if jobs <= 1 or len(cases) <= 1:
         return [execute(c) for c in cases]
+    # imported only here: concurrent.futures loads logging, a few ms per start
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(execute, cases))
 

@@ -155,7 +155,7 @@ class TensorSpace:
         content = (self.letters[:, :, None] == np.arange(n)).sum(axis=1)
         rows0 = (np.arange(N) if every
                  else np.flatnonzero((np.diff(content, axis=1) <= 0).all(axis=1)))
-        kept = np.unique(word[rows0])
+        kept = fp.distinct(word[rows0])
         cols = np.flatnonzero((content == comp).all(axis=1))
         # slot s of column J carries slot inv[s] of J0, so (I, J) = sigma (I0, J0)
         inv = np.argsort(np.argsort(self.letters[cols], axis=1, kind="stable"),

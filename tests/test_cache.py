@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spfext import cache as ca
+from spfext import homology
 from spfext.homology import clear_resolution_memo, ext, ext_dims, resolve_expression
 from spfext.functors import evaluate
 
@@ -96,13 +97,66 @@ def test_cache_hit_reproduces_tables(tmp_path):
     clear_resolution_memo()
 
 
+# one source and its targets: shapes, a submodule, duals and a simple
+SPLIT_SOURCE, SPLIT_DEPTH = "twist(I*I,1)", 5
+SPLIT_TARGETS = ["S(4)", "L(4)", "schur(3,1)", "dual(schur(2,2))",
+                 "dual(G(4))", "simple(2,2)"]
+
+
 def test_loaded_resolution_supports_ext(tmp_path):
+    """A resolution loaded from the disk cache, which builds its own
+    coefficient blocks, gives the fresh resolution's Ext dims."""
     store = ca.ResolutionCache(tmp_path)
-    res = resolve_expression("twist(I,1)", 2, 3)
-    store.store(res)
-    loaded = store.load("twist(I,1)", 2, 2, 3, "dominance")
-    target = evaluate("L(2)", 2)
-    assert ext_dims(loaded, target) == ext_dims(res, target)
+    for source, depth, targets in (("twist(I,1)", 3, ["L(2)"]),
+                                   (SPLIT_SOURCE, SPLIT_DEPTH, SPLIT_TARGETS)):
+        fresh = homology.resolve(evaluate(source, 2), depth)
+        store.store(fresh)
+        loaded = store.load(fresh.source, 2, fresh.n, depth, "dominance")
+        assert loaded is not None and loaded is not fresh
+        for text in targets:
+            target = evaluate(text, 2)
+            assert ext_dims(loaded, target) == ext_dims(fresh, target), text
+
+
+def test_coefficient_blocks_are_built_once_per_resolution(monkeypatch):
+    built = []
+    real = homology.coefficient_blocks
+
+    def counted(res, s):
+        built.append((id(res), s))
+        return real(res, s)
+
+    monkeypatch.setattr(homology, "coefficient_blocks", counted)
+    module = evaluate(SPLIT_SOURCE, 2)
+    res = homology.resolve(module, SPLIT_DEPTH)
+    targets = [evaluate(text, 2) for text in SPLIT_TARGETS]
+    first = [ext_dims(res, target) for target in targets]
+    assert built == [(id(res), s) for s in range(res.built)]
+    assert [ext_dims(res, target) for target in targets] == first
+    # another resolution of the same module builds its own, once
+    other = homology.resolve(module, SPLIT_DEPTH, sweep="reversed")
+    assert [ext_dims(other, target) for target in targets] == first
+    assert built[res.built:] == [(id(other), s) for s in range(other.built)]
+
+
+def test_ext_dims_leaves_the_cache_file_byte_identical(tmp_path):
+    """The coefficient blocks an Ext table builds on a resolution stay out
+    of its cache entry: the file, and a store of the same resolution after
+    the tables, match the entry written before them byte for byte."""
+    clear_resolution_memo()
+    ext(SPLIT_SOURCE, SPLIT_TARGETS[0], 2, cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    before = path.read_bytes()
+    clear_resolution_memo()
+    for text in SPLIT_TARGETS:
+        ext(SPLIT_SOURCE, text, 2, cache_dir=str(tmp_path))
+    res = resolve_expression(SPLIT_SOURCE, 2, SPLIT_DEPTH,
+                             cache_dir=str(tmp_path))
+    assert res._coefficients
+    assert path.read_bytes() == before
+    again = ca.ResolutionCache(tmp_path / "again").store(res)
+    assert again.read_bytes() == before
+    clear_resolution_memo()
 
 
 def test_env_override(monkeypatch, tmp_path):

@@ -262,18 +262,25 @@ NO_SCIPY = textwrap.dedent("""
             if name.split(".")[0] == "scipy":
                 raise ImportError(f"{name} is refused")
 
+    def loaded(name):
+        return sorted(m for m in sys.modules
+                      if m == name or m.startswith(name + "."))
+
     sys.meta_path.insert(0, RefuseScipy())
     from spfext.cli import main
+    pool = loaded("concurrent.futures")
     assert main(["selftest"]) == 0
     assert main(["ext", "--p", "2", "--src", "twist(I,1)", "--tgt", "G(2)",
                  "--i", "1", "--format", "json"]) == 0
-    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    print(json.dumps({"scipy": loaded("scipy"), "numpy.ma": loaded("numpy.ma"),
+                      "concurrent.futures": pool}))
 """)
 
 
 def test_cli_runs_without_scipy():
     """The runtime needs numpy only: with every scipy import refused, the
-    self-test and a degree-2 Ext table run, and no scipy module loads."""
+    self-test and a degree-2 Ext table run, and no scipy module loads.
+    Neither does numpy.ma, nor, on importing the CLI, the thread pool."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "SPFEXT_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -283,4 +290,5 @@ def test_cli_runs_without_scipy():
     *selftest, table, loaded = done.stdout.splitlines()
     assert selftest and all(line.startswith("PASS") for line in selftest)
     assert json.loads(table)["dims"] == [0, 0, 1]
-    assert json.loads(loaded) == []
+    assert json.loads(loaded) == {"scipy": [], "numpy.ma": [],
+                                  "concurrent.futures": []}

@@ -246,6 +246,15 @@ def test_extend_rref_matches_basis_rows_of_the_concatenation(p, data):
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.integers(-5, 5), max_size=20))
+def test_distinct_matches_unique(values):
+    a = np.array(values, dtype=np.int64)
+    got = fp.distinct(a)
+    assert got.dtype == a.dtype
+    assert got.tolist() == np.unique(a).tolist()
+
+
 def test_extend_rref_of_an_empty_span():
     new = np.array([[0, 2, 1], [0, 1, 2]])
     got, pivots = fp.extend_rref(fp.zeros(0, 3), [], new, 3)

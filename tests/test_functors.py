@@ -477,7 +477,7 @@ def test_tensor_module_agrees_with_shape():
 def test_weight_space_completeness():
     for text in ["schur(2,2)", "dual(schur(2,2))", "simple(2,2)"]:
         mod = evaluate(text, 2)
-        assert sum(mod.weight_dim(c) for c in compositions(4, 4)) == mod.dim
+        assert sum(mod.weight_indices(c).size for c in compositions(4, 4)) == mod.dim
 
 
 def test_quotients_match_linear_algebra_route():
@@ -536,7 +536,7 @@ def _hom_space_by_assembly(src, tgt):
     p = src.p
     blocks = []
     for comp in compositions(src.D, src.n):
-        ws, wt = src.weight_dim(comp), tgt.weight_dim(comp)
+        ws, wt = src.weight_indices(comp).size, tgt.weight_indices(comp).size
         if ws and wt:
             blocks.append((tuple(comp), ws, wt))
     src_hat, tgt_rows = {}, {}

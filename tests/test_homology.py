@@ -132,9 +132,9 @@ def test_yoneda_bottom_row():
     for tgt in ["S(2)", "L(2)", "G(2)", "twist(I,1)"]:
         mod = evaluate(tgt, 2)
         table = ext("G(2)", tgt, 2)
-        assert table.dims[0] == mod.weight_dim((2, 0))
+        assert table.dims[0] == mod.weight_indices((2, 0)).size
         table = ext("G(1,1)", tgt, 2)
-        assert table.dims[0] == mod.weight_dim((1, 1))
+        assert table.dims[0] == mod.weight_indices((1, 1)).size
 
 
 def test_kuhn_duality_swap_symmetry():

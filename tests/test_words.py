@@ -354,7 +354,7 @@ def ext_dims_by_loop(res, target):
     p, n, built = res.p, res.n, res.built
     wdims, offsets = [], []
     for stage in res.stages:
-        ws = [target.weight_dim(comp_of_partition(lam, n))
+        ws = [target.weight_indices(comp_of_partition(lam, n)).size
               for lam in stage.summands]
         wdims.append(ws)
         offsets.append(list(np.cumsum([0] + ws[:-1])))
