@@ -179,7 +179,7 @@ class ResolutionCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+                handle.write(stable_json(payload))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

@@ -4,9 +4,12 @@ Dense matrices are numpy int64 arrays with every entry reduced into
 [0, p).  Sparse operators are CSR, this module's compressed-row type,
 with the same convention: every CSR is canonical, so equal matrices
 have equal arrays, and every operation on CSRs returns a canonical CSR
-without re-validating its input.  All elimination routines pivot
-deterministically (leftmost nonzero column, topmost row) so echelon
-forms are reproducible across runs and platforms.
+without re-validating its input.  Where an output's order is known, it
+is kept rather than sorted again: diagonal_copies tiles its input's
+arrays, and take_cols, which takes strictly increasing columns only,
+renumbers each kept entry where it stands.  All elimination routines
+pivot deterministically (leftmost nonzero column, topmost row) so
+echelon forms are reproducible across runs and platforms.
 
 Row reduction works in the narrowest storage that holds every
 intermediate value exactly: booleans updated by XOR at p = 2, int16
@@ -24,7 +27,7 @@ import numpy as np
 
 def as_fp(a, p: int) -> np.ndarray:
     """Copy `a` into an int64 array with entries reduced mod p."""
-    return np.array(a, dtype=np.int64) % p
+    return np.asarray(a, dtype=np.int64) % p
 
 
 def distinct(a: np.ndarray) -> np.ndarray:
@@ -264,8 +267,20 @@ class CSR:
                    self.data[at], (rows.size, self.shape[1]), self.p)
 
     def take_cols(self, cols) -> CSR:
-        """The columns at `cols`, in that order."""
-        return self.T[cols].T
+        """The columns at `cols`, strictly increasing: each entry in a kept
+        column moves to that column's position, so every row stays sorted."""
+        cols = np.asarray(cols, dtype=np.int64)
+        if cols.size and (cols[0] < 0 or cols[-1] >= self.shape[1]
+                          or (np.diff(cols) <= 0).any()):
+            raise ValueError(f"take_cols needs strictly increasing columns "
+                             f"of {self.shape[1]}")
+        position = np.full(self.shape[1], -1, dtype=np.int64)
+        position[cols] = np.arange(cols.size)
+        col = position[self.indices]
+        keep = col >= 0
+        indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr]
+        return CSR(indptr, col[keep], self.data[keep],
+                   (self.shape[0], cols.size), self.p)
 
     @property
     def T(self) -> CSR:
@@ -308,6 +323,16 @@ def vstack(mats: list[CSR], cols: int, p: int) -> CSR:
     indptr, none = np.concatenate(indptr), [np.zeros(0, dtype=np.int64)]
     return CSR(indptr, np.concatenate(none + [m.indices for m in mats]),
                np.concatenate(none + [m.data for m in mats]), (indptr.size - 1, cols), p)
+
+
+def diagonal_copies(a: CSR, copies: int) -> CSR:
+    """kron(identity(copies), a): `copies` copies of `a` down the diagonal,
+    tiled from a's arrays, copy k shifted by k * a.shape[1] columns."""
+    m, n = a.shape
+    shift = np.arange(copies)[:, None]
+    indptr = np.concatenate([[0], (a.indptr[1:] + shift * a.nnz).reshape(-1)])
+    return CSR(indptr, (a.indices + shift * n).reshape(-1),
+               np.tile(a.data, copies), (copies * m, copies * n), a.p)
 
 
 def kron(a: CSR, b: CSR, pairs=None) -> CSR:

@@ -16,7 +16,8 @@ comparison of the two modules' contents.  generator_action stacks the
 action of the other Schur-algebra generators, the simple-root divided
 powers at powers of p, into one sparse matrix, built once per module,
 and check_equivariance proves a map equivariant with the weight
-comparison and one product against that stack.
+comparison and two products with the two modules' stacks, which are
+canonical and so are compared array by array.
 
 Duals act through the flip anti-automorphism, submodules through an
 RREF basis of a stable subspace, and binary tensor products through the
@@ -101,13 +102,13 @@ class ModuleRep:
         """Each weight's basis indices, ascending, the weights in the order
         of their first basis vector."""
         if self._groups is None:
-            keys, first, inverse, counts = np.unique(
-                self.contents, axis=0, return_index=True, return_inverse=True,
-                return_counts=True)
-            members = np.split(np.argsort(inverse.reshape(-1), kind="stable"),
-                               np.cumsum(counts)[:-1])
-            self._groups = {tuple(keys[k].tolist()): members[k]
-                            for k in np.argsort(first)}
+            # contents lie in [0, D], so base D + 1 keys them one to one
+            key = self.contents @ (self.D + 1) ** np.arange(self.n)
+            order = np.argsort(key, kind="stable")
+            starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+            members = np.split(order, starts[1:])
+            self._groups = {tuple(self.contents[order[starts[k]]].tolist()):
+                            members[k] for k in np.argsort(order[starts])}
         return self._groups
 
     def weight_indices(self, comp: tuple[int, ...]) -> np.ndarray:
@@ -487,7 +488,7 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
         # where some map fails to commute constrain the kernel
         stacked = maps.reshape(K * t, s)
         resid = (stacked @ act_src
-                 - fp.kron(fp.CSR.identity(K, p), act_tgt) @ stacked).reshape(K, t * s)
+                 - fp.diagonal_copies(act_tgt, K) @ stacked).reshape(K, t * s)
         row, col, data = resid.coo()
         entries, at = np.unique(col, return_inverse=True)
         dense = fp.zeros(entries.size, K)
@@ -506,10 +507,11 @@ def check_equivariance(matrix, src: ModuleRep, tgt: ModuleRep) -> None:
 
     First every nonzero of phi must join two basis vectors of one weight,
     which is commuting with every weight idempotent.  Then every ref of
-    `generator_refs` is checked at once, as the stacked products
-    kron(I_R, phi) @ A_src and A_tgt @ phi of generator_action.  The
-    weight idempotents and these divided powers generate the Schur
-    algebra, so a pass is a proof.  The error names the first weight
+    `generator_refs` is checked at once: the stacked products
+    diagonal_copies(phi, R) @ A_src and A_tgt @ phi of generator_action
+    are canonical, so they must have equal arrays.  The weight
+    idempotents and these divided powers generate the Schur algebra, so
+    a pass is a proof.  The error names the first weight
     mismatch, or else the first failing ref.  `matrix` may be dense or a
     CSR; it is not modified.
     """
@@ -529,8 +531,9 @@ def check_equivariance(matrix, src: ModuleRep, tgt: ModuleRep) -> None:
             f"weight {tuple(tgt.contents[row[k]].tolist())}")
     refs, a_src = src.generator_action()
     _, a_tgt = tgt.generator_action()
-    diff = fp.kron(fp.CSR.identity(len(refs), p), phi) @ a_src - a_tgt @ phi
-    if diff.nnz:
-        row = int(np.flatnonzero(np.diff(diff.indptr))[0])
+    left, right = fp.diagonal_copies(phi, len(refs)) @ a_src, a_tgt @ phi
+    if not all(map(np.array_equal, (left.indptr, left.indices, left.data),
+                   (right.indptr, right.indices, right.data))):
+        row = int(np.flatnonzero(np.diff((left - right).indptr))[0])
         raise EquivarianceError(
             f"map fails to commute with {refs[row // tgt.dim]!r}")

@@ -423,6 +423,21 @@ def test_equivariance_error_names_the_last_generator():
         check_equivariance(np.eye(mod.dim, dtype=np.int64), mod, Twin())
 
 
+def test_equivariance_refuses_a_change_of_value_alone():
+    """Doubling one stored entry of a Koszul differential at p = 3 keeps
+    its sparsity pattern, so every weight check passes and only the
+    products' entries can tell; the error names a generator."""
+    nat = canonical_map("koszul_diff", 3, a=2, b=1)
+    phi, refs = nat.matrix, nat.source.space.generator_refs()
+    for k in range(phi.nnz):
+        data = phi.data.copy()
+        data[k] = 2 * data[k] % 3
+        bad = fp.CSR(phi.indptr, phi.indices, data, phi.shape, phi.p)
+        with pytest.raises(EquivarianceError, match="fails to commute") as err:
+            check_equivariance(bad, nat.source, nat.target)
+        assert any(repr(ref) in str(err.value) for ref in refs)
+
+
 # -- Schur, Weyl, simple ------------------------------------------------------
 
 
