@@ -104,15 +104,14 @@ def resolution_payload(res) -> dict:
         "context": context,
         "stages": stages,
         "diffs": diffs,
-        "truncated": res.truncated,
     }
 
 
 def resolution_from_payload(payload: dict):
-    """The resolution a payload stores.  Each stage label is checked to be
-    a partition of the source's degree, and each block's shape against the
-    dominant weight groups of its source and target stage; a mismatch
-    raises ValueError."""
+    """The resolution a payload stores.  It must hold one stage per degree
+    up to its depth, each stage label is checked to be a partition of the
+    source's degree, and each block's shape against the dominant weight
+    groups of its source and target stage; a mismatch raises ValueError."""
     from .functors import evaluate
     from .homology import Resolution, Stage, dominant_groups
 
@@ -121,6 +120,9 @@ def resolution_from_payload(payload: dict):
     module = evaluate(ctx["expression"], p)
     stages = [Stage([_stage_label(text, module.D, n) for text in parts], p, n)
               for parts in payload["stages"]]
+    if len(stages) != ctx["depth"] + 1:
+        raise ValueError(f"cache entry has {len(stages)} stages, its depth "
+                         f"{ctx['depth']} needs {ctx['depth'] + 1}")
     if len(payload["diffs"]) != len(stages):
         raise ValueError("cache entry has not one differential per stage")
     diffs = []
@@ -138,10 +140,9 @@ def resolution_from_payload(payload: dict):
                                  f"the stages give {want}")
         diffs.append(diff)
         rows_groups = stage.groups
-    res = Resolution(source=ctx["expression"], p=p, n=n, module=module,
-                     stages=stages, diffs=diffs, depth=ctx["depth"],
-                     sweep=ctx["sweep"], truncated=payload["truncated"])
-    return res
+    return Resolution(source=ctx["expression"], p=p, n=n, module=module,
+                      stages=stages, diffs=diffs, depth=ctx["depth"],
+                      sweep=ctx["sweep"])
 
 
 class ResolutionCache:

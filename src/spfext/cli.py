@@ -1,9 +1,10 @@
 """Command-line front end: ext, check, slicings, resolve, selftest.
 
 Exit codes: 0 success, 1 check failure, 2 parse error, 3 semantic
-error, 4 resource budget exceeded.  All output is deterministic: no
-timings or paths are written to stdout, and suite results are emitted
-in definition order regardless of the worker pool width.
+error, 4 the ambient dimension cap (modules.AMBIENT_CAP) exceeded.  All
+output is deterministic: no timings or paths are written to stdout, and
+suite results are emitted in definition order regardless of the worker
+pool width.
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ _FLAGS = {
     "depth": dict(type=int, default=None, help="resolution depth override"),
     "cache-dir": dict(default=None, help=f"resolution cache directory (env "
                                          f"{ENV_CACHE_DIR} overrides)"),
-    "mem-budget": dict(type=int, default=None,
-                       help="resolution memory budget in bytes"),
     "jobs": dict(type=int, default=1, help="worker threads for the cases of a suite"),
     "allow-large": dict(action="store_true",
                         help=f"lift the degree <= {LARGE_DEGREE_LIMIT} guard"),
 }
-_RESOLVING = ("p", "i", "d", "depth", "cache-dir", "mem-budget", "allow-large")
+_RESOLVING = ("p", "i", "d", "depth", "cache-dir", "allow-large")
 
 
 def _add_flags(parser: argparse.ArgumentParser, names: tuple[str, ...],
@@ -115,7 +114,6 @@ def cmd_ext(args) -> int:
     D = degree(src, p)
     _validate_degree(args, p, i, D)
     table = ext(src, tgt, p, i=i, depth=args.depth,
-                budget=args.mem_budget,
                 cache_dir=default_cache_dir(args.cache_dir))
     payload = table.payload()
     if args.format == "json":
@@ -129,9 +127,7 @@ def cmd_ext(args) -> int:
               f"i={table.i}, depth={table.depth}")
         for s, dim in enumerate(table.dims):
             print(f"  s={s}: {dim}")
-        if table.truncated:
-            print("  (truncated by the memory budget)")
-    return EXIT_BUDGET if table.truncated else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_check(args) -> int:
@@ -203,7 +199,6 @@ def cmd_resolve(args) -> int:
     _validate_degree(args, p, i, D)
     depth = default_depth(p, i, D)[0] if args.depth is None else args.depth
     res = resolve_expression(node, p, depth, sweep=args.sweep,
-                             budget=args.mem_budget,
                              cache_dir=default_cache_dir(args.cache_dir))
     # the user's spelling: a shared resolution may carry another one
     source = canon(node)
@@ -211,16 +206,13 @@ def cmd_resolve(args) -> int:
              for stage in res.term_partitions()]
     if args.format == "json":
         print(json.dumps({"source": source, "p": res.p, "depth": res.depth,
-                          "terms": terms, "truncated": res.truncated},
-                         sort_keys=True))
+                          "terms": terms}, sort_keys=True))
     else:
         print(f"resolution of {source} over F_{res.p}, depth {res.depth}")
         for s, stage in enumerate(terms):
             body = " + ".join(f"G({t})" for t in stage) if stage else "0"
             print(f"  P_{s} = {body}")
-        if res.truncated:
-            print("  (truncated by the memory budget)")
-    return EXIT_BUDGET if res.truncated else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_selftest(args) -> int:

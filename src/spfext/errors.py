@@ -22,7 +22,7 @@ class AdmissibilityError(SemanticError):
 
 
 class BudgetExceededError(SpfextError):
-    """A configured memory/dimension budget would be exceeded."""
+    """A module's ambient tensor space would exceed modules.AMBIENT_CAP."""
 
 
 class EquivarianceError(SpfextError):

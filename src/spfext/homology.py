@@ -197,14 +197,9 @@ class Resolution:
     diffs: list[dict[tuple[int, ...], np.ndarray]]
     depth: int
     sweep: str
-    truncated: bool = False
     # per stage: its coefficient blocks, built on first use and never stored
     _coefficients: dict[int, list] = field(default_factory=dict, init=False,
                                            repr=False, compare=False)
-
-    @property
-    def built(self) -> int:
-        return len(self.stages) - 1
 
     def term_partitions(self) -> list[list[tuple[int, ...]]]:
         return [list(st.summands) for st in self.stages]
@@ -217,9 +212,6 @@ class Resolution:
         return self._coefficients.setdefault(s, coefficient_blocks(self, s))
 
 
-DEFAULT_MEM_BUDGET = 1 << 31
-
-
 def _shape_source(module: ModuleRep) -> ShapeModule:
     if not isinstance(module, ShapeModule):
         raise UnsupportedExpressionError(
@@ -227,9 +219,10 @@ def _shape_source(module: ModuleRep) -> ShapeModule:
     return module
 
 
-def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
-            budget: int | None = None) -> Resolution:
-    """Projective resolution of a shape module to the requested depth.
+def resolve(module: ShapeModule, depth: int,
+            sweep: str = "dominance") -> Resolution:
+    """Projective resolution of a shape module to the requested depth:
+    always depth + 1 stages.
 
     Stages, differentials and kernels are kept at dominant weights only.
     Exactness of every computed stage and d o d = 0 are verified block
@@ -247,7 +240,6 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
         sweep_parts = list(reversed(sweep_parts))
     elif sweep != "dominance":
         raise SemanticError(f"unknown sweep {sweep!r}")
-    budget = DEFAULT_MEM_BUDGET if budget is None else budget
 
     res = Resolution(source=module.expression(), p=p, n=n, module=module,
                      stages=[], diffs=[], depth=depth, sweep=sweep)
@@ -255,7 +247,6 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
     groups = dominant_groups(module.content_groups())
     kernel_blocks = {c: fp.identity(len(ix))
                      for c, ix in groups.items() if len(ix)}
-    bytes_used = 0
 
     for s in range(depth + 1):
         gens: list[tuple[int, ...]] = []
@@ -329,10 +320,6 @@ def resolve(module: ShapeModule, depth: int, sweep: str = "dominance",
 
         res.stages.append(stage)
         res.diffs.append(diff)
-        bytes_used += sum(b.nbytes for b in diff.values())
-        if bytes_used > budget and s < depth:
-            res.truncated = True
-            break
         if stage.dim == 0:
             # kernel was zero; the resolution is complete
             for _ in range(s + 1, depth + 1):
@@ -351,7 +338,6 @@ _RES_LOCK = threading.Lock()
 
 
 def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
-                       budget: int | None = None,
                        cache_dir: str | None = None) -> Resolution:
     """Resolve the module of an expression, memoized in-process and
     optionally backed by the on-disk cache.
@@ -361,7 +347,7 @@ def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
     one entry; the resolution's source is the shape's own expression.
     """
     module = _shape_source(evaluate(as_node(expr), p))
-    key = (p, module.n, module.blocks, module.m, depth, sweep, budget)
+    key = (p, module.n, module.blocks, module.m, depth, sweep)
     with _RES_LOCK:
         hit = _RES_CACHE.get(key)
         if hit is not None:
@@ -373,8 +359,8 @@ def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
             store = cache_mod.ResolutionCache(cache_dir)
             res = store.load(module.expression(), p, module.n, depth, sweep)
         if res is None:
-            res = resolve(module, depth, sweep=sweep, budget=budget)
-            if store is not None and not res.truncated:
+            res = resolve(module, depth, sweep=sweep)
+            if store is not None:
                 store.store(res)
         _RES_CACHE[key] = res
         return res
@@ -396,14 +382,12 @@ class ExtTable:
     target: str
     dims: list[int]
     depth: int
-    truncated: bool
 
     def payload(self) -> dict:
         return {
             "p": self.p, "i": self.i, "d": self.d,
             "source": self.source, "target": self.target,
-            "dims": list(self.dims), "depth": self.depth,
-            "truncated": self.truncated, "version": 1,
+            "dims": list(self.dims), "depth": self.depth, "version": 2,
         }
 
 
@@ -436,7 +420,7 @@ def coefficient_blocks(res: Resolution, s: int) -> list[tuple]:
 
 
 def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
-    """Graded dimensions of Ext^s for s < built depth, from Hom(P_*, N).
+    """Graded dimensions of Ext^s for s < depth, from Hom(P_*, N).
 
     Hom(Gamma^lam, N) is N_lam, so the term of degree s is the sum of N_lam
     over the summands of stage s, and delta^s sends a map to its
@@ -459,7 +443,7 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
         ends = list(accumulate(sizes.values(), initial=0))
         starts.append((dict(zip(sizes, ends)), ends[-1]))
     ranks = []
-    for s in range(res.built):
+    for s in range(res.depth):
         delta = fp.zeros(starts[s + 1][1], starts[s][1])
         for mu, lam, local, G, n_mu, n_lam in res.coefficients(s):
             if not wdim[mu] or not wdim[lam]:
@@ -474,7 +458,7 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
                 piece.transpose(0, 3, 1, 2).reshape(-1, n_lam * wdim[lam]))
         ranks.append(fp.rank(delta, p))
     return [starts[s][1] - ranks[s] - (ranks[s - 1] if s else 0)
-            for s in range(res.built)]
+            for s in range(res.depth)]
 
 
 def default_depth(p: int, i: int, D: int) -> tuple[int, int | None]:
@@ -487,8 +471,7 @@ def default_depth(p: int, i: int, D: int) -> tuple[int, int | None]:
 
 
 def ext(src, tgt, p: int, i: int = 1, depth: int | None = None,
-        sweep: str = "dominance", budget: int | None = None,
-        cache_dir: str | None = None) -> ExtTable:
+        sweep: str = "dominance", cache_dir: str | None = None) -> ExtTable:
     """Graded dims of Ext^s(source, target) for s = 0 .. depth-1."""
     check_field(p, i)
     src_node = as_node(src)
@@ -502,14 +485,12 @@ def ext(src, tgt, p: int, i: int = 1, depth: int | None = None,
     auto_depth, d_param = default_depth(p, i, d_src)
     if depth is None:
         depth = auto_depth
-    res = resolve_expression(src_node, p, depth, sweep=sweep, budget=budget,
+    res = resolve_expression(src_node, p, depth, sweep=sweep,
                              cache_dir=cache_dir)
     target = evaluate(tgt_node, p)
     dims = ext_dims(res, target)
-    table = ExtTable(p=p, i=i, d=d_param, source=canon(src_node),
-                     target=canon(tgt_node), dims=dims,
-                     depth=depth, truncated=res.truncated)
-    return table
+    return ExtTable(p=p, i=i, d=d_param, source=canon(src_node),
+                    target=canon(tgt_node), dims=dims, depth=depth)
 
 
 def kr_cohomology(f_expr, v: int, p: int, i: int,

@@ -131,12 +131,12 @@ def test_coefficient_blocks_are_built_once_per_resolution(monkeypatch):
     res = homology.resolve(module, SPLIT_DEPTH)
     targets = [evaluate(text, 2) for text in SPLIT_TARGETS]
     first = [ext_dims(res, target) for target in targets]
-    assert built == [(id(res), s) for s in range(res.built)]
+    assert built == [(id(res), s) for s in range(res.depth)]
     assert [ext_dims(res, target) for target in targets] == first
     # another resolution of the same module builds its own, once
     other = homology.resolve(module, SPLIT_DEPTH, sweep="reversed")
     assert [ext_dims(other, target) for target in targets] == first
-    assert built[res.built:] == [(id(other), s) for s in range(other.built)]
+    assert built[res.depth:] == [(id(other), s) for s in range(other.depth)]
 
 
 def test_ext_dims_leaves_the_cache_file_byte_identical(tmp_path):
@@ -222,13 +222,26 @@ def _top_level_list(payload):
     return json.dumps([payload])
 
 
+def _one_stage_too_few(payload):
+    """The last stage and its differential dropped: the entry would give
+    twist(I,1) against G(2) as [0, 0], one degree short of its depth."""
+    return json.dumps(dict(payload, stages=payload["stages"][:-1],
+                           diffs=payload["diffs"][:-1]))
+
+
+def _one_stage_too_many(payload):
+    return json.dumps(dict(payload, stages=payload["stages"] + [[]],
+                           diffs=payload["diffs"] + [{}]))
+
+
 # a wrong JSON type is damage too: it must not escape as a TypeError
 @pytest.mark.parametrize("corrupt", [
     _drop_last_column, _letter_in_block,
     lambda payload: json.dumps(payload)[:-40],
     lambda payload: json.dumps(dict(payload, context=dict(
         payload["context"], expression="twist(I,2)"))),
-    _data_not_a_list, _stages_not_a_list, _top_level_list])
+    _data_not_a_list, _stages_not_a_list, _top_level_list,
+    _one_stage_too_few, _one_stage_too_many])
 def test_damaged_entry_is_recomputed(tmp_path, corrupt):
     clear_resolution_memo()
     cold = ext("twist(I,1)", "G(2)", 2, cache_dir=str(tmp_path))
@@ -248,8 +261,8 @@ def test_damaged_entry_is_recomputed(tmp_path, corrupt):
 @pytest.mark.parametrize("label", ["40", "2,0", "3", "1", 2])
 def test_stage_label_that_is_no_partition_of_the_degree_is_a_miss(tmp_path, label):
     """A stage label must be a partition of the source's degree into at
-    most n parts: "40" would build a Gamma^40 summand past the memory
-    budget, "2,0" would load with a zero part, and the number 2 is no
+    most n parts: "40" would build a Gamma^40 summand past the ambient
+    cap, "2,0" would load with a zero part, and the number 2 is no
     label at all."""
     clear_resolution_memo()
     store = ca.ResolutionCache(tmp_path)
@@ -267,6 +280,29 @@ def test_stage_label_that_is_no_partition_of_the_degree_is_a_miss(tmp_path, labe
     assert again.payload() == cold.payload()
     loaded = store.load("twist(I,1)", 2, 2, 3, "dominance")
     assert loaded is not None and loaded.term_partitions()[0] == [(2,)]
+    clear_resolution_memo()
+
+
+def test_entry_with_the_former_truncated_key_is_a_hit(tmp_path, monkeypatch):
+    """Schema 2 files written before the key was dropped carry
+    "truncated": false; they load without a resolve, to the same tables."""
+    clear_resolution_memo()
+    fresh = {text: ext(SPLIT_SOURCE, text, 2).dims for text in SPLIT_TARGETS}
+    res = resolve_expression(SPLIT_SOURCE, 2, SPLIT_DEPTH)
+    path = ca.ResolutionCache(tmp_path).store(res)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert "truncated" not in payload
+    path.write_text(ca.stable_json(dict(payload, truncated=False)),
+                    encoding="utf-8")
+    clear_resolution_memo()
+
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("a stored resolution was resolved again")
+
+    monkeypatch.setattr(homology, "resolve", no_resolve)
+    for text in SPLIT_TARGETS:
+        table = ext(SPLIT_SOURCE, text, 2, cache_dir=str(tmp_path))
+        assert table.dims == fresh[text], text
     clear_resolution_memo()
 
 

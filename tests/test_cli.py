@@ -66,15 +66,14 @@ def test_ext_d_flag_validation(capsys):
     assert code == 3
 
 
-def test_ext_budget_exit(capsys):
-    from spfext.homology import clear_resolution_memo
-    clear_resolution_memo()
-    code, out, _ = run_cli(capsys, "ext", "--p", "2", "--src", "twist(I,1)",
-                           "--tgt", "G(2)", "--format", "json",
-                           "--mem-budget", "1")
-    assert code == 4
-    assert json.loads(out)["truncated"] is True
-    clear_resolution_memo()
+def test_ambient_cap_exit(capsys):
+    """Exit code 4 means the ambient dimension cap: G(8) at p = 2 needs
+    8^8 = 2^24 tensor coordinates, past the cap of 2^22."""
+    code, out, err = run_cli(capsys, "ext", "--allow-large", "--src", "G(8)",
+                             "--tgt", "G(8)")
+    assert code == 4 and out == ""
+    assert err == ("budget exceeded: ambient dimension 16777216 exceeds "
+                   "cap 4194304\n")
 
 
 def test_ext_csv_format(capsys):
@@ -125,6 +124,7 @@ def test_resolve_prints_terms(capsys):
                            "--p", "2", "--format", "json")
     assert code == 0
     payload = json.loads(out)
+    assert set(payload) == {"source", "p", "depth", "terms"}
     assert payload["terms"] == [["2"], ["1,1"], ["2"], []]
 
 
@@ -152,7 +152,9 @@ def test_format_offers_only_what_the_command_prints(capsys, argv, message):
     (("check", "--suite", "koszul", "--mem-budget", "1"), "--mem-budget"),
     (("check", "--suite", "koszul", "--allow-large"), "--allow-large"),
     (("ext", "--src", "I", "--tgt", "I", "--jobs", "2"), "--jobs"),
-    (("resolve", "--expr", "I", "--jobs", "2"), "--jobs")])
+    (("resolve", "--expr", "I", "--jobs", "2"), "--jobs"),
+    (("ext", "--src", "I", "--tgt", "I", "--mem-budget", "1"), "--mem-budget"),
+    (("resolve", "--expr", "I", "--mem-budget", "1"), "--mem-budget")])
 def test_subcommands_take_only_the_flags_they_read(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

@@ -81,7 +81,7 @@ def test_hom_from_gamma_refuses_a_vector_of_another_weight():
 def test_resolution_of_twisted_identity():
     res = resolve_expression("twist(I,1)", 2, 3)
     assert res.term_partitions() == [[(2,)], [(1, 1)], [(2,)], []]
-    assert not res.truncated
+    assert len(res.stages) == len(res.diffs) == res.depth + 1
 
 
 def test_resolution_of_projective_stops_immediately():
@@ -222,26 +222,8 @@ def test_ext_table_payload_shape():
     table = ext("twist(I,1)", "S(2)", 2)
     payload = table.payload()
     assert set(payload) == {"p", "i", "d", "source", "target", "dims",
-                            "depth", "truncated", "version"}
-    assert payload["d"] == 1 and payload["version"] == 1
-
-
-def test_truncated_resolution_flagged():
-    from spfext.homology import clear_resolution_memo
-    clear_resolution_memo()
-    table = ext("twist(I,1)", "G(2)", 2, budget=1)
-    assert table.truncated
-    assert len(table.dims) < 3
-    clear_resolution_memo()
-
-
-def test_resolution_budget_partial_output():
-    from spfext.homology import clear_resolution_memo
-    clear_resolution_memo()
-    res = resolve_expression("twist(I,1)", 2, 3, budget=1)
-    assert res.truncated
-    assert res.built < 3
-    clear_resolution_memo()
+                            "depth", "version"}
+    assert payload["d"] == 1 and payload["version"] == 2
 
 
 def test_kr_with_parameterized_source():

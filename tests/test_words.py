@@ -351,7 +351,7 @@ def ext_dims_by_loop(res, target):
     """Graded dims of Ext^s from Hom(P_*, N): delta^s built one nonzero
     differential coefficient at a time, each adding the transposed block
     of one word operator on the target's weight spaces."""
-    p, n, built = res.p, res.n, res.built
+    p, n, depth = res.p, res.n, res.depth
     wdims, offsets = [], []
     for stage in res.stages:
         ws = [target.weight_indices(comp_of_partition(lam, n)).size
@@ -360,7 +360,7 @@ def ext_dims_by_loop(res, target):
         offsets.append(list(np.cumsum([0] + ws[:-1])))
     totals = [sum(ws) for ws in wdims]
     ranks = []
-    for s in range(built):
+    for s in range(depth):
         stage_s, stage_next = res.stages[s], res.stages[s + 1]
         delta = fp.zeros(totals[s + 1], totals[s])
         for j, (part_j, shape_j, offset_j, rows_j) in enumerate(
@@ -396,7 +396,7 @@ def ext_dims_by_loop(res, target):
                         delta[r0:r0 + wmu, c0:c0 + wlam] + coeff * word.T) % p
         ranks.append(fp.rank(delta, p))
     return [totals[s] - ranks[s] - (ranks[s - 1] if s else 0)
-            for s in range(built)]
+            for s in range(depth)]
 
 
 # (p, source, depth, targets): shapes (S, L, G), submodules (schur, and the
