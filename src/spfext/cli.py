@@ -226,7 +226,7 @@ def cmd_selftest(args) -> int:
     for comp in ((2, 0), (1, 1), (0, 2)):
         # the idempotent is the word of the generator: block a holds only a's
         t = gamma_index(comp, 2, np.repeat(np.arange(2), comp)[None])[0]
-        mat = sp.matrix(("words", comp, "all"))[t * sp.dim: (t + 1) * sp.dim]
+        mat = sp.matrix(("words", comp, "all")).take_cols(np.arange(sp.dim) + t * sp.dim)
         total = mat if total is None else total + mat
     checks.append(("weight idempotents sum to identity",
                    bool((total.toarray() % 2 == np.eye(4, dtype=np.int64)).all())))

@@ -7,9 +7,12 @@ have equal arrays, and every operation on CSRs returns a canonical CSR
 without re-validating its input.  Where an output's order is known, it
 is kept rather than sorted again: diagonal_copies tiles its input's
 arrays, and take_cols, which takes strictly increasing columns only,
-renumbers each kept entry where it stands.  All elimination routines
-pivot deterministically (leftmost nonzero column, topmost row) so
-echelon forms are reproducible across runs and platforms.
+renumbers each kept entry where it stands.  A stack of T operators on
+a space of dimension dim is one wide (dim x T dim) CSR whose row j holds
+the images A_k e_j side by side, so v @ stack reads only the rows of v's
+support; hstack, block_transpose and kron act on such stacks.  All
+elimination routines pivot deterministically (leftmost nonzero column,
+topmost row) so echelon forms are reproducible across runs and platforms.
 
 Row reduction works in the narrowest storage that holds every
 intermediate value exactly: booleans updated by XOR at p = 2, int16
@@ -229,23 +232,29 @@ class CSR:
         out[row, col] = data
         return out
 
-    def __matmul__(self, other):
-        """The product mod p: a CSR for a CSR, a dense array for an array."""
-        if other.shape[:1] != self.shape[1:]:
+    __array_ufunc__ = None  # so that x @ csr calls __rmatmul__
+
+    def __matmul__(self, other: CSR) -> CSR:
+        """The product mod p."""
+        if other.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        if isinstance(other, CSR):
-            # each entry (r, k) meets row k of other: expand, then sum
-            row, col, data = self.coo()
-            counts = np.diff(other.indptr)[col]
-            at = _ranges(other.indptr[col], counts)
-            return CSR.from_coo(np.repeat(row, counts), other.indices[at],
-                                np.repeat(data, counts) * other.data[at],
-                                (self.shape[0], other.shape[1]), self.p)
-        out = np.zeros((self.shape[0],) + other.shape[1:], dtype=np.int64)
-        filled = np.flatnonzero(self.indptr[1:] > self.indptr[:-1])
-        terms = self.data.reshape((-1,) + (1,) * (other.ndim - 1)) * other[self.indices]
-        out[filled] = np.add.reduceat(terms, self.indptr[filled], axis=0) % self.p
-        return out
+        # each entry (r, k) meets row k of other: expand, then sum
+        row, col, data = self.coo()
+        counts = np.diff(other.indptr)[col]
+        at = _ranges(other.indptr[col], counts)
+        return CSR.from_coo(np.repeat(row, counts), other.indices[at],
+                            np.repeat(data, counts) * other.data[at],
+                            (self.shape[0], other.shape[1]), self.p)
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        """x @ self mod p for a dense batch of rows x."""
+        if x.ndim != 2 or x.shape[1] != self.shape[0]:
+            raise ValueError(f"cannot multiply {x.shape} by {self.shape}")
+        row, col, data = self.coo()
+        out = np.zeros(x.shape[0] * self.shape[1], dtype=np.int64)
+        np.add.at(out, (np.arange(x.shape[0])[:, None] * self.shape[1] + col).ravel(),
+                  (x[:, row] * data).ravel())
+        return out.reshape(x.shape[0], self.shape[1]) % self.p
 
     def __add__(self, other: CSR) -> CSR:
         (r1, c1, d1), (r2, c2, d2) = self.coo(), other.coo()
@@ -261,7 +270,7 @@ class CSR:
         if isinstance(rows, slice):
             rows = np.arange(*rows.indices(self.shape[0]))
         rows = np.asarray(rows, dtype=np.int64)
-        counts = np.diff(self.indptr)[rows]
+        counts = self.indptr[rows + 1] - self.indptr[rows]
         at = _ranges(self.indptr[rows], counts)
         return CSR(np.concatenate([[0], np.cumsum(counts)]), self.indices[at],
                    self.data[at], (rows.size, self.shape[1]), self.p)
@@ -274,10 +283,8 @@ class CSR:
                           or (np.diff(cols) <= 0).any()):
             raise ValueError(f"take_cols needs strictly increasing columns "
                              f"of {self.shape[1]}")
-        position = np.full(self.shape[1], -1, dtype=np.int64)
-        position[cols] = np.arange(cols.size)
-        col = position[self.indices]
-        keep = col >= 0
+        col = np.searchsorted(cols, self.indices)  # kept where it is found
+        keep = np.append(cols, -1)[col] == self.indices
         indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr]
         return CSR(indptr, col[keep], self.data[keep],
                    (self.shape[0], cols.size), self.p)
@@ -290,10 +297,10 @@ class CSR:
                    self.shape[::-1], self.p)
 
     def block_transpose(self, dim: int) -> CSR:
-        """Each (dim x dim) block of a vertical stack of blocks transposed."""
+        """Each (dim x dim) block of a stack, side by side, transposed."""
         row, col, data = self.coo()
-        block = row - row % dim
-        return CSR.from_coo(block + col, row - block, data, self.shape, self.p)
+        block = col - col % dim
+        return CSR.from_coo(col - block, block + row, data, self.shape, self.p)
 
     def reshape(self, rows: int, cols: int) -> CSR:
         """The same entries in row-major order, read as (rows x cols)."""
@@ -314,15 +321,14 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         starts - ends + counts, counts)
 
 
-def vstack(mats: list[CSR], cols: int, p: int) -> CSR:
-    """The matrices, each `cols` wide, one below the other."""
-    indptr, nnz = [np.zeros(1, dtype=np.int64)], 0
-    for m in mats:
-        indptr.append(m.indptr[1:] + nnz)
-        nnz += m.nnz
-    indptr, none = np.concatenate(indptr), [np.zeros(0, dtype=np.int64)]
-    return CSR(indptr, np.concatenate(none + [m.indices for m in mats]),
-               np.concatenate(none + [m.data for m in mats]), (indptr.size - 1, cols), p)
+def hstack(mats: list[CSR], rows: int, p: int) -> CSR:
+    """The matrices, each `rows` tall, side by side."""
+    shift = np.cumsum([0] + [m.shape[1] for m in mats])
+    none = [np.zeros(0, dtype=np.int64)]
+    row = np.concatenate(none + [m.coo()[0] for m in mats])
+    col = np.concatenate(none + [m.indices + s for m, s in zip(mats, shift)])
+    data = np.concatenate(none + [m.data for m in mats])
+    return CSR.from_coo(row, col, data, (rows, int(shift[-1])), p)
 
 
 def diagonal_copies(a: CSR, copies: int) -> CSR:
@@ -335,14 +341,11 @@ def diagonal_copies(a: CSR, copies: int) -> CSR:
                np.tile(a.data, copies), (copies * m, copies * n), a.p)
 
 
-def kron(a: CSR, b: CSR, pairs=None) -> CSR:
-    """The Kronecker product, or, given `pairs` = (ra, rb), only its rows
-    ra[k] * b.rows + rb[k], in that order: row k is row ra[k] of a times
-    row rb[k] of b.  Each row comes out sorted, and a product of units
-    mod a prime is a unit, so no entry needs summing or dropping."""
-    if pairs is None:
-        pairs = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
-    ra, rb = (np.asarray(r, dtype=np.int64) for r in pairs)
+def kron(a: CSR, b: CSR) -> CSR:
+    """The Kronecker product: row k of it is row k // b.rows of a times
+    row k % b.rows of b.  Each row comes out sorted, and a product of
+    units mod a prime is a unit, so no entry needs summing or dropping."""
+    ra, rb = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
     ca, cb = np.diff(a.indptr)[ra], np.diff(b.indptr)[rb]
     counts = ca * cb
     own = np.repeat(np.arange(ra.size), counts)

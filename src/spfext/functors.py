@@ -480,9 +480,10 @@ def _build_schur_weyl_simple(lam: tuple[int, ...], which: str, p: int,
     if which == "weyl":
         return DualModule(schur)
     comp = comp_of_partition(lam, n)
-    top = schur.weight_basis(comp)[0]
-    if top.shape[0] != 1:
+    top = schur.weight_indices(comp)
+    if top.size != 1:
         raise SpfextError(
             f"schur{lam} at p={p} has a weight-{lam} space of dimension "
-            f"{top.shape[0]}, expected 1")
-    return SubmoduleModule(schur, schur.apply_stack(("words", comp, "all"), top)[:, 0])
+            f"{top.size}, expected 1")
+    images = schur.stack_matrix(("words", comp, "all"))[top].toarray()
+    return SubmoduleModule(schur, images.reshape(-1, schur.dim))

@@ -33,7 +33,8 @@ per resolution (`coefficient_blocks`), times the stacked action of those
 words on N_lam read at N_mu, the target's half.  The same stacked words,
 ("words", lam), give the Yoneda maps: one `yoneda_operator` per level
 and weight, cut from the stack once and applied to every vector picked
-there.
+there.  A stack's row j holds the images of basis vector j (see fp), so
+each of these cuts is a row slice of one stack and a take of columns.
 """
 
 from __future__ import annotations
@@ -131,40 +132,44 @@ def yoneda_operator(level: ModuleRep | Stage, comp: tuple[int, ...],
 
     The words act as one stacked operator, ("words", comp), and the
     operator is cut from it once, so every v it is applied to costs one
-    product.  A module applies its memoized stack to v.  On a resolution
-    stage, whose rows are its dominant coordinates, the summands of one
-    partition share a shape, and its stacked action, cut to the words'
-    rows at the dominant rows and to the dominant columns, serves them
-    all in one product.
+    product.  On a module, v lies in the weight space of comp, so the cut
+    is the stack's rows there.  On a resolution stage, whose rows are its
+    dominant coordinates, the summands of one partition share a shape,
+    and its stack at the dominant rows, cut to the words' dominant
+    columns, serves them all in one product.
     """
     ref = ("words", tuple(comp)) if dominant else ("words", tuple(comp), "all")
     if not isinstance(level, Stage):
+        idxs = level.weight_indices(comp)
+        rows = level.stack_matrix(ref)[idxs]
         def apply(v):
-            v = np.asarray(v, dtype=np.int64).reshape(1, -1)
-            return level.apply_stack(ref, v)[:, 0, :].T
+            v = np.asarray(v, dtype=np.int64).reshape(-1)
+            return (v[None, idxs] @ rows).reshape(-1, level.dim).T
         return apply
     space = get_space(level.p, level.n, sum(comp))
-    T = space.matrix(ref).shape[0] // space.dim
+    T = space.matrix(ref).shape[1] // space.dim
     cuts = []
     for shape, rows, offsets in level.blocks.values():
         coords = offsets[None, :] + np.arange(rows.size)[:, None]
         keep = (np.arange(T)[:, None] * shape.dim + rows).reshape(-1)
-        cuts.append((coords, shape.stack_matrix(ref)[keep].take_cols(rows)))
+        cuts.append((coords, shape.stack_matrix(ref)[rows].take_cols(keep)))
 
     def apply(v):
         v = np.asarray(v, dtype=np.int64).reshape(-1)
         out = fp.zeros(level.dim, T)
         for coords, cut in cuts:
-            images = cut @ v[coords]
-            out[coords] = images.reshape(T, coords.shape[0], -1).transpose(
-                1, 2, 0)
+            images = v[coords].T @ cut
+            out[coords] = images.reshape(-1, T, coords.shape[0]).transpose(
+                2, 0, 1)
         return out
     return apply
 
 
 def weight_space(module: ModuleRep, comp: tuple[int, ...]) -> np.ndarray:
-    """RREF rows spanning the weight space of `comp`."""
-    return module.weight_basis(tuple(comp))[0]
+    """RREF rows spanning the weight space of `comp`: the unit rows at the
+    basis vectors of that weight."""
+    idxs = module.weight_indices(tuple(comp))
+    return (idxs[:, None] == np.arange(module.dim)).astype(np.int64)
 
 
 def hom_from_gamma(comp: tuple[int, ...], module: ModuleRep):
@@ -349,19 +354,21 @@ def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
     module = _shape_source(evaluate(as_node(expr), p))
     key = (p, module.n, module.blocks, module.m, depth, sweep)
     with _RES_LOCK:
-        hit = _RES_CACHE.get(key)
-        if hit is not None:
-            return hit
-        res = None
-        store = None
+        res, write = _RES_CACHE.get(key), False
         if cache_dir is not None:
             from . import cache as cache_mod
             store = cache_mod.ResolutionCache(cache_dir)
-            res = store.load(module.expression(), p, module.n, depth, sweep)
+            context = (module.expression(), p, module.n, depth, sweep)
+            if res is None:
+                res = store.load(*context)
+                write = res is None
+            else:  # a memo hit is written to a directory that lacks it
+                path = store.path_for(cache_mod.resolution_context(*context))
+                write = not path.exists()
         if res is None:
             res = resolve(module, depth, sweep=sweep)
-            if store is not None:
-                store.store(res)
+        if write:
+            store.store(res)
         _RES_CACHE[key] = res
         return res
 
@@ -427,15 +434,17 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
     composite with the differential.  Rows and columns are grouped by
     partition, which changes no rank.  For the summands of partition mu
     in stage s+1 and of lam in stage s, the block is one product G @ W:
-    G, from res.coefficients, is the resolution's half, and W, the stacked
-    action of G's words on N_lam's basis read at N_mu's pivots, the target's.
+    G, from res.coefficients, is the resolution's half, and W, the
+    target's, is the rows of N_lam's basis in the target's word stack,
+    read at G's words and at N_mu's basis.
     """
     p, n = res.p, res.n
     comp = {lam: comp_of_partition(lam, n)
             for stage in res.stages for lam in stage.blocks}
     pivots = {lam: target.weight_indices(c) for lam, c in comp.items()}
     wdim = {lam: ix.size for lam, ix in pivots.items()}
-    actions: dict[tuple[int, ...], np.ndarray] = {}  # (words, w_lam, dim)
+    rows: dict[tuple[int, ...], fp.CSR] = {}  # the word stack at N_lam's basis
+    words: dict[tuple, np.ndarray] = {}  # W of (mu, lam)
     starts = []  # per stage: each partition's first row, and the total
     for stage in res.stages:
         sizes = {lam: offs.size * wdim[lam]
@@ -448,11 +457,13 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
         for mu, lam, local, G, n_mu, n_lam in res.coefficients(s):
             if not wdim[mu] or not wdim[lam]:
                 continue
-            if lam not in actions:
-                actions[lam] = target.apply_stack(
-                    ("words", comp[lam]), target.weight_basis(comp[lam])[0])
-            W = actions[lam][local][:, :, pivots[mu]].reshape(local.size, -1)
-            piece = fp.matmul(G, W, p).reshape(n_mu, n_lam, wdim[lam], wdim[mu])
+            if lam not in rows:
+                rows[lam] = target.stack_matrix(("words", comp[lam]))[pivots[lam]]
+            if (mu, lam) not in words:
+                cols = (local[:, None] * target.dim + pivots[mu]).reshape(-1)
+                words[mu, lam] = rows[lam].take_cols(cols).toarray().reshape(
+                    wdim[lam], local.size, -1).transpose(1, 0, 2).reshape(local.size, -1)
+            piece = fp.matmul(G, words[mu, lam], p).reshape(n_mu, n_lam, wdim[lam], -1)
             r0, c0 = starts[s + 1][0][mu], starts[s][0][lam]
             delta[r0: r0 + n_mu * wdim[mu], c0: c0 + n_lam * wdim[lam]] = (
                 piece.transpose(0, 3, 1, 2).reshape(-1, n_lam * wdim[lam]))

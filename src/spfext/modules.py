@@ -1,28 +1,26 @@
 """Concrete Schur-algebra modules realizing strict polynomial functors.
 
 Everything here is a finite-dimensional module over S(n, D) given by
-one rule: the column actions of the operators a tensor-space ref
-stacks, as one matrix, applied to batches of row vectors.  The
-workhorse is ShapeModule: a product of divided/symmetric/exterior power
-blocks over an alphabet of (parameter, basis-vector) letters, each
-letter occupying p^twist tensor slots.  Such modules carry explicit
-sparse lift/project maps to tensor space, both read off one numpy decode
-of the ambient basis, so the algebra action is (project) o (tensor-space
-operator) o (lift).
+one rule: the operators a tensor-space ref stacks, as one matrix whose
+row j holds the images of basis vector j (see fp).  The workhorse is
+ShapeModule: a product of divided/symmetric/exterior power blocks over
+an alphabet of (parameter, basis-vector) letters, each letter occupying
+p^twist tensor slots.  Its lift and projection to tensor space are read
+off one numpy decode of the ambient basis, so the algebra action is
+(project) o (tensor-space operator) o (lift).
 
 Every basis is a basis of weight vectors, so a map commutes with the
-weight idempotents iff it joins only basis vectors of equal weight: a
-comparison of the two modules' contents.  generator_action stacks the
-action of the other Schur-algebra generators, the simple-root divided
-powers at powers of p, into one sparse matrix, built once per module,
-and check_equivariance proves a map equivariant with the weight
-comparison and two products with the two modules' stacks, which are
-canonical and so are compared array by array.
+weight idempotents iff it joins only basis vectors of equal weight.
+generator_action stacks the other generators, the simple-root divided
+powers at powers of p, once per module; check_equivariance proves a map
+equivariant by the weight comparison and two canonical products with
+the two modules' stacks, compared array by array.  Only hom_space, which
+reads each generator as rows, transposes a stack: once per call.
 
 Duals act through the flip anti-automorphism, submodules through an
 RREF basis of a stable subspace, and binary tensor products through the
-comultiplication of the Schur algebra: each stack splits into Kronecker
-products of the two factors' stacks.
+comultiplication of the Schur algebra: each stack is read off the
+Kronecker product of the two factors' stacks.
 """
 
 from __future__ import annotations
@@ -50,10 +48,11 @@ def canonical_blocks(blocks) -> tuple[Block, ...]:
 class ModuleRep:
     """Base class: a module over S(n, D) with a stacked action rule.
 
-    Each kind gives one rule, _stack(ref): the column actions of the T
-    operators that a tensor-space ref stacks (T = 1 for one operator), as
-    one (T * dim x dim) matrix.  Acting on rows, the action matrices and
-    the generator action are all read from it.
+    Each kind gives one rule, _stack(ref): the actions of the T operators
+    that a tensor-space ref stacks (T = 1 for one operator), as one
+    (dim x T * dim) matrix whose row j holds A_k e_j for k = 0 .. T - 1
+    side by side.  The Yoneda images of a vector, the Ext blocks and the
+    generator action are all read from it.
 
     Every basis is a basis of weight vectors: row k of `contents` is the
     weight of basis vector k, and the weight spaces, the character and
@@ -76,26 +75,20 @@ class ModuleRep:
         self._groups: dict[tuple[int, ...], np.ndarray] | None = None
 
     def stack_matrix(self, ref: OpRef) -> fp.CSR:
-        """(T * dim, dim) CSR: block k is the column action v -> A_k v of
-        the k-th operator of ref, kept for the module's lifetime; the first
-        stack stored for a ref is the one every caller gets."""
+        """(dim, T * dim) CSR: block k of row j is A_k e_j, the k-th
+        operator of ref applied to basis vector j, so v @ stack holds each
+        A_k v in turn.  Kept for the module's lifetime; the first stack
+        stored for a ref is the one every caller gets."""
         hit = self._stacks.get(ref)
         if hit is not None:
             return hit
         return self._stacks.setdefault(ref, self._stack(ref))
 
-    def apply_stack(self, ref: OpRef, x: np.ndarray) -> np.ndarray:
-        """(T, batch, dim): out[k] is the k-th operator of ref applied to
-        each row of x."""
-        x = np.asarray(x, dtype=np.int64)
-        out = self.stack_matrix(ref) @ x.T
-        return out.reshape(-1, self.dim, x.shape[0]).transpose(0, 2, 1)
-
     def generator_action(self) -> tuple[list[OpRef], fp.CSR]:
         """(refs, A) for refs = space.generator_refs(), the simple-root
-        divided powers at powers of p: A = stack_matrix(("gens",)) stacks
-        their action matrices, so rows g*dim .. (g+1)*dim - 1 are the
-        action of refs[g], and has no rows when n = 1."""
+        divided powers at powers of p: A = stack_matrix(("gens",)) holds
+        their actions side by side, so columns g*dim .. (g+1)*dim - 1 are
+        the transposed action of refs[g], and has no columns when n = 1."""
         return self.space.generator_refs(), self.stack_matrix(("gens",))
 
     def content_groups(self) -> dict[tuple[int, ...], np.ndarray]:
@@ -117,14 +110,6 @@ class ModuleRep:
         if len(comp) != self.n or sum(comp) != self.D or min(comp) < 0:
             raise ValueError(f"{comp} is not a composition of {self.D} in {self.n}")
         return self.content_groups().get(comp, np.zeros(0, dtype=np.int64))
-
-    def weight_basis(self, comp: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-        """RREF rows (and pivots) spanning the weight space of `comp`: the
-        unit rows at the basis vectors of that weight."""
-        idxs = self.weight_indices(comp)
-        rows = fp.zeros(idxs.size, self.dim)
-        rows[np.arange(idxs.size), idxs] = 1
-        return rows, tuple(int(i) for i in idxs)
 
     def character(self) -> dict[tuple[int, ...], int]:
         return {comp: idxs.size for comp, idxs in self.content_groups().items()}
@@ -283,28 +268,28 @@ class ShapeModule(ModuleRep):
     # action --------------------------------------------------------------
 
     def _stack(self, ref: OpRef) -> fp.CSR:
-        """kron(I_T, P) @ S @ L for the T stacked tensor-space operators S
-        of ref, acting on the E slots and as the identity on parameter
-        letters.  L and P each touch an ambient index at most once, so
-        each lifted ambient index, a parameter word and a slot column,
-        meets the entries of that column of S on that word: one lift, one
-        pass over those columns and one projection."""
+        """P A_k L for the T stacked tensor-space operators A_k of ref,
+        acting on the E slots and as the identity on parameter letters.
+        L and P each touch an ambient index at most once, so each lifted
+        ambient index, a parameter word and a slot, meets the row of the
+        space's stack at that slot on that word: one lift, one row slice
+        and one projection."""
         if self._lift is None:
             self._build_bridge()
         S = self.space.matrix(ref)
         N = self.space.dim
         amb = np.flatnonzero(self._lifted >= 0)
-        word, col = np.divmod(amb, N)
-        # row k of S.T[col] is the column of S that lifted index amb[k] meets
-        owner, hit, data = S.T[col].coo()
-        block, slot = np.divmod(hit, N)
-        dst = word[owner] * N + slot
-        row = self._projected[dst]
-        keep = row >= 0
-        return fp.CSR.from_coo((block * self.dim + row)[keep],
-                               self._lifted[amb][owner][keep],
+        word, slot = np.divmod(amb, N)
+        # row k of S[slot] holds the images of the slot lifted index amb[k] meets
+        owner, hit, data = S[slot].coo()
+        block, image = np.divmod(hit, N)
+        dst = word[owner] * N + image
+        col = self._projected[dst]
+        keep = col >= 0
+        return fp.CSR.from_coo(self._lifted[amb][owner][keep],
+                               (block * self.dim + col)[keep],
                                (data * self._sign[dst])[keep],
-                               (S.shape[0] // N * self.dim, self.dim), self.p)
+                               (self.dim, S.shape[1] // N * self.dim), self.p)
 
     def expression(self) -> str:
         """The shape as a fragment expression that evaluates back to it:
@@ -355,12 +340,11 @@ class SubmoduleModule(ModuleRep):
             raise ValueError("submodule rows are not weight vectors")
 
     def _stack(self, ref: OpRef):
-        # block k is the parent's block at the pivot rows, on the basis rows
-        mat = self.parent.stack_matrix(ref)
-        pdim = self.parent.dim
-        keep = (np.arange(mat.shape[0] // pdim)[:, None] * pdim
+        # the basis rows act through the parent's stack, read at the pivots
+        mat, pdim = self.parent.stack_matrix(ref), self.parent.dim
+        keep = (np.arange(mat.shape[1] // pdim)[:, None] * pdim
                 + np.array(self.pivots, dtype=np.int64)).reshape(-1)
-        return mat[keep] @ fp.CSR.from_dense(self.rows.T, self.p)
+        return fp.CSR.from_dense(self.rows, self.p) @ mat.take_cols(keep)
 
 
 class TensorModule(ModuleRep):
@@ -389,12 +373,12 @@ class TensorModule(ModuleRep):
         if base[0] not in ("gens", "div"):
             raise ValueError(f"cannot split operator ref {ref!r}")
         refs = self.space.generator_refs() if base[0] == "gens" else [base]
-        return fp.vstack([self._divided(*orient(r)[1:]) for r in refs],
+        return fp.hstack([self._divided(*orient(r)[1:]) for r in refs],
                          self.dim, self.p)
 
     def _divided(self, a: int, b: int, r: int) -> fp.CSR:
-        """E^(r) of the root mover b -> a is the sum of E^(r1) (x)
-        E^(r - r1); a factor moves at most as many letters as its degree."""
+        """E^(r) of the root mover b -> a is the sum of E^(r1) (x) E^(r - r1)
+        over the r1 each factor's degree allows: a kron of stacks of one."""
         def factor(mod: ModuleRep, s: int):
             return (fp.CSR.identity(mod.dim, self.p)
                     if s == 0 else mod.stack_matrix(("div", a, b, s)))
@@ -407,12 +391,11 @@ class TensorModule(ModuleRep):
         """Word t of Gamma^comp acts as the sum, over comp = c1 + c2 with
         |c1| = left.D and over the splits t = t1 + t2 letter by letter, of
         word(c1, t1) (x) word(c2, t2).  Each pair (t1, t2) merges into
-        exactly one t, so each c1 adds the rows of one Kronecker product
-        of the factors' stacks of every word, built only at the pairs
-        whose t is at a dominant weight unless `every`."""
+        exactly one t, so each c1 adds the Kronecker product of the
+        factors' stacks of every word, block (t1, t2) of it moved to block
+        t, and dropped unless t is at a dominant weight or `every`."""
         n, d1, d2 = self.n, self.left.dim, self.right.dim
         comp = comp_of_partition(comp, n)
-        i1, i2 = np.divmod(np.arange(d1 * d2), d2)
         pieces = []
         for c1 in compositions(self.left.D, n):
             c2 = tuple(c - x for c, x in zip(comp, c1))
@@ -428,20 +411,21 @@ class TensorModule(ModuleRep):
             content = (both[:, :, None] == np.arange(n)).sum(axis=1)
             merged = np.where(every | (np.diff(content, axis=1) <= 0).all(axis=1),
                               gamma_index(comp, n, both), -1)
-            t = merged[merged >= 0]
-            k1, k2 = np.divmod(np.flatnonzero(merged >= 0), T2)
-            # row (k, i1 * d2 + i2) is block k1[k] of the left stack at row
-            # i1 times block k2[k] of the right stack at row i2
+            # column (k1 * d1 + i1) * T2 * d2 + k2 * d2 + i2 of the product
+            # is entry i1 * d2 + i2 of block k1 * T2 + k2
             row, col, data = fp.kron(
                 self.left.stack_matrix(orient(("words", c1, "all"))),
-                self.right.stack_matrix(orient(("words", c2, "all"))),
-                ((k1[:, None] * d1 + i1).reshape(-1),
-                 (k2[:, None] * d2 + i2).reshape(-1))).coo()
-            pieces.append((t, t[row // self.dim], row % self.dim, col, data))
-        kept, t, row, col, data = (np.concatenate(x) for x in zip(*pieces))
+                self.right.stack_matrix(orient(("words", c2, "all")))).coo()
+            (k1, i1), (k2, i2) = (np.divmod(x, d) for x, d in
+                                  zip(np.divmod(col, T2 * d2), (d1, d2)))
+            t = merged[k1 * T2 + k2]
+            keep = t >= 0
+            pieces.append((merged[merged >= 0], row[keep], t[keep],
+                           (i1 * d2 + i2)[keep], data[keep]))
+        kept, row, t, col, data = (np.concatenate(x) for x in zip(*pieces))
         kept = fp.distinct(kept)
-        return fp.CSR.from_coo(np.searchsorted(kept, t) * self.dim + row, col,
-                               data, (kept.size * self.dim, self.dim), self.p)
+        return fp.CSR.from_coo(row, np.searchsorted(kept, t) * self.dim + col,
+                               data, (self.dim, kept.size * self.dim), self.p)
 
 
 # Hom spaces ---------------------------------------------------------------
@@ -456,8 +440,8 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
     vector of the same weight, weight by weight in compositions order,
     the pairs in kron order.  Each generator of `generator_refs` then cuts
     the solution space down by an incremental kernel computation, all
-    candidates at once.  Every action is read from the two modules'
-    generator_action.
+    candidates at once, each generator read as rows of one transpose of
+    the two modules' generator_action.
     """
     if (src.p, src.n, src.D) != (tgt.p, tgt.n, tgt.D):
         raise ValueError("hom between modules in different categories")
@@ -476,9 +460,8 @@ def hom_space(src: ModuleRep, tgt: ModuleRep) -> list[np.ndarray]:
                            (flat.size, t * s), p)
 
     # row k of the sparse stack `maps` is map k, flattened
-    refs, a_src = src.generator_action()
-    _, a_tgt = tgt.generator_action()
-    for g in range(len(refs)):
+    a_src, a_tgt = src.generator_action()[1].T, tgt.generator_action()[1].T
+    for g in range(a_src.shape[0] // s):
         K = maps.shape[0]
         if K == 0:
             break
@@ -507,13 +490,13 @@ def check_equivariance(matrix, src: ModuleRep, tgt: ModuleRep) -> None:
 
     First every nonzero of phi must join two basis vectors of one weight,
     which is commuting with every weight idempotent.  Then every ref of
-    `generator_refs` is checked at once: the stacked products
-    diagonal_copies(phi, R) @ A_src and A_tgt @ phi of generator_action
-    are canonical, so they must have equal arrays.  The weight
-    idempotents and these divided powers generate the Schur algebra, so
-    a pass is a proof.  The error names the first weight
-    mismatch, or else the first failing ref.  `matrix` may be dense or a
-    CSR; it is not modified.
+    `generator_refs` is checked at once: for the stacks A of
+    generator_action, block g of A_src @ diagonal_copies(phi^T, R) and of
+    phi^T @ A_tgt is (phi a_g)^T and (a_g phi)^T, and both products are
+    canonical, so they must have equal arrays.  The weight idempotents and
+    these divided powers generate the Schur algebra, so a pass is a proof.
+    The error names the first weight mismatch, or else the first failing
+    ref.  `matrix` may be dense or a CSR; it is not modified.
     """
     if src.space is not tgt.space:
         raise ValueError("equivariance between modules in different categories")
@@ -530,10 +513,10 @@ def check_equivariance(matrix, src: ModuleRep, tgt: ModuleRep) -> None:
             f"map sends weight {tuple(src.contents[col[k]].tolist())} to "
             f"weight {tuple(tgt.contents[row[k]].tolist())}")
     refs, a_src = src.generator_action()
-    _, a_tgt = tgt.generator_action()
-    left, right = fp.diagonal_copies(phi, len(refs)) @ a_src, a_tgt @ phi
+    left = a_src @ fp.diagonal_copies(phi.T, len(refs))
+    right = phi.T @ tgt.generator_action()[1]
     if not all(map(np.array_equal, (left.indptr, left.indices, left.data),
                    (right.indptr, right.indices, right.data))):
-        row = int(np.flatnonzero(np.diff((left - right).indptr))[0])
+        col = int((left - right).indices.min())
         raise EquivarianceError(
-            f"map fails to commute with {refs[row // tgt.dim]!r}")
+            f"map fails to commute with {refs[col // tgt.dim]!r}")

@@ -16,12 +16,13 @@ of S(n, D).
 
 Operators are built lazily as sparse matrices on E^(x)D and kept for the
 space's lifetime; the first matrix stored for a ref is the one every
-caller gets.  A stack of T operators is one (T n^D x n^D) matrix:
-("gens",) stacks generator_refs, ("words", c) the words of Gamma^c, the
-xi-basis elements carrying its canonical generator to its basis vectors
-t at dominant weights, in basis order (("words", c, "all") for every t),
-and ("flip", ref) the flipped stack, which is its blockwise transpose.
-A single ("div", a, b, r) is a stack of one.
+caller gets.  A stack of T operators is one (n^D x T n^D) matrix whose
+row j holds the images of basis vector j (see fp): ("gens",) stacks
+generator_refs, ("words", c) the words of Gamma^c, the xi-basis elements
+carrying its canonical generator to its basis vectors t at dominant
+weights, in basis order (("words", c, "all") for every t), and ("flip",
+ref) the flipped stack, which is its blockwise transpose.  A single
+("div", a, b, r) is a stack of one, the transpose of its matrix.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class TensorSpace:
         if kind == "div":
             return self._build_divided(*ref[1:])
         if kind == "gens":  # every generator, stacked in generator_refs order
-            return fp.vstack([self.matrix(r) for r in self.generator_refs()],
+            return fp.hstack([self.matrix(r) for r in self.generator_refs()],
                              self.dim, self.p)
         if kind == "words":
             return self._build_words(ref[1], every=len(ref) > 2)
@@ -161,12 +162,11 @@ class TensorSpace:
         inv = np.argsort(np.argsort(self.letters[cols], axis=1, kind="stable"),
                          axis=1)
         place = n ** np.arange(D - 1, -1, -1)
-        rows = (np.searchsorted(kept, word[rows0])[:, None] * N
-                + self.letters[rows0][:, inv] @ place)
-        return fp.CSR.from_coo(rows.reshape(-1),
-                               np.broadcast_to(cols, rows.shape).reshape(-1),
-                               np.ones(rows.size, dtype=np.int64),
-                               (kept.size * N, N), self.p)
+        images = (np.searchsorted(kept, word[rows0])[:, None] * N
+                  + self.letters[rows0][:, inv] @ place)
+        return fp.CSR.from_coo(np.broadcast_to(cols, images.shape).reshape(-1),
+                               images.reshape(-1), np.ones(images.size, dtype=np.int64),
+                               (N, kept.size * N), self.p)
 
     def _build_divided(self, a: int, b: int, r: int) -> fp.CSR:
         """Divided power of the root mover b -> a: sum over r-subsets of
@@ -189,7 +189,7 @@ class TensorSpace:
         cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
         # distinct subsets shift a column by distinct sums of powers of n,
         # so each entry is met once and is 1
-        return fp.CSR.from_coo(rows, cols, np.ones(rows.size, dtype=np.int64),
+        return fp.CSR.from_coo(cols, rows, np.ones(rows.size, dtype=np.int64),
                                (self.dim, self.dim), self.p)
 
     def matrix(self, ref: OpRef) -> fp.CSR:

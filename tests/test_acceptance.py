@@ -8,6 +8,8 @@ through SPFEXT_STRETCH=1.
 
 import json
 import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from itertools import product
@@ -15,6 +17,7 @@ from math import comb
 
 import pytest
 
+import spfext
 from spfext import fp, young
 from spfext.cli import main as cli_main
 from spfext.homology import (duality_check, end_dimension, ext,
@@ -258,6 +261,40 @@ def test_stretch_degree_five_oracles():
             assert table.dims == [int(s == degree) for s in range(9)], target
         table = ext("twist(I,1)", "twist(I,1)", 5, i=1)
         assert table.dims == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+
+
+DEGREE_SIX_PROBE = """
+import json, resource
+from spfext.homology import resolve_expression
+res = resolve_expression("twist(I,1)*twist(I,1)", 3, 4)
+use = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({"dims": [stage.dim for stage in res.stages],
+                  "cpu_s": use.ru_utime + use.ru_stime,
+                  "peak_mb": use.ru_maxrss / 1024}))
+"""
+
+
+@pytest.mark.skipif(not os.environ.get("SPFEXT_STRETCH"),
+                    reason="degree-6 stretch run is opt-in (SPFEXT_STRETCH=1)")
+def test_stretch_degree_six_probe():
+    """The first five stages of the degree-6 resolution of I^(1) (x) I^(1)
+    at p = 3, in a process of its own with one BLAS thread, so that its
+    CPU time and peak RSS are the probe's alone.  On a shared 2-core
+    machine it took 8.5-11.3 s CPU and peaked at 572-588 MB; the bounds
+    are 10 times 10 s and 1.5 times 588 MB, which a doubling of memory
+    would cross."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(
+                   spfext.__file__)), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", DEGREE_SIX_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    probe = json.loads(run.stdout)
+    print(f"degree-6 probe: {probe['cpu_s']:.1f} s CPU, "
+          f"{probe['peak_mb']:.0f} MB peak")
+    assert probe["dims"] == [90, 337, 1272, 3665, 11614]
+    assert probe["cpu_s"] < 10 * 10
+    assert probe["peak_mb"] < 1.5 * 588
 
 
 @pytest.mark.skipif(not os.environ.get("SPFEXT_STRETCH"),

@@ -97,6 +97,26 @@ def test_cache_hit_reproduces_tables(tmp_path):
     clear_resolution_memo()
 
 
+def test_memo_hit_is_stored_to_a_cache_dir_that_lacks_it(tmp_path):
+    """A resolution first made without a cache directory is written to the
+    directory a later call names, byte for byte as a cold run writes it,
+    and a file already there is left as it is."""
+    clear_resolution_memo()
+    cold = tmp_path / "cold"
+    ext("twist(I,1)", "S(2)", 2, cache_dir=str(cold))
+    (want,) = cold.glob("*.json")
+    clear_resolution_memo()
+    ext("twist(I,1)", "G(2)", 2)
+    hit = tmp_path / "hit"
+    ext("twist(I,1)", "S(2)", 2, cache_dir=str(hit))
+    (got,) = hit.glob("*.json")
+    assert got.name == want.name and got.read_bytes() == want.read_bytes()
+    got.write_text("kept", encoding="utf-8")
+    ext("twist(I,1)", "L(2)", 2, cache_dir=str(hit))
+    assert got.read_text(encoding="utf-8") == "kept"
+    clear_resolution_memo()
+
+
 # one source and its targets: shapes, a submodule, duals and a simple
 SPLIT_SOURCE, SPLIT_DEPTH = "twist(I*I,1)", 5
 SPLIT_TARGETS = ["S(4)", "L(4)", "schur(3,1)", "dual(schur(2,2))",

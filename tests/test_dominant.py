@@ -47,7 +47,7 @@ def full_yoneda(level, pieces, comp, v):
     shape = gamma_shape(p, n, tuple(part for part in comp if part))
     nD = shape.space.dim
     amb = np.concatenate(
-        [((piece.lift_matrix() @ v[off: off + piece.dim]) % p)
+        [((as_scipy(piece.lift_matrix()) @ v[off: off + piece.dim]) % p)
          .reshape(piece._u_total, nD).T for piece, off in pieces], axis=1)
     proj = sparse.block_diag([as_scipy(piece.project_matrix()) for piece, _ in pieces],
                              format="csr")

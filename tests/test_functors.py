@@ -13,13 +13,14 @@ from spfext.functors import (Atom, Dual, Ident, Param, Tensor, Twist, canon,
                              canonical_map, character, evaluate,
                              frobenius_substitute, kuhn_dual, parse,
                              schur_weyl_simple)
+from spfext.homology import weight_space
 from spfext.modules import (ModuleRep, ShapeModule, check_equivariance,
                             hom_space)
 from spfext.tensorspace import compositions
 from csr_reference import assert_canonical, assert_same
 from test_tensorspace import full_basis_keys, full_generator_refs
 from xi_reference import (basis_tuple, dense, distinct_permutations, encode,
-                          weight_key, xi_block)
+                          stack_block, weight_key, xi_block)
 
 
 # -- parser -------------------------------------------------------------------
@@ -193,7 +194,7 @@ def test_freshman_dream_span():
         for a in range(2):
             for b in range(2):
                 vec[2 * a + b] = coeffs[a] * coeffs[b]
-        cls = (sym.project_matrix() @ vec.reshape(-1, 1)).reshape(-1) % p
+        cls = (sym.project_matrix().toarray() @ vec) % p
         assert not fp.residual(rows, pivots, cls, p).any()
 
 
@@ -364,7 +365,7 @@ def test_equivariance_checker_catches_weight_preserving_map_d4():
     mod = evaluate("I*I*I*I", 2)
     bad = dense(xi_block(mod, weight_key((1, 1, 1, 1))))
     for comp in compositions(4, 4):
-        rows, _ = mod.weight_basis(comp)
+        rows = weight_space(mod, comp)
         assert fp.rank(np.vstack([rows, fp.matmul(rows, bad.T, 2)]), 2) \
             == rows.shape[0]
     with pytest.raises(EquivarianceError):
@@ -373,17 +374,18 @@ def test_equivariance_checker_catches_weight_preserving_map_d4():
 
 def test_equivariance_check_visits_every_generator():
     """check_equivariance multiplies by the stacked generator action: one
-    block per generator ref, in order, each the ref's action matrix."""
+    block of columns per generator ref, in order, each the ref's own
+    stack of one."""
     shape = evaluate("param(L(2)*I,2)", 3)
     dual = evaluate("dual(S(2)*I)", 2)
     assert isinstance(shape, ShapeModule) and shape.m == 2
     for mod in (shape, dual):
         refs, stacked = mod.generator_action()
         assert refs == mod.space.generator_refs()
-        assert stacked.shape == (len(refs) * mod.dim, mod.dim)
+        assert stacked.shape == (mod.dim, len(refs) * mod.dim)
         for g, ref in enumerate(refs):
             want = dense(mod.stack_matrix(ref))
-            got = stacked[g * mod.dim: (g + 1) * mod.dim].toarray()
+            got = dense(stacked)[:, g * mod.dim: (g + 1) * mod.dim]
             assert (got == want).all(), ref
 
 
@@ -416,7 +418,7 @@ def test_equivariance_error_names_the_last_generator():
             # on the block of the last generator
             mat = dense(mod.stack_matrix(ref)).copy()
             if ref == ("gens",):
-                mat[-mod.dim:] += 1
+                mat[:, -mod.dim:] += 1
             return fp.CSR.from_dense(mat, mod.p)
 
     with pytest.raises(EquivarianceError, match=re.escape(repr(last))):
@@ -556,10 +558,10 @@ def _hom_space_by_assembly(src, tgt):
             blocks.append((tuple(comp), ws, wt))
     src_hat, tgt_rows = {}, {}
     for comp, _, _ in blocks:
-        pivots = src.weight_basis(comp)[1]
+        pivots = src.weight_indices(comp)
         proj = dense(xi_block(src, weight_key(comp))) % p
         src_hat[comp] = proj[list(pivots), :]
-        tgt_rows[comp] = tgt.weight_basis(comp)[0]
+        tgt_rows[comp] = weight_space(tgt, comp)
 
     def assemble(y):
         x = fp.zeros(tgt.dim, src.dim)
@@ -576,8 +578,8 @@ def _hom_space_by_assembly(src, tgt):
     for ref in full_generator_refs(src.space):
         if ref[0] == "xi" or kernel.shape[0] == 0:
             continue
-        a_src = dense(src.stack_matrix(ref))
-        a_tgt = dense(tgt.stack_matrix(ref))
+        a_src = dense(stack_block(src.stack_matrix(ref), 0, src.dim))
+        a_tgt = dense(stack_block(tgt.stack_matrix(ref), 0, tgt.dim))
         resid = np.stack([((fp.matmul(x, a_src, p) - fp.matmul(a_tgt, x, p))
                            % p).reshape(-1) for x in mats], axis=1)
         coeffs = fp.kernel_basis(resid, p)

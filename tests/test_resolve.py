@@ -124,17 +124,17 @@ def yoneda_images_by_loop(level, comp, v, dominant=False):
     v = np.asarray(v, dtype=np.int64).reshape(-1)
     ref = ("words", tuple(comp)) if dominant else ("words", tuple(comp), "all")
     if not isinstance(level, Stage):
-        return level.apply_stack(ref, v.reshape(1, -1))[:, 0, :].T
+        return (v[None] @ level.stack_matrix(ref)).reshape(-1, level.dim).T
     space = get_space(level.p, level.n, sum(comp))
-    T = space.matrix(ref).shape[0] // space.dim
+    T = space.matrix(ref).shape[1] // space.dim
     out = fp.zeros(level.dim, T)
     for shape, rows, offsets in level.blocks.values():
         coords = offsets[None, :] + np.arange(rows.size)[:, None]
-        x = np.zeros((shape.dim, offsets.size), dtype=np.int64)
-        x[rows] = v[coords]
+        x = np.zeros((offsets.size, shape.dim), dtype=np.int64)
+        x[:, rows] = v[coords].T
         keep = (np.arange(T)[:, None] * shape.dim + rows).reshape(-1)
-        images = (shape.stack_matrix(ref)[keep] @ x) % level.p
-        out[coords] = images.reshape(T, rows.size, -1).transpose(1, 2, 0)
+        images = x @ shape.stack_matrix(ref).take_cols(keep)
+        out[coords] = images.reshape(-1, T, rows.size).transpose(2, 0, 1)
     return out
 
 

@@ -43,16 +43,15 @@ def test_simple_matches_hom_solve_reference(lam, p, n):
 
 def test_simple_refuses_a_highest_weight_space_that_is_not_a_line(monkeypatch):
     """A schur(lam) whose weight-lam space is two-dimensional is refused."""
-    real = SubmoduleModule.weight_basis
+    real = SubmoduleModule.weight_indices
 
     def doubled(self, comp):
-        rows, pivots = real(self, comp)
-        free = next(c for c in range(self.dim) if c not in pivots)
-        return fp.basis_rows(np.vstack([rows, fp.identity(self.dim)[[free]]]),
-                             self.p)
+        idxs = real(self, comp)
+        free = next(c for c in range(self.dim) if c not in idxs)
+        return np.sort(np.append(idxs, free))
 
     monkeypatch.setattr(functors, "_eval_cache", {})  # build schur afresh
-    monkeypatch.setattr(SubmoduleModule, "weight_basis", doubled)
+    monkeypatch.setattr(SubmoduleModule, "weight_indices", doubled)
     with pytest.raises(SpfextError, match="dimension 2, expected 1"):
         schur_weyl_simple((2, 1), "simple", 2)
 

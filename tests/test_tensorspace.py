@@ -8,8 +8,8 @@ import pytest
 from csr_reference import assert_same
 from spfext import fp
 from spfext.tensorspace import TensorSpace, compositions, flip_ref, get_space
-from xi_reference import (distinct_permutations, encode, key_word, weight_key,
-                          xi_block, xi_matrix)
+from xi_reference import (distinct_permutations, encode, key_word, stack_block,
+                          weight_key, xi_block, xi_matrix)
 
 
 def xi(ts, i, j):
@@ -221,10 +221,12 @@ def _generated_span(ts):
     the weight idempotents: close the span of the generators under left
     multiplication by them."""
     p = ts.p
-    gens = ([ts.matrix(ref) for ref in ts.generator_refs()]
-            + [xi_block(ts, weight_key(c)) for c in compositions(ts.D, ts.n)])
-    rows, _ = fp.basis_rows(
-        np.stack([g.toarray().reshape(-1) for g in gens]), p)
+    # a stack of one operator is its transpose
+    gens = ([stack_block(ts.matrix(ref), 0, ts.dim).toarray()
+             for ref in ts.generator_refs()]
+            + [xi_block(ts, weight_key(c)).toarray()
+               for c in compositions(ts.D, ts.n)])
+    rows, _ = fp.basis_rows(np.stack([g.reshape(-1) for g in gens]), p)
     while True:
         prods = [(g @ row.reshape(ts.dim, ts.dim)).reshape(-1) % p
                  for g in gens for row in rows]
@@ -255,7 +257,7 @@ def test_generator_count(p, n, D, count):
     assert len(set(refs)) == count
     assert all(ref[0] == "div" and abs(ref[1] - ref[2]) == 1 and ref[3] in powers
                for ref in refs)
-    assert ts.matrix(("gens",)).shape == (count * ts.dim, ts.dim)
+    assert ts.matrix(("gens",)).shape == (ts.dim, count * ts.dim)
 
 
 def test_flip_ref():
@@ -277,7 +279,7 @@ def test_contents():
     for ref, rows, cols in [(("words", comp, "all"), (2, 1, 0), (0, 1, 2)),
                             (("flip", ("words", comp, "all")), (0, 1, 2),
                              (2, 1, 0))]:
-        row, col, _ = ts.matrix(ref)[k * ts.dim: (k + 1) * ts.dim].coo()
+        row, col, _ = stack_block(ts.matrix(ref), k, ts.dim).coo()
         assert row.size and (content[row] == rows).all()
         assert (content[col] == cols).all()
 
@@ -349,4 +351,5 @@ def test_divided_powers_match_loop_reference(p, n, D):
     refs = [ref for ref in full_generator_refs(ts) if ref[0] == "div"]
     assert refs
     for ref in refs:
-        assert_same(ts.matrix(ref), _divided_by_loop(ts, *ref[1:]))
+        assert_same(stack_block(ts.matrix(ref), 0, ts.dim),
+                    _divided_by_loop(ts, *ref[1:]))

@@ -22,12 +22,13 @@ from spfext.modules import (DualModule, SubmoduleModule, TensorModule,
                             check_equivariance, hom_space)
 from spfext.tensorspace import compositions
 from test_tensorspace import full_generator_refs
-from xi_reference import dense, weight_key, xi_block
+from xi_reference import dense, stack_block, weight_key, xi_block
 
 
 def _action(mod, ref):
     """A weight idempotent read from its word stack, or a divided power."""
-    return dense(xi_block(mod, ref[1]) if ref[0] == "xi" else mod.stack_matrix(ref))
+    return dense(xi_block(mod, ref[1]) if ref[0] == "xi"
+                 else stack_block(mod.stack_matrix(ref), 0, mod.dim))
 
 
 def commutes_with_full_set(phi, src, tgt) -> bool:
@@ -94,8 +95,8 @@ def test_submodule_refuses_rows_that_mix_weights():
 def test_one_letter_has_an_empty_generator_stack():
     mod = evaluate("I", 2)
     refs, stacked = mod.generator_action()
-    assert refs == [] and stacked.shape == (0, 1)
-    assert mod.space.matrix(("gens",)).shape == (0, 1)
+    assert refs == [] and stacked.shape == (1, 0)
+    assert mod.space.matrix(("gens",)).shape == (1, 0)
     assert end_dimension("I", 2) == 1
     assert ext("I", "I", 2).dims == [1, 0]
     check_equivariance(np.eye(1, dtype=np.int64), mod, mod)

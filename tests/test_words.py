@@ -1,16 +1,18 @@
 """The stacked word operators of Gamma^lam and what is built on them.
 
-`("words", lam)` is checked against the vstack of the per-word xi
-operators it replaces, and its flip against the flipped words.  The
-stacked action of each module kind is checked against one operator at a
-time through the tensor-space bridge, and a tensor product's split of
-whole stacks against the per-xi split of each operator's orbit across
-its factors.  `ext_dims_by_loop` is the Ext assembly as it was before
+`("words", lam)` is checked against the per-word xi operators it
+replaces, each transposed and set side by side (a stack holds the
+images of basis vector j in row j), and its flip against the flipped
+words.  The stacked action of each module kind is checked against one
+operator at a time through the tensor-space bridge, and a tensor
+product's split of whole stacks against the per-xi split of each
+operator's orbit across its factors.  `ext_dims_by_loop` is the Ext assembly as it was before
 the stack: one word operator and one dense block per nonzero
 differential coefficient.  It is kept here as the slow reference for
 the block-assembled `ext_dims`.
 """
 
+import gc
 import threading
 
 import numpy as np
@@ -21,9 +23,10 @@ from scipy import sparse
 from csr_reference import as_scipy, assert_canonical, assert_same
 from spfext import fp
 from spfext.functors import evaluate, shape_module
-from spfext.homology import (comp_of_partition, ext_dims, gamma_layout,
-                             gamma_shape, generator_index, resolve_expression)
-from spfext.modules import (DualModule, ShapeModule, SubmoduleModule,
+from spfext.homology import (comp_of_partition, ext, ext_dims, gamma_layout,
+                             gamma_shape, generator_index, resolve_expression,
+                             weight_space)
+from spfext.modules import (DualModule, ModuleRep, ShapeModule, SubmoduleModule,
                             TensorModule)
 from spfext.tensorspace import (compositions, flip_ref, gamma_index,
                                  gamma_letters, get_space, is_dominant)
@@ -47,7 +50,7 @@ def word_keys(p, n, lam, every=False):
 def test_word_stack_matches_per_word_operators(p, n, lam):
     space = get_space(p, n, sum(lam))
     assert_same(space.matrix(("words", lam)),
-                sparse.vstack([xi_matrix(space, key)
+                sparse.hstack([xi_matrix(space, key).T
                                for key in word_keys(p, n, lam)], format="csr"))
 
 
@@ -55,7 +58,7 @@ def test_word_stack_matches_per_word_operators(p, n, lam):
 def test_flipped_word_stack_is_the_flipped_words(p, n, lam):
     space = get_space(p, n, sum(lam))
     assert_same(space.matrix(("flip", ("words", lam))),
-                sparse.vstack([xi_matrix(space, flip_key(key))
+                sparse.hstack([xi_matrix(space, flip_key(key)).T
                                for key in word_keys(p, n, lam)], format="csr"))
 
 
@@ -68,24 +71,25 @@ def test_every_word_stack_matches_per_word_operators(p, n, comp):
     shape = gamma_shape(p, n, tuple(part for part in comp if part))
     keys = [word_key(comp, basis_tuple(shape, t)) for t in range(shape.dim)]
     assert_same(space.matrix(("words", comp, "all")),
-                sparse.vstack([xi_matrix(space, key) for key in keys], format="csr"))
+                sparse.hstack([xi_matrix(space, key).T for key in keys], format="csr"))
 
 
 def apply_by_bridge(mod: ShapeModule, op, x):
     """One tensor-space operator on a batch of rows: lift, act on each
     parameter word's tensor slots, project."""
     p, N, U = mod.p, mod.space.dim, mod._u_total
-    amb = (mod.lift_matrix() @ x.T).reshape(U, N, -1)
+    amb = (as_scipy(mod.lift_matrix()) @ x.T).reshape(U, N, -1)
     acted = np.stack([op @ amb[u] for u in range(U)]) % p
-    return ((mod.project_matrix() @ acted.reshape(U * N, -1)) % p).T
+    return ((as_scipy(mod.project_matrix()) @ acted.reshape(U * N, -1)) % p).T
 
 
 def stack_by_tiling(mod: ShapeModule, ref) -> sparse.csr_matrix:
-    """ShapeModule._stack as it was first vectorised: every entry of the
-    tensor-space stack tiled over all m^nletters parameter words before a
-    mask keeps those that lift and project."""
+    """ShapeModule._stack as it was first vectorised, on the stacks read
+    one operator below the other: every entry of the tensor-space stack
+    tiled over all m^nletters parameter words before a mask keeps those
+    that lift and project.  Returned transposed, as the engine stores it."""
     mod.lift_matrix()
-    ops = as_scipy(mod.space.matrix(ref)).tocoo()
+    ops = as_scipy(mod.space.matrix(ref)).T.tocoo()
     N = mod.space.dim
     block, slot = np.divmod(ops.row, N)
     words = np.arange(mod._u_total)[:, None] * N
@@ -99,7 +103,7 @@ def stack_by_tiling(mod: ShapeModule, ref) -> sparse.csr_matrix:
         shape=(ops.shape[0] // N * mod.dim, mod.dim))
     mat.data %= mod.p
     mat.eliminate_zeros()
-    return mat
+    return mat.T
 
 
 def koszul_terms(p, q, m):
@@ -128,6 +132,13 @@ def test_word_stacks_match_tiling_reference(text):
             assert_same(mod._stack(ref), stack_by_tiling(mod, ref))
 
 
+def act(mod, ref, x):
+    """(T, batch, dim): the k-th operator of ref on each row of x, read off
+    the one product x @ stack."""
+    out = x @ mod.stack_matrix(ref)
+    return out.reshape(x.shape[0], -1, mod.dim).transpose(1, 0, 2)
+
+
 def apply_by_rules(mod, key, x):
     """xi_key on a batch of rows by each kind's per-operator rule: the
     bridge of a shape, the transposed flipped xi on a dual's base, the
@@ -151,7 +162,7 @@ def test_stacked_action_on_a_parameter_module():
     assert isinstance(mod, ShapeModule) and mod.m == 2
     comp = comp_of_partition((2, 1), mod.n)
     x = np.random.default_rng(7).integers(0, 3, size=(5, mod.dim))
-    got = mod.apply_stack(("words", comp), x)
+    got = act(mod, ("words", comp), x)
     keys = word_keys(3, mod.n, (2, 1))
     assert got.shape == (len(keys), 5, mod.dim)
     for k, key in enumerate(keys):
@@ -164,19 +175,19 @@ def test_stacked_action_through_dual_and_submodule():
     stacks: each agrees with one word at a time."""
     p = 2
     base = evaluate("param(S(2)*I,2)", p)
-    sub = SubmoduleModule(base, base.weight_basis((2, 1, 0))[0][:3])
+    sub = SubmoduleModule(base, weight_space(base, (2, 1, 0))[:3])
     cases = [DualModule(base), DualModule(sub), sub, evaluate("simple(1,1)*I", p)]
     assert isinstance(cases[-1], TensorModule)
     for mod in cases:
         comp = comp_of_partition((2, 1), mod.n)
         keys = word_keys(p, mod.n, (2, 1))
         x = np.random.default_rng(3).integers(0, p, size=(4, mod.dim))
-        got = mod.apply_stack(("words", comp), x)
+        got = act(mod, ("words", comp), x)
         for k, key in enumerate(keys):
             assert (got[k] == apply_by_rules(mod, key, x)).all(), (mod, key)
     dual = cases[0]
     eye = np.eye(dual.dim, dtype=np.int64)
-    got = dual.apply_stack(("words", comp_of_partition((2, 1), dual.n)), eye)
+    got = act(dual, ("words", comp_of_partition((2, 1), dual.n)), eye)
     for k, key in enumerate(word_keys(p, dual.n, (2, 1))):
         want = apply_by_bridge(base, xi_matrix(base.space, flip_key(key)), eye)
         assert (got[k] == want.T).all()
@@ -200,7 +211,7 @@ def test_every_stack_is_a_memoized_csr(expr, kind):
                 ("words", (1, 1, 1), "all"), ("gens",), ("div", 0, 1, 2)]:
         stack = mod.stack_matrix(ref)
         assert_canonical(stack)
-        assert stack.shape[1] == mod.dim and stack.shape[0] % mod.dim == 0
+        assert stack.shape[0] == mod.dim and stack.shape[1] % mod.dim == 0
         assert mod.stack_matrix(ref) is stack, (expr, ref)
     refs, gens = mod.generator_action()
     assert refs == mod.space.generator_refs()
@@ -210,7 +221,7 @@ def test_every_stack_is_a_memoized_csr(expr, kind):
 def test_module_stack_memo_single_construction():
     """Eight threads asking one module for one stack all get one object."""
     base = evaluate("S(2)*I", 2)
-    mod = SubmoduleModule(base, base.weight_basis((2, 1, 0))[0])
+    mod = SubmoduleModule(base, weight_space(base, (2, 1, 0)))
     ref = ("words", (1, 1, 1), "all")
     results = []
 
@@ -225,12 +236,46 @@ def test_module_stack_memo_single_construction():
     assert len(results) == 8 and all(r is results[0] for r in results)
 
 
+# -- scale gate: pointers follow the basis, not the number of operators ------
+
+# (p, source, targets): degree 3 and degree 4, with targets of every module
+# kind, so that resolve, ext_dims and the equivariance proofs of the simple
+# heads build their stacks
+SCALE_CASES = [(3, "twist(I,1)", ["simple(2,1)", "dual(schur(2,1))",
+                                  "simple(1,1)*I", "L(3)"]),
+               (2, "twist(I,1)*twist(I,1)", ["schur(2,2)", "weyl(3,1)",
+                                             "simple(1,1)*G(2)", "L(4)"])]
+
+
+@pytest.mark.parametrize("p, source, targets", SCALE_CASES)
+def test_every_stored_stack_has_one_row_pointer_per_basis_vector(p, source, targets):
+    """Every tensor-space operator and every module stack of the case is
+    (dim x T * dim) with dim + 1 row pointers, however many operators it
+    stacks: ("words", (1, 1, 1, 1)) at p = 2 once held 10.7 pointers per
+    nonzero."""
+    for text in targets:
+        ext(source, text, p)
+    space = evaluate(source, p).space
+    assert ("words", (1,) * space.D) in space._ops
+    for ref, op in space._ops.items():
+        assert op.shape[0] == space.dim and op.shape[1] % space.dim == 0, ref
+        assert op.indptr.shape == (space.dim + 1,), ref
+    modules = [obj for obj in gc.get_objects() if isinstance(obj, ModuleRep)
+               and obj.space is space and obj._stacks]
+    assert {type(mod) for mod in modules} == {ShapeModule, DualModule,
+                                              SubmoduleModule, TensorModule}
+    for mod in modules:
+        for ref, stack in mod._stacks.items():
+            assert stack.shape[0] == mod.dim and stack.shape[1] % mod.dim == 0
+            assert stack.indptr.shape == (mod.dim + 1,), (mod, ref)
+
+
 # -- tensor products: whole stacks against the per-xi split -------------------
 
 
-def split_reference(mod: TensorModule, ref) -> np.ndarray:
-    """The stack of ref on a tensor product, one operator at a time, each
-    split across the factors as TensorModule once acted."""
+def split_reference(mod: TensorModule, ref) -> list[np.ndarray]:
+    """The operators of ref on a tensor product, one at a time, each split
+    across the factors as TensorModule once acted."""
     flipped = ref[0] == "flip"
     base = ref[1] if flipped else ref
     if base[0] == "gens":
@@ -244,7 +289,7 @@ def split_reference(mod: TensorModule, ref) -> np.ndarray:
             keys = [k for k in keys if is_dominant(
                 tuple(sum(a == x for a, _ in k) for x in range(mod.n)))]
         blocks = [xi_by_splitting(mod, flip_key(k) if flipped else k) for k in keys]
-    return np.concatenate([np.zeros((0, mod.dim), dtype=np.int64)] + blocks)
+    return blocks
 
 
 # (p, left, right): shape, dual, submodule (schur, simple) and tensor factors
@@ -272,19 +317,23 @@ def test_tensor_stack_split_matches_per_xi_reference(data):
     if data.draw(st.booleans(), label="flip"):
         ref = ("flip", ref)
     got = mod.stack_matrix(ref)
-    want = split_reference(mod, ref)
+    blocks = split_reference(mod, ref)
+    none = [np.zeros((mod.dim, 0), dtype=np.int64)]
+    want = np.concatenate(none + [block.T for block in blocks], axis=1)
     assert got.shape == want.shape
     assert (dense(got) == want).all()
-    # the dual acts through the flipped stack of the tensor product
+    # the dual acts through the flipped stack of the tensor product, each
+    # of its operators the transpose of one of these
     dual = DualModule(mod).stack_matrix(flip_ref(ref))
-    assert (dense(dual) == want.reshape(-1, mod.dim, mod.dim).transpose(
-        0, 2, 1).reshape(-1, mod.dim)).all()
+    assert (dense(dual) == np.concatenate(none + blocks, axis=1)).all()
 
 
 def words_by_full_kron(mod: TensorModule, ref) -> sparse.csr_matrix:
-    """TensorModule's word stack as it was first written: for each c1, the
-    whole Kronecker product of the factors' stacks of every word, then the
-    rows of each pair (t1, t2) whose merged t is not dominant dropped."""
+    """TensorModule's word stack as it was first written, on the stacks
+    read one operator below the other: for each c1, the whole Kronecker
+    product of the factors' stacks of every word, then the rows of each
+    pair (t1, t2) whose merged t is not dominant dropped.  Returned
+    transposed, as the engine stores it."""
     flipped = ref[0] == "flip"
     base = ref[1] if flipped else ref
     orient = flip_ref if flipped else (lambda r: r)
@@ -306,8 +355,8 @@ def words_by_full_kron(mod: TensorModule, ref) -> sparse.csr_matrix:
         merged = np.where(every | (np.diff(content, axis=1) <= 0).all(axis=1),
                           gamma_index(comp, n, both), -1)
         kron = sparse.kron(
-            as_scipy(mod.left.stack_matrix(orient(("words", c1, "all")))),
-            as_scipy(mod.right.stack_matrix(orient(("words", c2, "all")))),
+            as_scipy(mod.left.stack_matrix(orient(("words", c1, "all")))).T,
+            as_scipy(mod.right.stack_matrix(orient(("words", c2, "all")))).T,
             format="coo")
         k1, i1 = np.divmod(kron.row // (T2 * d2), d1)
         k2, i2 = np.divmod(kron.row % (T2 * d2), d2)
@@ -319,13 +368,14 @@ def words_by_full_kron(mod: TensorModule, ref) -> sparse.csr_matrix:
     return sparse.csr_matrix(
         (data[keep], (np.searchsorted(kept, t[keep]) * mod.dim + row[keep],
                       col[keep])),
-        shape=(kept.size * mod.dim, mod.dim))
+        shape=(kept.size * mod.dim, mod.dim)).T
 
 
 @pytest.mark.parametrize("p, left, right", TENSOR_PAIRS)
 def test_tensor_word_stack_matches_full_kron_reference(p, left, right):
-    """Building only the rows of the kept pairs gives the stack the whole
-    Kronecker product gives once the other rows are dropped."""
+    """Moving the blocks of the Kronecker product of the factors' stacks
+    gives the stack scipy's Kronecker product gives once the other rows
+    are dropped."""
     mod = TensorModule(evaluate(left, p, n=4), evaluate(right, p, n=4))
     for comp in compositions(mod.D, mod.n):
         for base in (("words", comp), ("words", comp, "all")):
@@ -380,8 +430,8 @@ def ext_dims_by_loop(res, target):
                 if wlam == 0:
                     continue
                 lam = comp_of_partition(part_k, n)
-                rows, _ = target.weight_basis(lam)
-                _, mu_pivots = target.weight_basis(mu)
+                rows = weight_space(target, lam)
+                mu_pivots = target.weight_indices(mu)
                 for pos in np.flatnonzero(
                         (group >= offset_k) & (group < offset_k + rows_k.size)):
                     coeff = int(gvec[pos])
@@ -389,7 +439,7 @@ def ext_dims_by_loop(res, target):
                         continue
                     local = int(rows_k[group[pos] - offset_k])
                     key = word_key(part_k, basis_tuple(shape_k, local))
-                    word = (np.asarray(xi_block(target, key) @ rows.T) % p).T[
+                    word = (as_scipy(xi_block(target, key)) @ rows.T % p).T[
                         :, list(mu_pivots)]
                     r0, c0 = offsets[s + 1][j], offsets[s][k]
                     delta[r0:r0 + wmu, c0:c0 + wlam] = (

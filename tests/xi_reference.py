@@ -3,9 +3,12 @@ letter tuples of ShapeModule basis vectors (`basis_tuple`) that name them.
 
 The engine acts only through stacks: ("words", c) and ("words", c,
 "all") hold the word of each basis vector t of Gamma^c, and every
-xi_{I,J} is the word of some t in Gamma^{content(J)}.  So a single xi on
-a module is read here as block t of that module's ("words", c, "all")
-stack (`xi_block`).  `xi_matrix` builds a single xi on tensor space one
+xi_{I,J} is the word of some t in Gamma^{content(J)}.  A stack holds the
+images of basis vector j in its row j, block k of them in columns
+k * dim .. (k + 1) * dim - 1, so the matrix of its k-th operator is the
+transpose of that block (`stack_block`), and a single xi on a module is
+read here as block t of that module's ("words", c, "all") stack
+(`xi_block`).  `xi_matrix` builds a single xi on tensor space one
 arrangement at a time, as the engine once did, and `xi_by_splitting`
 and `div_by_splitting` act on a tensor product one operator at a time
 through the splittings of its orbit across the factors, as TensorModule
@@ -106,14 +109,20 @@ def key_word(key, n):
     return comp, k
 
 
+def stack_block(stack, k: int, dim: int):
+    """The matrix of the k-th operator of a stack: the stack holds the
+    images of basis vector j in row j, block k of them in columns
+    k * dim .. (k + 1) * dim - 1, so block k is that operator's transpose."""
+    return stack.take_cols(np.arange(k * dim, (k + 1) * dim)).T
+
+
 def xi_block(mod, key):
     """The column action of xi_key on a module, or its matrix on a tensor
-    space: block t of the stack of every word of Gamma^c, sparse or dense
-    as the stack is."""
+    space: block t of the stack of every word of Gamma^c."""
     comp, k = key_word(key, mod.n)
     ref = ("words", comp, "all")
     stack = mod.stack_matrix(ref) if hasattr(mod, "stack_matrix") else mod.matrix(ref)
-    return stack[k * mod.dim: (k + 1) * mod.dim]
+    return stack_block(stack, k, mod.dim)
 
 
 def dense(mat) -> np.ndarray:
@@ -141,7 +150,7 @@ def div_by_splitting(mod, a, b, r) -> np.ndarray:
     """("div", a, b, r) on `mod`, dense: on a tensor product the sum over
     r1 of E^(r1) (x) E^(r - r1) on the factors, one operator at a time."""
     if not isinstance(mod, TensorModule):
-        return dense(mod.stack_matrix(("div", a, b, r))) % mod.p
+        return dense(stack_block(mod.stack_matrix(("div", a, b, r)), 0, mod.dim)) % mod.p
 
     def factor(m, s):
         return np.eye(m.dim, dtype=np.int64) if s == 0 else div_by_splitting(m, a, b, s)
