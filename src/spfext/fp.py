@@ -10,7 +10,12 @@ arrays, and take_cols, which takes strictly increasing columns only,
 renumbers each kept entry where it stands.  A stack of T operators on
 a space of dimension dim is one wide (dim x T dim) CSR whose row j holds
 the images A_k e_j side by side, so v @ stack reads only the rows of v's
-support; hstack, block_transpose and kron act on such stacks.  All
+support; hstack, block_transpose and kron act on such stacks.  Most
+CSRs hold a few dozen entries, where numpy's fixed cost per call sets
+the price, so each operation makes a small, fixed number of passes:
+ndarray methods and slice comparisons (x[1:] != x[:-1]) rather than the
+np.* wrappers, and cumulative sums written straight into row pointers.
+No operation writes into an operand, since stacks are shared.  All
 elimination routines pivot deterministically (leftmost nonzero column,
 topmost row) so echelon forms are reproducible across runs and platforms.
 
@@ -18,7 +23,8 @@ Row reduction works in the narrowest storage that holds every
 intermediate value exactly: booleans updated by XOR at p = 2, int16
 while (p - 1)^2 + p < 2^15, int64 otherwise.  Each pivot updates only
 the columns from its own rightwards, since the pivot row is zero left of
-it.  Whatever the storage, the result is returned as int64.
+it.  The input is brought into storage with one copy, and an all-zero
+input returns at once; whatever the storage, the result is int64.
 """
 
 from __future__ import annotations
@@ -80,10 +86,13 @@ def row_reduce(a, p: int) -> tuple[np.ndarray, list[int]]:
 
     The input shape is preserved (zero rows sink to the bottom).
     """
-    a = as_fp(a, p)
+    a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("row_reduce expects a 2-d array")
-    a = a.astype(_storage(p), copy=False)
+    a = np.remainder(a, p, out=np.empty(a.shape, dtype=_storage(p)),
+                     casting="unsafe")
+    if not a.any():
+        return zeros(*a.shape), []
     m, n = a.shape
     pivots: list[int] = []
     r = 0
@@ -107,7 +116,7 @@ def row_reduce(a, p: int) -> tuple[np.ndarray, list[int]]:
                 a[r, c:] = a[r, c:] * pow(v, -1, p) % p
             if other.size:
                 a[other, c:] = (a[other, c:]
-                                - np.outer(a[other, c], a[r, c:])) % p
+                                - a[other, c][:, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a.astype(np.int64, copy=False), pivots
@@ -128,7 +137,7 @@ def kernel_basis(a, p: int) -> np.ndarray:
     a column leads a kernel vector iff it lies in the span of the columns
     right of it, so reducing the columns in reverse order leaves free
     exactly the kernel's RREF pivots."""
-    a = as_fp(a, p)
+    a = np.asarray(a, dtype=np.int64)
     _, n = a.shape
     reduced, rev_pivots = row_reduce(a[:, ::-1], p)
     pivots = [n - 1 - c for c in rev_pivots]
@@ -151,7 +160,7 @@ def residual(rows: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> np.n
     through the basis rows whose pivot `v` meets: a batch already reduced
     against part of the basis costs a product with the rest only."""
     coeff = v[..., list(pivots)]
-    used = np.flatnonzero(np.atleast_2d(coeff).any(axis=0))
+    used = np.atleast_2d(coeff).any(axis=0).nonzero()[0]
     if not used.size:
         return v % p
     return (v - matmul(coeff[..., used], rows[used], p)) % p
@@ -197,20 +206,22 @@ class CSR:
         k with (rows[k], cols[k]) = (r, c), mod p: duplicates summed, zeros
         dropped, each row's columns sorted."""
         m, n = shape
-        data = np.asarray(data, dtype=np.int64)
         key = (np.asarray(rows, dtype=np.int64) * n
                + np.asarray(cols, dtype=np.int64))
-        order = np.argsort(key)
-        key, data = key[order], data[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        key, data = key[first], np.add.reduceat(data, first) % p
-        row, col = np.divmod(key[data != 0], max(n, 1))
-        return cls(_indptr(row, m), col, data[data != 0], (m, n), p)
+        order = key.argsort()
+        key = key[order]
+        # the first of each run of equal keys, which are all >= 0
+        first = np.concatenate((key[:1] >= 0, key[1:] != key[:-1])).nonzero()[0]
+        data = np.add.reduceat(np.asarray(data, dtype=np.int64)[order],
+                               first) % p
+        keep = data.nonzero()[0]
+        row, col = np.divmod(key[first[keep]], max(n, 1))
+        return cls(_indptr(row, m), col, data[keep], (m, n), p)
 
     @classmethod
     def from_dense(cls, a, p: int) -> CSR:
         a = np.atleast_2d(np.asarray(a, dtype=np.int64) % p)
-        row, col = np.nonzero(a)
+        row, col = a.nonzero()
         return cls(_indptr(row, a.shape[0]), col, a[row, col], a.shape, p)
 
     @classmethod
@@ -223,8 +234,9 @@ class CSR:
 
     def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, data) of the stored entries, in row-major order."""
-        row = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return row, self.indices, self.data
+        ptr = self.indptr
+        return (np.arange(self.shape[0]).repeat(ptr[1:] - ptr[:-1]),
+                self.indices, self.data)
 
     def toarray(self) -> np.ndarray:
         out = zeros(*self.shape)
@@ -240,10 +252,11 @@ class CSR:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         # each entry (r, k) meets row k of other: expand, then sum
         row, col, data = self.coo()
-        counts = np.diff(other.indptr)[col]
-        at = _ranges(other.indptr[col], counts)
-        return CSR.from_coo(np.repeat(row, counts), other.indices[at],
-                            np.repeat(data, counts) * other.data[at],
+        starts = other.indptr[col]
+        counts = other.indptr[col + 1] - starts
+        at = _ranges(starts, counts)[0]
+        return CSR.from_coo(row.repeat(counts), other.indices[at],
+                            data.repeat(counts) * other.data[at],
                             (self.shape[0], other.shape[1]), self.p)
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
@@ -270,37 +283,36 @@ class CSR:
         if isinstance(rows, slice):
             rows = np.arange(*rows.indices(self.shape[0]))
         rows = np.asarray(rows, dtype=np.int64)
-        counts = self.indptr[rows + 1] - self.indptr[rows]
-        at = _ranges(self.indptr[rows], counts)
-        return CSR(np.concatenate([[0], np.cumsum(counts)]), self.indices[at],
-                   self.data[at], (rows.size, self.shape[1]), self.p)
+        starts = self.indptr[rows]
+        at, indptr = _ranges(starts, self.indptr[rows + 1] - starts)
+        return CSR(indptr, self.indices[at], self.data[at],
+                   (rows.size, self.shape[1]), self.p)
 
     def take_cols(self, cols) -> CSR:
         """The columns at `cols`, strictly increasing: each entry in a kept
         column moves to that column's position, so every row stays sorted."""
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size and (cols[0] < 0 or cols[-1] >= self.shape[1]
-                          or (np.diff(cols) <= 0).any()):
+                          or (cols[1:] <= cols[:-1]).any()):
             raise ValueError(f"take_cols needs strictly increasing columns "
                              f"of {self.shape[1]}")
-        col = np.searchsorted(cols, self.indices)  # kept where it is found
-        keep = np.append(cols, -1)[col] == self.indices
-        indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr]
-        return CSR(indptr, col[keep], self.data[keep],
+        col = cols.searchsorted(self.indices)  # kept where it is found
+        kept = (np.concatenate((cols, [-1]))[col] == self.indices).nonzero()[0]
+        return CSR(kept.searchsorted(self.indptr), col[kept], self.data[kept],
                    (self.shape[0], cols.size), self.p)
 
     @property
     def T(self) -> CSR:
         row, col, data = self.coo()
-        order = np.argsort(col, kind="stable")
+        order = col.argsort(kind="stable")
         return CSR(_indptr(col[order], self.shape[1]), row[order], data[order],
                    self.shape[::-1], self.p)
 
     def block_transpose(self, dim: int) -> CSR:
         """Each (dim x dim) block of a stack, side by side, transposed."""
         row, col, data = self.coo()
-        block = col - col % dim
-        return CSR.from_coo(col - block, block + row, data, self.shape, self.p)
+        block, within = np.divmod(col, dim)
+        return CSR.from_coo(within, block * dim + row, data, self.shape, self.p)
 
     def reshape(self, rows: int, cols: int) -> CSR:
         """The same entries in row-major order, read as (rows x cols)."""
@@ -311,19 +323,22 @@ class CSR:
 
 def _indptr(row: np.ndarray, rows: int) -> np.ndarray:
     """Row pointers of entries whose (sorted) rows are `row`."""
-    return np.concatenate([[0], np.cumsum(np.bincount(row, minlength=rows))])
+    ptr = np.zeros(rows + 1, dtype=np.int64)
+    np.bincount(row, minlength=rows).cumsum(out=ptr[1:])
+    return ptr
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """starts[k], starts[k] + 1, ..., starts[k] + counts[k] - 1, for each k."""
-    ends = np.cumsum(counts)
-    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(
-        starts - ends + counts, counts)
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, ptr): at lists starts[k], starts[k] + 1, ..., starts[k] +
+    counts[k] - 1 for each k in turn, and run k fills at[ptr[k]:ptr[k + 1]]."""
+    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    counts.cumsum(out=ptr[1:])
+    return np.arange(ptr[-1]) + (starts - ptr[:-1]).repeat(counts), ptr
 
 
 def hstack(mats: list[CSR], rows: int, p: int) -> CSR:
     """The matrices, each `rows` tall, side by side."""
-    shift = np.cumsum([0] + [m.shape[1] for m in mats])
+    shift = np.array([0] + [m.shape[1] for m in mats]).cumsum()
     none = [np.zeros(0, dtype=np.int64)]
     row = np.concatenate(none + [m.coo()[0] for m in mats])
     col = np.concatenate(none + [m.indices + s for m, s in zip(mats, shift)])
@@ -346,12 +361,13 @@ def kron(a: CSR, b: CSR) -> CSR:
     row k % b.rows of b.  Each row comes out sorted, and a product of
     units mod a prime is a unit, so no entry needs summing or dropping."""
     ra, rb = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
-    ca, cb = np.diff(a.indptr)[ra], np.diff(b.indptr)[rb]
-    counts = ca * cb
-    own = np.repeat(np.arange(ra.size), counts)
-    i, j = np.divmod(_ranges(np.zeros_like(counts), counts), cb[own])
-    at, bt = a.indptr[ra][own] + i, b.indptr[rb][own] + j
-    return CSR(np.concatenate([[0], np.cumsum(counts)]),
-               a.indices[at] * b.shape[1] + b.indices[bt],
+    sa, sb = a.indptr[ra], b.indptr[rb]
+    cb = b.indptr[rb + 1] - sb
+    counts = (a.indptr[ra + 1] - sa) * cb
+    at, indptr = _ranges(np.zeros_like(counts), counts)
+    own = np.arange(ra.size).repeat(counts)
+    i, j = np.divmod(at, cb[own])
+    at, bt = sa[own] + i, sb[own] + j
+    return CSR(indptr, a.indices[at] * b.shape[1] + b.indices[bt],
                a.data[at] * b.data[bt] % a.p,
                (ra.size, a.shape[1] * b.shape[1]), a.p)

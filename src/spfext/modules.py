@@ -97,11 +97,13 @@ class ModuleRep:
         if self._groups is None:
             # contents lie in [0, D], so base D + 1 keys them one to one
             key = self.contents @ (self.D + 1) ** np.arange(self.n)
-            order = np.argsort(key, kind="stable")
-            starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-            members = np.split(order, starts[1:])
-            self._groups = {tuple(self.contents[order[starts[k]]].tolist()):
-                            members[k] for k in np.argsort(order[starts])}
+            order = key.argsort(kind="stable")
+            key = key[order]
+            cuts = ((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()
+            runs = [order[a:b] for a, b in zip([0] + cuts, cuts + [key.size])
+                    if a < b]
+            self._groups = {tuple(self.contents[run[0]].tolist()): run
+                            for run in sorted(runs, key=lambda run: run[0])}
         return self._groups
 
     def weight_indices(self, comp: tuple[int, ...]) -> np.ndarray:
@@ -195,11 +197,11 @@ class ShapeModule(ModuleRep):
         n, m, nD = self.n, self.m, self.space.dim
         reps = [self.p ** twist for _, size, twist in self.blocks
                 for _ in range(size)]
-        slot_letter = np.repeat(np.arange(self.nletters), reps)
-        first_slot = np.cumsum([0] + reps[:-1])
+        slot_letter = np.arange(self.nletters).repeat(reps)
+        first_slot = np.array([0] + reps[:-1]).cumsum()
         e_digits = self.space.letters
         pure = (e_digits == e_digits[:, first_slot[slot_letter]]).all(axis=1)
-        e_index = np.flatnonzero(pure)
+        e_index = pure.nonzero()[0]
         u_digits = np.zeros((self._u_total, self.nletters), dtype=np.int64)
         rem = np.arange(self._u_total)
         for k in range(self.nletters - 1, -1, -1):
@@ -218,14 +220,14 @@ class ShapeModule(ModuleRep):
         for (kind, size, _), basis in zip(self.blocks, self.block_bases):
             block = letters[:, pos: pos + size]
             pos += size
-            ordered = (np.diff(block, axis=1) >= 0).all(axis=1)
+            ordered = (block[:, 1:] >= block[:, :-1]).all(axis=1)
             canon = np.sort(block, axis=1)
             if kind == "G":
                 projects &= ordered
             elif kind == "S":
                 lifts &= ordered
             else:
-                distinct = (np.diff(canon, axis=1) > 0).all(axis=1)
+                distinct = (canon[:, 1:] > canon[:, :-1]).all(axis=1)
                 lifts &= ordered & distinct
                 projects &= distinct
                 for i, j in combinations(range(size), 2):
@@ -241,11 +243,11 @@ class ShapeModule(ModuleRep):
         self._projected[amb[projects]] = idx[projects]
         self._sign = np.ones(self._amb, dtype=np.int64)
         self._sign[amb[odd]] = self.p - 1
-        rows = np.flatnonzero(self._lifted >= 0)
+        rows = (self._lifted >= 0).nonzero()[0]
         self._lift = fp.CSR.from_coo(rows, self._lifted[rows],
                                      np.ones(rows.size, dtype=np.int64),
                                      (self._amb, self.dim), self.p)
-        cols = np.flatnonzero(self._projected >= 0)
+        cols = (self._projected >= 0).nonzero()[0]
         self._proj = fp.CSR.from_coo(self._projected[cols], cols,
                                      self._sign[cols], (self.dim, self._amb),
                                      self.p)
@@ -278,7 +280,7 @@ class ShapeModule(ModuleRep):
             self._build_bridge()
         S = self.space.matrix(ref)
         N = self.space.dim
-        amb = np.flatnonzero(self._lifted >= 0)
+        amb = (self._lifted >= 0).nonzero()[0]
         word, slot = np.divmod(amb, N)
         # row k of S[slot] holds the images of the slot lifted index amb[k] meets
         owner, hit, data = S[slot].coo()

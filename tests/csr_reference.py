@@ -32,6 +32,8 @@ def canonical(mat, p: int) -> sparse.csr_matrix:
 
 def assert_canonical(mat: fp.CSR) -> None:
     assert isinstance(mat, fp.CSR)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(mat, name).dtype == np.int64, name
     rows, cols = mat.shape
     assert mat.indptr.shape == (rows + 1,) and mat.indptr[0] == 0
     assert (np.diff(mat.indptr) >= 0).all()

@@ -222,6 +222,18 @@ def test_row_reduce_storage_by_prime():
         np.bool_, np.int16, np.int16, np.int64]
 
 
+@pytest.mark.parametrize("p", [2, 3, 193])
+def test_row_reduce_reads_its_input_mod_p(p):
+    """Entries outside [0, p) are read mod p, so a matrix of multiples of
+    p has no pivots and reduces to int64 zeros, in every storage."""
+    a = np.array([[p, -p, 0], [2 * p, 0, -3 * p]])
+    got, pivots = fp.row_reduce(a, p)
+    assert pivots == [] and got.dtype == np.int64 and got.shape == (2, 3)
+    assert not got.any()
+    got, pivots = fp.row_reduce(a + [[1, 0, -1], [0, 0, 0]], p)
+    assert pivots == [0] and got.tolist() == [[1, 0, p - 1], [0, 0, 0]]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 193])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -272,15 +284,26 @@ CSR_PRIMES = [2, 3, 5]
 
 
 @st.composite
-def coo_entries(draw, p, rows=None, cols=None, max_dim=6):
+def coo_entries(draw, p, rows=None, cols=None, max_dim=6, large=False):
     """(rows, cols, data, shape) of a COO matrix with repeated positions,
-    entries that vanish mod p and entries outside [0, p)."""
-    m = draw(st.integers(0, max_dim)) if rows is None else rows
-    n = draw(st.integers(0, max_dim)) if cols is None else cols
-    count = draw(st.integers(0, 3 * m * n)) if m * n else 0
+    entries that vanish mod p and entries outside [0, p).  A large draw
+    is sparse, up to 60 x 60 with at most 200 entries: some positions come
+    twice with entries that cancel mod p, and the entries may come sorted
+    by position already."""
+    top = 60 if large else max_dim
+    m = draw(st.integers(0, top)) if rows is None else rows
+    n = draw(st.integers(0, top)) if cols is None else cols
+    most = min(3 * m * n, 200 if large else 3 * m * n)
+    count = draw(st.integers(0, most)) if m * n else 0
     pos = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)) if m * n else st.nothing()
     at = draw(st.lists(pos, min_size=count, max_size=count))
     data = draw(st.lists(st.integers(-2 * p, 3 * p), min_size=count, max_size=count))
+    if large:
+        cancel = draw(st.integers(0, count))
+        at, data = at + at[:cancel], data + [-x for x in data[:cancel]]
+        if draw(st.booleans()):
+            pairs = sorted(zip(at, data))
+            at, data = [a for a, _ in pairs], [x for _, x in pairs]
     r = np.array([a for a, _ in at], dtype=np.int64)
     c = np.array([b for _, b in at], dtype=np.int64)
     return r, c, np.array(data, dtype=np.int64), (m, n)
@@ -298,7 +321,7 @@ def csr_pairs(draw, p, **dims):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_csr_from_coo_sums_duplicates_and_drops_zeros(p, data):
-    r, c, values, shape = data.draw(coo_entries(p))
+    r, c, values, shape = data.draw(coo_entries(p, large=data.draw(st.booleans())))
     got = fp.CSR.from_coo(r, c, values, shape, p)
     assert_same(got, sparse.coo_matrix((values, (r, c)), shape=shape))
     want = np.zeros(shape, dtype=np.int64)
@@ -323,8 +346,9 @@ def test_csr_from_dense_and_identity(p, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_csr_products(p, data):
-    a, sa = data.draw(csr_pairs(p))
-    b, sb = data.draw(csr_pairs(p, rows=a.shape[1]))
+    large = data.draw(st.booleans())
+    a, sa = data.draw(csr_pairs(p, large=large))
+    b, sb = data.draw(csr_pairs(p, rows=a.shape[1], large=large))
     assert_same(a @ b, sa @ sb)
     x = np.array(data.draw(st.lists(st.integers(-p, 2 * p), min_size=a.shape[0] * 3,
                                     max_size=a.shape[0] * 3))).reshape(3, a.shape[0])
@@ -403,6 +427,54 @@ def test_csr_kron_diagonal_copies_and_hstack(p, data):
     empty = fp.hstack([], a.shape[0], p)
     assert empty.shape == (a.shape[0], 0)
     assert_same(empty, sparse.csr_matrix((a.shape[0], 0), dtype=np.int64))
+
+
+def frozen(*arrays):
+    """Copies of the arrays that refuse every write."""
+    out = [np.array(a) for a in arrays]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def frozen_csr(mat):
+    return fp.CSR(*frozen(mat.indptr, mat.indices, mat.data), mat.shape, mat.p)
+
+
+@pytest.mark.parametrize("p", CSR_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csr_operations_never_write_into_their_operands(p, data):
+    """Memoized stacks are shared, so no kernel may write into an operand:
+    every operation runs on operands whose arrays refuse writes, and
+    gives the same arrays as on writable copies."""
+    dim = data.draw(st.integers(1, 3))
+    a = data.draw(csr_pairs(p, rows=dim, cols=dim * data.draw(st.integers(0, 3))))[0]
+    b = data.draw(csr_pairs(p, rows=a.shape[1], large=data.draw(st.booleans())))[0]
+    c = data.draw(csr_pairs(p, rows=a.shape[0], cols=a.shape[1]))[0]
+    x = np.arange(2 * a.shape[0], dtype=np.int64).reshape(2, a.shape[0])
+    rows = np.array([dim - 1, 0], dtype=np.int64)
+    cols = np.arange(0, a.shape[1], 2)
+
+    def every_operation(a, b, c, x, rows, cols):
+        r, k, v = a.coo()
+        return [fp.CSR.from_coo(r, k, v, a.shape, p), fp.CSR.from_dense(x, p),
+                a @ b, x @ a, a + c, a - c, a[rows], a[0:dim], a.take_cols(cols),
+                a.T, a.block_transpose(dim), a.reshape(a.shape[1] // dim, dim * dim),
+                fp.hstack([a, c], dim, p), fp.kron(a, c), fp.diagonal_copies(a, 2),
+                a.toarray()]
+
+    wants = every_operation(a, b, c, x, rows, cols)
+    gots = every_operation(frozen_csr(a), frozen_csr(b), frozen_csr(c),
+                           *frozen(x, rows, cols))
+    for want, got in zip(wants, gots):
+        if isinstance(want, fp.CSR):
+            assert_canonical(got)
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        else:
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p", CSR_PRIMES)
