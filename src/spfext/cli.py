@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import young
 from .cache import ENV_CACHE_DIR, default_cache_dir
@@ -53,7 +54,10 @@ def _add_flags(parser: argparse.ArgumentParser, names: tuple[str, ...],
         parser.add_argument("--format", choices=formats, default="text")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and building it costs more than a parse."""
     parser = argparse.ArgumentParser(prog="spfext")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,11 +25,17 @@ while (p - 1)^2 + p < 2^15, int64 otherwise.  Each pivot updates only
 the columns from its own rightwards, since the pivot row is zero left of
 it.  The input is brought into storage with one copy, and an all-zero
 input returns at once; whatever the storage, the result is int64.
+
+A right null space is kept in the form one elimination of the reversed
+columns leaves it (Kernel): its free columns, its pivot columns, and the
+coefficient block at the pivots, with no (k x n) basis built; rows()
+materializes the basis where one is wanted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +55,6 @@ def distinct(a: np.ndarray) -> np.ndarray:
 
 def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -132,22 +134,46 @@ def basis_rows(a, p: int) -> tuple[np.ndarray, list[int]]:
     return reduced[: len(pivots)], pivots
 
 
-def kernel_basis(a, p: int) -> np.ndarray:
-    """RREF rows spanning the right null space of `a`, from one elimination:
-    a column leads a kernel vector iff it lies in the span of the columns
-    right of it, so reducing the columns in reverse order leaves free
-    exactly the kernel's RREF pivots."""
+class Kernel(NamedTuple):
+    """The right null space of an (m x n) matrix in the form its reversed
+    elimination leaves it: row i of its RREF basis is the unit vector at
+    free[i] plus coef[:, i] at the columns `pivots`.  Both column lists
+    ascend, and together they are range(n)."""
+
+    free: np.ndarray
+    pivots: np.ndarray
+    coef: np.ndarray
+
+    def rows(self, which=slice(None)) -> np.ndarray:
+        """The basis rows at `which`, a slice or an index array, dense."""
+        free = self.free[which]
+        out = zeros(free.size, self.free.size + self.pivots.size)
+        out[np.arange(free.size), free] = 1
+        out[:, self.pivots] = self.coef[:, which].T
+        return out
+
+
+def kernel(a, p: int) -> Kernel:
+    """The right null space of `a` from one elimination: a column leads a
+    kernel vector iff it lies in the span of the columns right of it, so
+    reducing the columns in reverse order leaves free exactly the
+    kernel's RREF pivots, and a free column's kernel row is minus that
+    column of the reduced matrix at the pivots."""
     a = np.asarray(a, dtype=np.int64)
-    _, n = a.shape
+    n = a.shape[1]
     reduced, rev_pivots = row_reduce(a[:, ::-1], p)
-    pivots = [n - 1 - c for c in rev_pivots]
-    free = sorted(set(range(n)) - set(pivots))
-    if not free:
-        return zeros(0, n)
-    out = zeros(len(free), n)
-    out[np.arange(len(free)), free] = 1
-    out[:, pivots] = (-reduced[:len(pivots), ::-1][:, free].T) % p
-    return out
+    is_pivot = np.zeros(n, dtype=bool)
+    is_pivot[n - 1 - np.array(rev_pivots, dtype=np.int64)] = True
+    free, pivots = (~is_pivot).nonzero()[0], is_pivot.nonzero()[0]
+    # reduced row r has its pivot at column n - 1 - rev_pivots[r], so the
+    # rows run down the pivots from the right
+    coef = -reduced[:len(rev_pivots)][::-1, n - 1 - free] % p
+    return Kernel(free, pivots, coef)
+
+
+def kernel_basis(a, p: int) -> np.ndarray:
+    """RREF rows spanning the right null space of `a`."""
+    return kernel(a, p).rows()
 
 
 def image_basis(a, p: int) -> np.ndarray:

@@ -8,11 +8,19 @@ whose differential columns are those images, and the submodule generated
 so far is, weight by weight, the row space of the differential columns
 picked so far.  Weights are swept in a fixed total order refining
 dominance, and a kernel vector becomes a new pick only when it lies
-outside that row space.  That span is kept in RREF and extended by what
-each pick adds (fp.extend_rref), and the kernel rows not reached yet are
-kept reduced against it, so no pick re-reduces what came before.  Every
-map here is weight-graded, so all linear algebra is done per weight
-block.
+outside that row space.  Every map here is weight-graded, so all linear
+algebra is done per weight block.
+
+Each kernel block is kept as its elimination leaves it (fp.Kernel): row
+i of its RREF basis is the unit vector at its i-th free column plus
+coefficients at the pivot columns, so the kernel is never materialized.
+The span lies in the kernel, where the free coordinates determine a
+vector, so it is kept in RREF in those coordinates alone and extended
+by what each pick adds (fp.extend_rref).  Kernel row i, which reads e_i
+there, lies in the span exactly when i is a pivot of that RREF whose row
+is e_i.  So the next pick is the first later row that fails this test,
+no kernel row is ever reduced, and a pick's vector is built only once
+it is picked.
 
 Only dominant weights (partitions, padded with zeros) are kept: the
 stages, the differential blocks, the kernels and the Yoneda words all
@@ -230,11 +238,18 @@ def resolve(module: ShapeModule, depth: int,
     always depth + 1 stages.
 
     Stages, differentials and kernels are kept at dominant weights only.
-    Exactness of every computed stage and d o d = 0 are verified block
-    by block as the stages are built, and violations raise immediately;
-    since the Weyl group's permutation matrices carry every weight block
+    At each weight in the sweep the picks are the kernel rows, in order,
+    that lie outside the submodule generated so far, tested in the
+    kernel's free coordinates (see the module docstring).
+
+    Exactness of every computed stage and d o d = 0 are verified block by
+    block as the stages are built, and violations raise immediately; a
+    block's rank is its column count less its kernel's free columns.
+    Since the Weyl group's permutation matrices carry every weight block
     onto a dominant one and commute with the maps, checking the dominant
-    blocks proves exactness at every weight.
+    blocks proves exactness at every weight.  The d o d = 0 check also
+    proves that every picked image lies in the kernel, which the free
+    coordinates' test presumes.
     """
     _shape_source(module)
     if depth < 0:
@@ -250,8 +265,9 @@ def resolve(module: ShapeModule, depth: int,
                      stages=[], diffs=[], depth=depth, sweep=sweep)
     prev: ShapeModule | Stage = module
     groups = dominant_groups(module.content_groups())
-    kernel_blocks = {c: fp.identity(len(ix))
-                     for c, ix in groups.items() if len(ix)}
+    # the kernel of the zero map out of each weight space: all of it
+    kernels = {c: fp.kernel(fp.zeros(0, len(ix)), p)
+               for c, ix in groups.items() if len(ix)}
 
     for s in range(depth + 1):
         gens: list[tuple[int, ...]] = []
@@ -260,34 +276,30 @@ def resolve(module: ShapeModule, depth: int,
         columns: dict[tuple[int, ...], list[np.ndarray]] = {}
         for lam in sweep_parts:
             comp = comp_of_partition(lam, n)
-            kern = kernel_blocks.get(comp)
+            kern = kernels.get(comp)
             if kern is None:
                 continue
             idxs = groups[comp]
             _, local_groups = gamma_layout(p, n, lam)
-            # the span at comp is read only now, so it is reduced once, and
-            # each pick extends it by its own block there, which holds v
-            span, piv = fp.zeros(0, idxs.size), []
+            # the span at comp, in the kernel's free coordinates, is read
+            # only now, so it is reduced once, and each pick extends it by
+            # its own block there, which holds v
+            span, piv = fp.zeros(0, kern.free.size), []
             fresh = columns.get(comp, [])
             yoneda = None  # cut at the first pick of this weight
-            # the kernel rows not reached yet, reduced against the span as
-            # it grows: the first of them left nonzero is the next pick
-            left = kern
-            while left.shape[0]:
+            i = 0  # the kernel rows before i lie in the span
+            while True:
                 if fresh:
-                    span, piv = fp.extend_rref(
-                        span, piv, np.concatenate([b.T for b in fresh]), p)
+                    span, piv = fp.extend_rref(span, piv, np.concatenate(
+                        [b[kern.free].T for b in fresh]), p)
                     fresh = []
-                left = fp.residual(span, piv, left, p)
-                outside = np.flatnonzero(left.any(axis=1))
-                if not outside.size:
+                i = _first_outside(span, piv, i, kern.free.size)
+                if i == kern.free.size:
                     break
-                row = kern[kern.shape[0] - left.shape[0] + outside[0]]
-                left = left[outside[0] + 1:]
                 if yoneda is None:
                     yoneda = yoneda_operator(prev, comp, dominant=True)
                 v = np.zeros(prev.dim, dtype=np.int64)
-                v[idxs] = row
+                v[idxs] = kern.rows([i])[0]
                 images = yoneda(v)
                 gens.append(lam)
                 for c, local in local_groups.items():
@@ -296,20 +308,21 @@ def resolve(module: ShapeModule, depth: int,
                         if images[:, local].any():
                             raise SpfextError("image escapes the weight grading")
                         continue
-                    columns.setdefault(c, []).append(images[np.ix_(tgt_ix, local)])
+                    columns.setdefault(c, []).append(images[tgt_ix[:, None], local])
                 fresh = columns[comp][-1:]
+                i += 1
 
         stage = Stage(gens, p, n)
         diff = {c: np.concatenate(columns[c], axis=1) if c in groups
                 else fp.zeros(0, ix.size) for c, ix in stage.groups.items()}
         # one elimination per block: its kernel feeds the next stage, and
         # the rank it leaves proves this stage exact at that weight
-        kernels = {c: fp.kernel_basis(block, p) for c, block in diff.items()}
+        next_kernels = {c: fp.kernel(block, p) for c, block in diff.items()}
 
         # invariant checks: complex property and stage exactness
         for comp, block in diff.items():
-            want = kernel_blocks.get(comp, fp.zeros(0, 0)).shape[0]
-            rank = block.shape[1] - kernels[comp].shape[0]
+            want = kernels[comp].free.size if comp in kernels else 0
+            rank = block.shape[1] - next_kernels[comp].free.size
             if rank != want:
                 raise SpfextError(
                     f"stage {s}: block {comp} spans rank {rank} "
@@ -319,8 +332,8 @@ def resolve(module: ShapeModule, depth: int,
                 if up is not None and up.size and block.size:
                     if fp.matmul(up, block, p).any():
                         raise SpfextError(f"d o d != 0 in block {comp}")
-        for comp, expected in kernel_blocks.items():
-            if expected.shape[0] and comp not in diff:
+        for comp in kernels:
+            if comp not in diff:
                 raise SpfextError(f"stage {s} misses kernel block {comp}")
 
         res.stages.append(stage)
@@ -331,9 +344,22 @@ def resolve(module: ShapeModule, depth: int,
                 res.stages.append(Stage([], p, n))
                 res.diffs.append({})
             break
-        kernel_blocks = {c: k for c, k in kernels.items() if k.shape[0]}
+        kernels = {c: k for c, k in next_kernels.items() if k.free.size}
         prev, groups = stage, stage.groups
     return res
+
+
+def _first_outside(span: np.ndarray, piv: list[int], start: int,
+                   k: int) -> int:
+    """The first i >= start whose unit vector e_i in F_p^k lies outside
+    the row space of the RREF `span`, or k.  e_i lies in it exactly when
+    i is a pivot whose row is e_i: a combination of RREF rows is e_i only
+    if it takes the row at pivot i alone, once."""
+    piv = np.array(piv, dtype=np.int64)
+    at = piv.searchsorted(start)
+    inside = np.zeros(k + 1, dtype=bool)
+    inside[piv[at:][np.count_nonzero(span[at:], axis=1) == 1]] = True
+    return start + int(inside[start:].argmin())
 
 
 _RES_CACHE: dict[tuple, Resolution] = {}

@@ -67,7 +67,7 @@ def full_resolve(module, depth, sweep):
         sweep_parts = sweep_parts[::-1]
     prev, pieces = module, [(module, 0)]
     groups = module.content_groups()
-    kernel_blocks = {c: fp.identity(len(ix)) for c, ix in groups.items()
+    kernel_blocks = {c: np.eye(len(ix), dtype=np.int64) for c, ix in groups.items()
                      if len(ix)}
     stages, diffs = [], []
     for _ in range(depth + 1):

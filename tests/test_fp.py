@@ -107,6 +107,53 @@ def test_kernel_matches_loop_reference_on_low_rank_matrices(data):
     assert (got == want).all()
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compact_kernel_matches_loop_reference(data):
+    """fp.kernel's free columns, pivots and coefficients against the loop
+    reference, on empty, zero, full-rank and low-rank matrices: the free
+    columns are the reference's pivots, each basis row is the unit vector
+    at its free column plus its coefficients at the pivots, and the
+    materialized rows are the reference."""
+    p = data.draw(st.sampled_from([2, 3, 5, 193]), label="p")
+    kind = data.draw(st.sampled_from(["empty", "zero", "full", "low"]),
+                     label="kind")
+    rows, cols = (data.draw(st.integers(0, 9)) for _ in range(2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "empty":
+        a = fp.zeros(0, cols)
+    elif kind == "zero":
+        a = fp.zeros(rows, cols)
+    elif kind == "full":
+        # an invertible upper-triangular block beside random columns
+        a = np.triu(rng.integers(0, p, (rows, rows)), 1)
+        a[np.arange(rows), np.arange(rows)] = rng.integers(1, p, rows)
+        a = np.concatenate([a, rng.integers(0, p, (rows, cols))], axis=1)
+        a = a[:, rng.permutation(a.shape[1])]
+    else:
+        rank = data.draw(st.integers(1, 4), label="rank")
+        a = (rng.integers(0, p, (rows, rank))
+             @ rng.integers(0, p, (rank, cols))) % p
+    n = a.shape[1]
+    free, pivots, coef = fp.kernel(a, p)
+    want = _kernel_by_loop(a, p)
+    assert free.tolist() == [int(r.nonzero()[0][0]) for r in want]
+    assert sorted(free.tolist() + pivots.tolist()) == list(range(n))
+    assert (np.diff(pivots) > 0).all()
+    assert coef.shape == (pivots.size, free.size)
+    assert coef.min(initial=0) >= 0 and coef.max(initial=0) < p
+    assert (want[:, free] == np.eye(free.size, dtype=np.int64)).all()
+    assert (want[:, pivots].T == coef).all()
+    if kind == "full":
+        assert pivots.size == a.shape[0]
+    if kind in ("empty", "zero"):
+        assert free.tolist() == list(range(n))
+    got = fp.kernel(a, p).rows()
+    assert got.shape == want.shape and (got == want).all()
+    picked = rng.permutation(free.size)[: free.size // 2]
+    assert (fp.kernel(a, p).rows(picked) == want[picked]).all()
+
+
 def _sum_and_meet_dims(a, b, p):
     """dim (A + B) = rank [A; B] and dim (A cap B) = dim ker [A^T | -B^T]
     for RREF bases A and B: xA = yB exactly when (x, y) is in that kernel,

@@ -573,7 +573,7 @@ def _hom_space_by_assembly(src, tgt):
                                src_hat[comp], p)) % p
         return x
 
-    kernel = fp.identity(sum(ws * wt for _, ws, wt in blocks))
+    kernel = np.eye(sum(ws * wt for _, ws, wt in blocks), dtype=np.int64)
     mats = [assemble(row) for row in kernel]
     for ref in full_generator_refs(src.space):
         if ref[0] == "xi" or kernel.shape[0] == 0:

@@ -38,7 +38,7 @@ def test_every_module_kind_refuses_a_non_weight(kind, comp):
     s2 = evaluate("S(2)", 2)
     module = {"shape": s2,
               "dual": DualModule(s2),
-              "submodule": SubmoduleModule(s2, fp.identity(s2.dim)),
+              "submodule": SubmoduleModule(s2, np.eye(s2.dim, dtype=np.int64)),
               "tensor": TensorModule(evaluate("I", 2, n=2),
                                      evaluate("I", 2, n=2))}[kind]
     with pytest.raises(ValueError):

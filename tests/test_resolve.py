@@ -41,7 +41,7 @@ def resolve_by_span_per_pick(module, depth, sweep):
         sweep_parts = sweep_parts[::-1]
     prev = module
     groups = dominant_groups(module.content_groups())
-    kernel_blocks = {c: fp.identity(len(ix)) for c, ix in groups.items()
+    kernel_blocks = {c: np.eye(len(ix), dtype=np.int64) for c, ix in groups.items()
                      if len(ix)}
     stages, diffs = [], []
     for s in range(depth + 1):
@@ -171,24 +171,40 @@ def test_yoneda_operator_matches_per_pick_reference(data):
 
 
 def test_exactness_check_fires_on_a_lost_kernel_vector(monkeypatch):
-    true_kernel = fp.kernel_basis
+    true_kernel = fp.kernel
 
     def lossy(a, p):
-        return true_kernel(a, p)[:-1]
+        # the last kernel row dropped: its free column joins the pivots
+        # with zero coefficients, so the other rows are unchanged
+        free, pivots, coef = true_kernel(a, p)
+        if not free.size:
+            return true_kernel(a, p)
+        pivots = np.append(pivots, free[-1])
+        order = pivots.argsort()
+        coef = np.concatenate([coef[:, :-1], fp.zeros(1, free.size - 1)])
+        return fp.Kernel(free[:-1], pivots[order], coef[order])
 
-    monkeypatch.setattr(fp, "kernel_basis", lossy)
+    a = np.array([[1, 1, 0], [0, 0, 0]])
+    assert (lossy(a, 2).rows() == fp.kernel_basis(a, 2)[:-1]).all()
+    monkeypatch.setattr(fp, "kernel", lossy)
     with pytest.raises(SpfextError, match="spans rank"):
         resolve(evaluate("twist(I,1)*twist(I,1)", 2), 3)
 
 
 def test_complex_check_fires_on_a_wrong_kernel(monkeypatch):
-    true_kernel = fp.kernel_basis
+    true_kernel = fp.kernel
 
     def stray(a, p):
-        # the same dimension, but every row gains a stray first coordinate
-        # and so leaves the kernel
-        return (true_kernel(a, p) + (np.arange(a.shape[1]) == 0)) % p
+        # the same dimension, but every row gains a stray coordinate at
+        # the first pivot column, which is no combination of the columns
+        # right of it, and so leaves the kernel
+        free, pivots, coef = true_kernel(a, p)
+        coef = coef.copy()
+        coef[:1] = (coef[:1] + 1) % p
+        return fp.Kernel(free, pivots, coef)
 
-    monkeypatch.setattr(fp, "kernel_basis", stray)
+    a = np.array([[1, 1, 0], [0, 0, 1]])
+    assert (a @ stray(a, 2).rows().T % 2).any(axis=0).all()
+    monkeypatch.setattr(fp, "kernel", stray)
     with pytest.raises(SpfextError, match="d o d != 0"):
         resolve(evaluate("twist(I,1)*twist(I,1)", 2), 3)
