@@ -10,7 +10,8 @@ arrays, and take_cols, which takes strictly increasing columns only,
 renumbers each kept entry where it stands.  A stack of T operators on
 a space of dimension dim is one wide (dim x T dim) CSR whose row j holds
 the images A_k e_j side by side, so v @ stack reads only the rows of v's
-support; hstack, block_transpose and kron act on such stacks.  Most
+support; hstack builds such stacks, row gathers (stack[rows]) read
+them, and kron joins two modules' bridges into a tensor product's.  Most
 CSRs hold a few dozen entries, where numpy's fixed cost per call sets
 the price, so each operation makes a small, fixed number of passes:
 ndarray methods and slice comparisons (x[1:] != x[:-1]) rather than the
@@ -38,11 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-
-def as_fp(a, p: int) -> np.ndarray:
-    """Copy `a` into an int64 array with entries reduced mod p."""
-    return np.asarray(a, dtype=np.int64) % p
 
 
 def distinct(a: np.ndarray) -> np.ndarray:
@@ -176,11 +172,6 @@ def kernel_basis(a, p: int) -> np.ndarray:
     return kernel(a, p).rows()
 
 
-def image_basis(a, p: int) -> np.ndarray:
-    """RREF rows spanning the column space of `a`."""
-    return basis_rows(as_fp(a, p).T, p)[0]
-
-
 def residual(rows: np.ndarray, pivots: list[int], v: np.ndarray, p: int) -> np.ndarray:
     """Reduce `v` (or a batch of row vectors) against an RREF basis,
     through the basis rows whose pivot `v` meets: a batch already reduced
@@ -249,10 +240,6 @@ class CSR:
         a = np.atleast_2d(np.asarray(a, dtype=np.int64) % p)
         row, col = a.nonzero()
         return cls(_indptr(row, a.shape[0]), col, a[row, col], a.shape, p)
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> CSR:
-        return cls.from_coo(np.arange(n), np.arange(n), np.ones(n), (n, n), p)
 
     @property
     def nnz(self) -> int:
@@ -333,12 +320,6 @@ class CSR:
         order = col.argsort(kind="stable")
         return CSR(_indptr(col[order], self.shape[1]), row[order], data[order],
                    self.shape[::-1], self.p)
-
-    def block_transpose(self, dim: int) -> CSR:
-        """Each (dim x dim) block of a stack, side by side, transposed."""
-        row, col, data = self.coo()
-        block, within = np.divmod(col, dim)
-        return CSR.from_coo(within, block * dim + row, data, self.shape, self.p)
 
     def reshape(self, rows: int, cols: int) -> CSR:
         """The same entries in row-major order, read as (rows x cols)."""

@@ -448,7 +448,7 @@ def _tableau_composite(lam: tuple[int, ...], p: int,
     sigma = tuple(int(row_start[r]) + c
                   for c, height in enumerate(conj) for r in range(height))
     mat = (tgt.project_matrix() @ src.space.place_permutation(sigma)
-           @ src.project_matrix().T)
+           @ src.bridge()[1])
     check_equivariance(mat, src, tgt)
     return NaturalMap(src, tgt, mat)
 
@@ -475,7 +475,7 @@ def _build_schur_weyl_simple(lam: tuple[int, ...], which: str, p: int,
     (Green, LNM 830; Akin-Buchsbaum-Weyman, Adv. Math. 1982)."""
     if which == "schur":
         nat = _tableau_composite(lam, p, n=n)
-        return SubmoduleModule(nat.target, fp.image_basis(nat.matrix.toarray(), p))
+        return SubmoduleModule(nat.target, nat.matrix.T.toarray())
     schur = evaluate(Atom("schur", lam), p, n=n)
     if which == "weyl":
         return DualModule(schur)

@@ -1,13 +1,15 @@
 """Concrete Schur-algebra modules realizing strict polynomial functors.
 
-Everything here is a finite-dimensional module over S(n, D) given by
-one rule: the operators a tensor-space ref stacks, as one matrix whose
-row j holds the images of basis vector j (see fp).  The workhorse is
-ShapeModule: a product of divided/symmetric/exterior power blocks over
-an alphabet of (parameter, basis-vector) letters, each letter occupying
-p^twist tensor slots.  Its lift and projection to tensor space are read
-off one numpy decode of the ambient basis, so the algebra action is
-(project) o (tensor-space operator) o (lift).
+Every module here is a module over S(n, D) given as a subquotient of
+its ambient k^U (x) E^(x)D, parameter words times tensor space, by a
+lift L and a projection P with P L = 1.  S(n, D) acts on the ambient
+through tensor space, so an operator A acts on the module as P A L, and
+one rule, ModuleRep._stack, reads every stack off L, P and the space's
+stack (see fp for the stack layout).  ShapeModule, a product of
+divided/symmetric/exterior power blocks over an alphabet of (parameter,
+basis-vector) letters, each letter occupying p^twist tensor slots, reads
+its pair off one decode of the ambient; every other kind derives its
+pair from its operands' pairs.
 
 Every basis is a basis of weight vectors, so a map commutes with the
 weight idempotents iff it joins only basis vectors of equal weight.
@@ -17,10 +19,12 @@ equivariant by the weight comparison and two canonical products with
 the two modules' stacks, compared array by array.  Only hom_space, which
 reads each generator as rows, transposes a stack: once per call.
 
-Duals act through the flip anti-automorphism, submodules through an
-RREF basis of a stable subspace, and binary tensor products through the
-comultiplication of the Schur algebra: each stack is read off the
-Kronecker product of the two factors' stacks.
+A Kuhn dual swaps its base's pair: the flip xi_{I,J} -> xi_{J,I} is the
+transpose on tensor space, so the dual acts as L^T A P^T.  A submodule
+with RREF rows R lifts through R^T and projects onto its pivots.  A
+tensor product's pair is the Kronecker product of its factors' pairs,
+since E^(x)D1 (x) E^(x)D2 is E^(x)(D1 + D2) and S(n, D1 + D2) acts on it
+through the comultiplication (Green, LNM 830).
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ import numpy as np
 
 from . import fp
 from .errors import BudgetExceededError, EquivarianceError
-from .tensorspace import (OpRef, comp_of_partition, compositions, flip_ref,
-                          gamma_index, gamma_letters, get_space)
+from .tensorspace import OpRef, compositions, get_space
 
 AMBIENT_CAP = 1 << 22
 
@@ -46,13 +49,16 @@ def canonical_blocks(blocks) -> tuple[Block, ...]:
 
 
 class ModuleRep:
-    """Base class: a module over S(n, D) with a stacked action rule.
+    """Base class: a module over S(n, D), a subquotient of its ambient.
 
-    Each kind gives one rule, _stack(ref): the actions of the T operators
-    that a tensor-space ref stacks (T = 1 for one operator), as one
-    (dim x T * dim) matrix whose row j holds A_k e_j for k = 0 .. T - 1
-    side by side.  The Yoneda images of a vector, the Ext blocks and the
-    generator action are all read from it.
+    The ambient is `ambient` = U * n^D coordinates, parameter word u and
+    tensor-space slot e at u * n^D + e.  Each kind gives one rule,
+    _build_bridge: the lift L and the transposed projection P^T, both
+    (ambient x dim) CSRs, with P L = 1.  From them _stack(ref) reads the
+    actions of the T operators that a tensor-space ref stacks (T = 1 for
+    one operator), as one (dim x T * dim) matrix whose row j holds
+    A_k e_j for k = 0 .. T - 1 side by side.  The Yoneda images of a
+    vector, the Ext blocks and the generator action are all read from it.
 
     Every basis is a basis of weight vectors: row k of `contents` is the
     weight of basis vector k, and the weight spaces, the character and
@@ -65,14 +71,34 @@ class ModuleRep:
     dim: int
     contents: np.ndarray  # (dim, n)
 
-    def __init__(self, p: int, n: int, D: int, dim: int):
+    def __init__(self, p: int, n: int, D: int, dim: int, ambient: int):
+        if ambient > AMBIENT_CAP:
+            raise BudgetExceededError(
+                f"ambient dimension {ambient} exceeds cap {AMBIENT_CAP}")
         self.p = p
         self.n = n
         self.D = D
         self.dim = dim
+        self.ambient = ambient
         self.space = get_space(p, n, D)
+        self._bridge: tuple[fp.CSR, fp.CSR] | None = None
         self._stacks: dict[OpRef, fp.CSR] = {}
         self._groups: dict[tuple[int, ...], np.ndarray] | None = None
+
+    def bridge(self) -> tuple[fp.CSR, fp.CSR]:
+        """(L, P^T), both (ambient x dim), built once."""
+        if self._bridge is None:
+            self._bridge = self._build_bridge()
+        return self._bridge
+
+    def lift_matrix(self) -> fp.CSR:
+        """L: column j is basis vector j in the ambient."""
+        return self.bridge()[0]
+
+    def project_matrix(self) -> fp.CSR:
+        """P: the coordinates of an ambient vector known to lie over the
+        module."""
+        return self.bridge()[1].T
 
     def stack_matrix(self, ref: OpRef) -> fp.CSR:
         """(dim, T * dim) CSR: block k of row j is A_k e_j, the k-th
@@ -83,6 +109,26 @@ class ModuleRep:
         if hit is not None:
             return hit
         return self._stacks.setdefault(ref, self._stack(ref))
+
+    def _stack(self, ref: OpRef) -> fp.CSR:
+        """P A_k L for the T stacked tensor-space operators A_k of ref,
+        acting on the E slots and as the identity on parameter words.
+        Each entry of L, at a parameter word and a slot, meets the row of
+        the space's stack at that slot on that word, and each image meets
+        the row of P^T there: two row gathers and one from_coo."""
+        lift, proj_t = self.bridge()
+        S = self.space.matrix(ref)
+        N = self.space.dim
+        amb, basis, weight = lift.coo()
+        word, slot = np.divmod(amb, N)
+        # row k of S[slot] holds the images of the slot entry k of L meets
+        owner, hit, data = S[slot].coo()
+        block, image = np.divmod(hit, N)
+        at, col, sign = proj_t[word[owner] * N + image].coo()
+        owner = owner[at]
+        return fp.CSR.from_coo(basis[owner], block[at] * self.dim + col,
+                               weight[owner] * data[at] * sign,
+                               (self.dim, S.shape[1] // N * self.dim), self.p)
 
     def generator_action(self) -> tuple[list[OpRef], fp.CSR]:
         """(refs, A) for refs = space.generator_refs(), the simple-root
@@ -142,10 +188,6 @@ class ShapeModule(ModuleRep):
         self.m = m
         self.alphabet = m * n
         self.nletters = sum(size for _, size, _ in blocks)
-        amb = (m ** self.nletters) * (n ** D)
-        if amb > AMBIENT_CAP:
-            raise BudgetExceededError(
-                f"ambient dimension {amb} exceeds cap {AMBIENT_CAP}")
         self.block_bases = [_block_basis(kind, size, self.alphabet)
                             for kind, size, _ in blocks]
         self._block_index = [{t: k for k, t in enumerate(bb)}
@@ -153,12 +195,8 @@ class ShapeModule(ModuleRep):
         dim = 1
         for bb in self.block_bases:
             dim *= len(bb)
-        super().__init__(p, n, D, dim)
-        self._amb = amb
-        self._u_total = m ** self.nletters
+        super().__init__(p, n, D, dim, m ** self.nletters * n ** D)
         self.contents = self._compute_contents()
-        self._lift: fp.CSR | None = None
-        self._proj: fp.CSR | None = None
 
     # basis handling ------------------------------------------------------
 
@@ -183,18 +221,22 @@ class ShapeModule(ModuleRep):
 
     # tensor-space bridge -------------------------------------------------
 
-    def _build_bridge(self) -> None:
-        """Build the lift and the projection from one decode of the ambient.
+    def _build_bridge(self) -> tuple[fp.CSR, fp.CSR]:
+        """The lift and the transposed projection from one decode of the
+        ambient.
 
         An ambient index is a parameter digit per letter (base m) followed
         by a letter per tensor slot (base n); it lies over the module when
         each letter's p^twist slots agree.  Sorting each block's letters
         names the basis element: the lift takes every arrangement of a G
-        block and the canonical one of an S or L block, the projection
-        every arrangement of an S block, the sorted one of a G block, and
-        repeat-free ones of an L block, signed by their inversion parity.
+        block (orbit sums) and the canonical one of an S or L block, the
+        projection every arrangement of an S block, the sorted one of a G
+        block, and repeat-free ones of an L block, signed by their
+        inversion parity.  Each ambient index lifts from, and projects
+        to, at most one basis element.
         """
         n, m, nD = self.n, self.m, self.space.dim
+        words = self.ambient // nD
         reps = [self.p ** twist for _, size, twist in self.blocks
                 for _ in range(size)]
         slot_letter = np.arange(self.nletters).repeat(reps)
@@ -202,16 +244,15 @@ class ShapeModule(ModuleRep):
         e_digits = self.space.letters
         pure = (e_digits == e_digits[:, first_slot[slot_letter]]).all(axis=1)
         e_index = pure.nonzero()[0]
-        u_digits = np.zeros((self._u_total, self.nletters), dtype=np.int64)
-        rem = np.arange(self._u_total)
+        u_digits = np.zeros((words, self.nletters), dtype=np.int64)
+        rem = np.arange(words)
         for k in range(self.nletters - 1, -1, -1):
             u_digits[:, k] = rem % m
             rem //= m
         letters = (u_digits[:, None, :] * n
                    + e_digits[e_index][:, first_slot][None, :, :]).reshape(
                        -1, self.nletters)
-        amb = (np.arange(self._u_total)[:, None] * nD
-               + e_index[None, :]).reshape(-1)
+        amb = (np.arange(words)[:, None] * nD + e_index[None, :]).reshape(-1)
         idx = np.zeros(amb.size, dtype=np.int64)
         lifts = np.ones(amb.size, dtype=bool)
         projects = np.ones(amb.size, dtype=bool)
@@ -235,63 +276,12 @@ class ShapeModule(ModuleRep):
             weights = self.alphabet ** np.arange(size - 1, -1, -1)
             codes = np.array(basis, dtype=np.int64) @ weights
             idx = idx * len(basis) + np.searchsorted(codes, canon @ weights)
-        # each ambient index lifts from, and projects to, at most one
-        # basis element: the maps ambient -> basis of L^T and P, -1 for none
-        self._lifted = np.full(self._amb, -1, dtype=np.int64)
-        self._lifted[amb[lifts]] = idx[lifts]
-        self._projected = np.full(self._amb, -1, dtype=np.int64)
-        self._projected[amb[projects]] = idx[projects]
-        self._sign = np.ones(self._amb, dtype=np.int64)
-        self._sign[amb[odd]] = self.p - 1
-        rows = (self._lifted >= 0).nonzero()[0]
-        self._lift = fp.CSR.from_coo(rows, self._lifted[rows],
-                                     np.ones(rows.size, dtype=np.int64),
-                                     (self._amb, self.dim), self.p)
-        cols = (self._projected >= 0).nonzero()[0]
-        self._proj = fp.CSR.from_coo(self._projected[cols], cols,
-                                     self._sign[cols], (self.dim, self._amb),
-                                     self.p)
-
-    def lift_matrix(self) -> fp.CSR:
-        """Section of the subquotient: orbit sums on G blocks, canonical
-        representatives on S and L blocks."""
-        if self._lift is None:
-            self._build_bridge()
-        return self._lift
-
-    def project_matrix(self) -> fp.CSR:
-        """Coordinates of an ambient vector known to lie over the module:
-        groups must be pure powers, G blocks are gathered at their sorted
-        representative, S blocks sort, L blocks sort with sign."""
-        if self._proj is None:
-            self._build_bridge()
-        return self._proj
-
-    # action --------------------------------------------------------------
-
-    def _stack(self, ref: OpRef) -> fp.CSR:
-        """P A_k L for the T stacked tensor-space operators A_k of ref,
-        acting on the E slots and as the identity on parameter letters.
-        L and P each touch an ambient index at most once, so each lifted
-        ambient index, a parameter word and a slot, meets the row of the
-        space's stack at that slot on that word: one lift, one row slice
-        and one projection."""
-        if self._lift is None:
-            self._build_bridge()
-        S = self.space.matrix(ref)
-        N = self.space.dim
-        amb = (self._lifted >= 0).nonzero()[0]
-        word, slot = np.divmod(amb, N)
-        # row k of S[slot] holds the images of the slot lifted index amb[k] meets
-        owner, hit, data = S[slot].coo()
-        block, image = np.divmod(hit, N)
-        dst = word[owner] * N + image
-        col = self._projected[dst]
-        keep = col >= 0
-        return fp.CSR.from_coo(self._lifted[amb][owner][keep],
-                               (block * self.dim + col)[keep],
-                               (data * self._sign[dst])[keep],
-                               (self.dim, S.shape[1] // N * self.dim), self.p)
+        shape = (self.ambient, self.dim)
+        return (fp.CSR.from_coo(amb[lifts], idx[lifts],
+                                np.ones(lifts.sum(), dtype=np.int64), shape, self.p),
+                fp.CSR.from_coo(amb[projects], idx[projects],
+                                np.where(odd, self.p - 1, 1)[projects], shape,
+                                self.p))
 
     def expression(self) -> str:
         """The shape as a fragment expression that evaluates back to it:
@@ -310,29 +300,33 @@ class ShapeModule(ModuleRep):
 
 
 class DualModule(ModuleRep):
-    """Kuhn dual: the action of xi_{i,j} is the transpose of xi_{j,i}."""
+    """Kuhn dual: the action of xi_{i,j} is the transpose of xi_{j,i}.
+    On tensor space that transpose is xi_{i,j} itself, so the dual acts
+    as L^T A P^T: its lift is the base's P^T and its projection L^T."""
 
     def __init__(self, base: ModuleRep):
-        super().__init__(base.p, base.n, base.D, base.dim)
+        super().__init__(base.p, base.n, base.D, base.dim, base.ambient)
         self.base = base
         self.contents = base.contents
 
-    def _stack(self, ref: OpRef):
-        # each block is the transpose of the base's block for the flipped
-        # ref; on tensor space the flip of a word is its transpose
-        return self.base.stack_matrix(flip_ref(ref)).block_transpose(self.dim)
+    def _build_bridge(self) -> tuple[fp.CSR, fp.CSR]:
+        lift, proj_t = self.base.bridge()
+        return proj_t, lift
 
 
 class SubmoduleModule(ModuleRep):
-    """Submodule spanned by RREF rows of a stable subspace of the parent.
+    """Submodule spanned by RREF rows R of a stable subspace of the parent.
 
-    A stable subspace is the sum of its weight spaces, so each RREF row is
-    a weight vector, of its pivot's weight; rows that mix weights are
-    refused."""
+    Basis vector j lifts through row j of R, and a vector of the span has
+    its coordinates at the pivots, so the pair is (L R^T, P^T at the
+    pivots).  A stable subspace is the sum of its weight spaces, so each
+    RREF row is a weight vector, of its pivot's weight; rows that mix
+    weights are refused."""
 
     def __init__(self, parent: ModuleRep, rows: np.ndarray):
         rows, pivots = fp.basis_rows(rows, parent.p)
-        super().__init__(parent.p, parent.n, parent.D, rows.shape[0])
+        super().__init__(parent.p, parent.n, parent.D, rows.shape[0],
+                         parent.ambient)
         self.parent = parent
         self.rows = rows
         self.pivots = tuple(pivots)
@@ -341,93 +335,43 @@ class SubmoduleModule(ModuleRep):
         if (parent.contents[col] != self.contents[at]).any():
             raise ValueError("submodule rows are not weight vectors")
 
-    def _stack(self, ref: OpRef):
-        # the basis rows act through the parent's stack, read at the pivots
-        mat, pdim = self.parent.stack_matrix(ref), self.parent.dim
-        keep = (np.arange(mat.shape[1] // pdim)[:, None] * pdim
-                + np.array(self.pivots, dtype=np.int64)).reshape(-1)
-        return fp.CSR.from_dense(self.rows, self.p) @ mat.take_cols(keep)
+    def _build_bridge(self) -> tuple[fp.CSR, fp.CSR]:
+        lift, proj_t = self.parent.bridge()
+        return (lift @ fp.CSR.from_dense(self.rows.T, self.p),
+                proj_t.take_cols(self.pivots))
 
 
 class TensorModule(ModuleRep):
     """Tensor product of two modules, acting through the comultiplication
     of the Schur algebra (Green, LNM 830; Akin-Buchsbaum-Weyman, Adv.
-    Math. 1982): each stack splits into Kronecker products of the
-    factors' stacks."""
+    Math. 1982), which is the action on E^(x)D1 (x) E^(x)D2 =
+    E^(x)(D1 + D2): the pair is the Kronecker product of the factors'
+    pairs, the ambient index (u1, e1, u2, e2) read as (u1 U2 + u2, e1 N2 +
+    e2) for U parameter words and N tensor slots."""
 
     def __init__(self, left: ModuleRep, right: ModuleRep):
         if (left.p, left.n) != (right.p, right.n):
             raise ValueError("tensor factors over different contexts")
-        super().__init__(left.p, left.n, left.D + right.D, left.dim * right.dim)
+        super().__init__(left.p, left.n, left.D + right.D, left.dim * right.dim,
+                         left.ambient * right.ambient)
         self.left = left
         self.right = right
         self.contents = (left.contents[:, None] + right.contents[None, :]).reshape(
             self.dim, self.n)
 
-    def _stack(self, ref: OpRef) -> fp.CSR:
-        # the flip is a coalgebra map: a flipped stack splits into the
-        # factors' flipped stacks
-        flipped = ref[0] == "flip"
-        base = ref[1] if flipped else ref
-        orient = flip_ref if flipped else (lambda r: r)
-        if base[0] == "words":
-            return self._words(tuple(base[1]), len(base) > 2, orient)
-        if base[0] not in ("gens", "div"):
-            raise ValueError(f"cannot split operator ref {ref!r}")
-        refs = self.space.generator_refs() if base[0] == "gens" else [base]
-        return fp.hstack([self._divided(*orient(r)[1:]) for r in refs],
-                         self.dim, self.p)
+    def _build_bridge(self) -> tuple[fp.CSR, fp.CSR]:
+        N1, N2 = self.left.space.dim, self.right.space.dim
+        A2 = self.right.ambient
 
-    def _divided(self, a: int, b: int, r: int) -> fp.CSR:
-        """E^(r) of the root mover b -> a is the sum of E^(r1) (x) E^(r - r1)
-        over the r1 each factor's degree allows: a kron of stacks of one."""
-        def factor(mod: ModuleRep, s: int):
-            return (fp.CSR.identity(mod.dim, self.p)
-                    if s == 0 else mod.stack_matrix(("div", a, b, s)))
+        def join(one: fp.CSR, two: fp.CSR) -> fp.CSR:
+            # row a1 * A2 + a2 of the kron, each a = u * N + e, moves to
+            # (u1 * U2 + u2) * N1 * N2 + e1 * N2 + e2
+            row, col, data = fp.kron(one, two).coo()
+            (u1, e1), (u2, e2) = np.divmod(row // A2, N1), np.divmod(row % A2, N2)
+            return fp.CSR.from_coo((u1 * (A2 // N2) + u2) * N1 * N2 + e1 * N2 + e2,
+                                   col, data, (self.ambient, self.dim), self.p)
 
-        terms = [fp.kron(factor(self.left, r1), factor(self.right, r - r1))
-                 for r1 in range(max(0, r - self.right.D), min(r, self.left.D) + 1)]
-        return sum(terms[1:], terms[0])
-
-    def _words(self, comp: tuple[int, ...], every: bool, orient) -> fp.CSR:
-        """Word t of Gamma^comp acts as the sum, over comp = c1 + c2 with
-        |c1| = left.D and over the splits t = t1 + t2 letter by letter, of
-        word(c1, t1) (x) word(c2, t2).  Each pair (t1, t2) merges into
-        exactly one t, so each c1 adds the Kronecker product of the
-        factors' stacks of every word, block (t1, t2) of it moved to block
-        t, and dropped unless t is at a dominant weight or `every`."""
-        n, d1, d2 = self.n, self.left.dim, self.right.dim
-        comp = comp_of_partition(comp, n)
-        pieces = []
-        for c1 in compositions(self.left.D, n):
-            c2 = tuple(c - x for c, x in zip(comp, c1))
-            if min(c2) < 0:
-                continue
-            w1, w2 = gamma_letters(c1, n), gamma_letters(c2, n)
-            T2 = len(w2)
-            # t1 beside t2, their places regrouped by the letter they pair with
-            order = np.argsort(np.repeat(np.tile(np.arange(n), 2), c1 + c2),
-                               kind="stable")
-            both = np.concatenate([np.repeat(w1, T2, axis=0),
-                                   np.tile(w2, (len(w1), 1))], axis=1)[:, order]
-            content = (both[:, :, None] == np.arange(n)).sum(axis=1)
-            merged = np.where(every | (np.diff(content, axis=1) <= 0).all(axis=1),
-                              gamma_index(comp, n, both), -1)
-            # column (k1 * d1 + i1) * T2 * d2 + k2 * d2 + i2 of the product
-            # is entry i1 * d2 + i2 of block k1 * T2 + k2
-            row, col, data = fp.kron(
-                self.left.stack_matrix(orient(("words", c1, "all"))),
-                self.right.stack_matrix(orient(("words", c2, "all")))).coo()
-            (k1, i1), (k2, i2) = (np.divmod(x, d) for x, d in
-                                  zip(np.divmod(col, T2 * d2), (d1, d2)))
-            t = merged[k1 * T2 + k2]
-            keep = t >= 0
-            pieces.append((merged[merged >= 0], row[keep], t[keep],
-                           (i1 * d2 + i2)[keep], data[keep]))
-        kept, row, t, col, data = (np.concatenate(x) for x in zip(*pieces))
-        kept = fp.distinct(kept)
-        return fp.CSR.from_coo(row, np.searchsorted(kept, t) * self.dim + col,
-                               data, (self.dim, kept.size * self.dim), self.p)
+        return tuple(map(join, self.left.bridge(), self.right.bridge()))
 
 
 # Hom spaces ---------------------------------------------------------------

@@ -20,9 +20,10 @@ caller gets.  A stack of T operators is one (n^D x T n^D) matrix whose
 row j holds the images of basis vector j (see fp): ("gens",) stacks
 generator_refs, ("words", c) the words of Gamma^c, the xi-basis elements
 carrying its canonical generator to its basis vectors t at dominant
-weights, in basis order (("words", c, "all") for every t), and ("flip",
-ref) the flipped stack, which is its blockwise transpose.  A single
-("div", a, b, r) is a stack of one, the transpose of its matrix.
+weights, in basis order (("words", c, "all") for every t).  A single
+("div", a, b, r) is a stack of one, the transpose of its matrix.  The
+flip xi_{I,J} -> xi_{J,I} needs no stack: on E^(x)D it is the
+transpose, which is how a Kuhn dual acts (see modules).
 """
 
 from __future__ import annotations
@@ -36,34 +37,10 @@ from . import fp
 OpRef = tuple
 
 
-def flip_ref(ref: OpRef) -> OpRef:
-    kind = ref[0]
-    if kind == "div":
-        _, a, b, r = ref
-        return ("div", b, a, r)
-    if kind == "flip":
-        return ref[1]
-    if kind in ("gens", "words"):
-        return ("flip", ref)
-    raise ValueError(f"unknown operator ref {ref!r}")
-
-
-def gamma_letters(comp: tuple[int, ...], n: int) -> np.ndarray:
-    """The basis of Gamma^comp in basis order, as a (T, |comp|) letter
-    array: block a, the letters word t pairs with letter a, holds comp[a]
-    places, sorted."""
-    blocks = []
-    for part in comp:
-        basis = list(combinations_with_replacement(range(n), part))
-        blocks.append(np.array(basis, dtype=np.int64).reshape(len(basis), part))
-    digits = np.unravel_index(np.arange(np.prod([len(b) for b in blocks])),
-                              [len(b) for b in blocks])
-    return np.concatenate([b[d] for b, d in zip(blocks, digits)], axis=1)
-
-
 def gamma_index(comp: tuple[int, ...], n: int, letters: np.ndarray) -> np.ndarray:
     """The basis index in Gamma^comp of each row of a (rows, |comp|)
-    letter array laid out as in gamma_letters, each block in any order."""
+    letter array: block a, the letters word t pairs with letter a, holds
+    comp[a] places, in any order."""
     idx = np.zeros(letters.shape[0], dtype=np.int64)
     start = 0
     for part in comp:
@@ -134,8 +111,6 @@ class TensorSpace:
                              self.dim, self.p)
         if kind == "words":
             return self._build_words(ref[1], every=len(ref) > 2)
-        if kind == "flip":
-            return self.matrix(ref[1]).block_transpose(self.dim)
         raise ValueError(f"unknown operator ref {ref!r}")
 
     def _build_words(self, comp: tuple[int, ...], every: bool) -> fp.CSR:

@@ -18,6 +18,10 @@ def as_scipy(mat: fp.CSR) -> sparse.csr_matrix:
     return sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
 
 
+def identity(n: int, p: int) -> fp.CSR:
+    return fp.CSR.from_dense(np.eye(n, dtype=np.int64), p)
+
+
 def canonical(mat, p: int) -> sparse.csr_matrix:
     """`mat` (dense, scipy sparse or fp.CSR) as a canonical scipy CSR mod p."""
     if isinstance(mat, fp.CSR):

@@ -48,7 +48,7 @@ def full_yoneda(level, pieces, comp, v):
     nD = shape.space.dim
     amb = np.concatenate(
         [((as_scipy(piece.lift_matrix()) @ v[off: off + piece.dim]) % p)
-         .reshape(piece._u_total, nD).T for piece, off in pieces], axis=1)
+         .reshape(piece.ambient // nD, nD).T for piece, off in pieces], axis=1)
     proj = sparse.block_diag([as_scipy(piece.project_matrix()) for piece, _ in pieces],
                              format="csr")
     out = fp.zeros(level.dim, shape.dim)

@@ -410,7 +410,7 @@ def test_equivariance_error_names_the_last_generator():
 
     class Twin(ModuleRep):
         def __init__(self):
-            super().__init__(mod.p, mod.n, mod.D, mod.dim)
+            super().__init__(mod.p, mod.n, mod.D, mod.dim, mod.ambient)
             self.contents = mod.contents
 
         def _stack(self, ref):
@@ -505,9 +505,9 @@ def test_quotients_match_linear_algebra_route():
         ts = get_space(p, 2, 2)
         swap = ts.place_permutation((1, 0)).toarray()
         eye = np.eye(4, dtype=np.int64)
-        sym_rel = fp.image_basis(((swap - eye) % p).T, p)
+        sym_rel = fp.basis_rows(swap - eye, p)[0]
         assert 4 - sym_rel.shape[0] == evaluate("S(2)", p).dim
-        plus = fp.image_basis(((swap + eye) % p).T, p)
+        plus = fp.basis_rows(swap + eye, p)[0]
         diag = np.zeros((2, 4), dtype=np.int64)
         diag[0, encode(ts, (0, 0))] = 1
         diag[1, encode(ts, (1, 1))] = 1

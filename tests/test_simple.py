@@ -21,7 +21,7 @@ def _simple_by_hom_solve(lam, p, n):
     weyl = schur_weyl_simple(lam, "weyl", p, n)
     maps = hom_space(weyl, schur)
     assert len(maps) == 1
-    return fp.basis_rows(fp.image_basis(maps[0], p), p)
+    return fp.basis_rows(maps[0].T, p)
 
 
 CASES = ([(lam, p, None) for d in (2, 3, 4) for lam in young.partitions_of(d)

@@ -69,7 +69,7 @@ def _assert_matches_loop(lam, p, n):
     got = canonical_map("tableau_composite", p, lam=lam, n=n).matrix.toarray()
     assert got.shape == want.shape and (got == want).all()
     rows = schur_weyl_simple(lam, "schur", p, n).rows
-    expected = fp.image_basis(want, p)
+    expected = fp.basis_rows(want.T, p)[0]
     assert rows.shape == expected.shape and (rows == expected).all()
 
 

@@ -7,9 +7,9 @@ import pytest
 
 from csr_reference import assert_same
 from spfext import fp
-from spfext.tensorspace import TensorSpace, compositions, flip_ref, get_space
-from xi_reference import (distinct_permutations, encode, key_word, stack_block,
-                          weight_key, xi_block, xi_matrix)
+from spfext.tensorspace import TensorSpace, compositions, get_space
+from xi_reference import (distinct_permutations, encode, key_word, space_stack,
+                          stack_block, weight_key, xi_block, xi_matrix)
 
 
 def xi(ts, i, j):
@@ -260,15 +260,6 @@ def test_generator_count(p, n, D, count):
     assert ts.matrix(("gens",)).shape == (ts.dim, count * ts.dim)
 
 
-def test_flip_ref():
-    words = ("words", (1, 1))
-    flipped = flip_ref(words)
-    assert flipped == ("flip", words)
-    assert flip_ref(flipped) == words
-    assert flip_ref(("gens",)) == ("flip", ("gens",))
-    assert flip_ref(("div", 0, 1, 2)) == ("div", 1, 0, 2)
-
-
 def test_contents():
     """The word xi_{I,J} of t carries weight content(J) to content(I), the
     content of t, and its flip carries them back."""
@@ -279,7 +270,7 @@ def test_contents():
     for ref, rows, cols in [(("words", comp, "all"), (2, 1, 0), (0, 1, 2)),
                             (("flip", ("words", comp, "all")), (0, 1, 2),
                              (2, 1, 0))]:
-        row, col, _ = stack_block(ts.matrix(ref), k, ts.dim).coo()
+        row, col, _ = stack_block(space_stack(ts, ref), k, ts.dim).coo()
         assert row.size and (content[row] == rows).all()
         assert (content[col] == cols).all()
 

@@ -2,14 +2,17 @@
 
 `("words", lam)` is checked against the per-word xi operators it
 replaces, each transposed and set side by side (a stack holds the
-images of basis vector j in row j), and its flip against the flipped
-words.  The stacked action of each module kind is checked against one
-operator at a time through the tensor-space bridge, and a tensor
-product's split of whole stacks against the per-xi split of each
-operator's orbit across its factors.  `ext_dims_by_loop` is the Ext assembly as it was before
-the stack: one word operator and one dense block per nonzero
-differential coefficient.  It is kept here as the slow reference for
-the block-assembled `ext_dims`.
+images of basis vector j in row j), and its blockwise transpose against
+the flipped words.  Every module's bridges are checked against a dense
+rule per kind and its stacks against the dense P A_k L; the stacked
+action of each module kind against one operator at a time, a dual
+against its base's flipped stack, and a tensor product's stacks against
+the per-xi split of each operator's orbit across its factors and
+against the Kronecker product of its factors' stacks of every word.
+`ext_dims_by_loop` is the Ext assembly as it was before the stack: one
+word operator and one dense block per nonzero differential
+coefficient.  It is kept here as the slow reference for the
+block-assembled `ext_dims`.
 """
 
 import gc
@@ -28,10 +31,11 @@ from spfext.homology import (comp_of_partition, ext, ext_dims, gamma_layout,
                              weight_space)
 from spfext.modules import (DualModule, ModuleRep, ShapeModule, SubmoduleModule,
                             TensorModule)
-from spfext.tensorspace import (compositions, flip_ref, gamma_index,
-                                 gamma_letters, get_space, is_dominant)
-from xi_reference import (basis_tuple, dense, div_by_splitting, flip_key, word_key,
-                          xi_block, xi_by_splitting, xi_matrix)
+from spfext.tensorspace import compositions, gamma_index, get_space, is_dominant
+from xi_reference import (basis_tuple, block_transpose, dense, div_by_splitting,
+                          flip_key, flip_ref, gamma_letters, module_stack,
+                          space_stack, word_key, xi_block, xi_by_splitting,
+                          xi_matrix)
 
 STACK_CASES = [(2, 4, (1, 1, 1, 1)), (2, 4, (2, 1, 1)), (2, 4, (3, 1)),
                (2, 4, (2, 2)), (2, 4, (4,)), (3, 3, (2, 1)),
@@ -57,7 +61,7 @@ def test_word_stack_matches_per_word_operators(p, n, lam):
 @pytest.mark.parametrize("p,n,lam", STACK_CASES)
 def test_flipped_word_stack_is_the_flipped_words(p, n, lam):
     space = get_space(p, n, sum(lam))
-    assert_same(space.matrix(("flip", ("words", lam))),
+    assert_same(space_stack(space, ("flip", ("words", lam))),
                 sparse.hstack([xi_matrix(space, flip_key(key)).T
                                for key in word_keys(p, n, lam)], format="csr"))
 
@@ -74,36 +78,29 @@ def test_every_word_stack_matches_per_word_operators(p, n, comp):
                 sparse.hstack([xi_matrix(space, key).T for key in keys], format="csr"))
 
 
-def apply_by_bridge(mod: ShapeModule, op, x):
+def apply_by_bridge(mod: ModuleRep, op, x):
     """One tensor-space operator on a batch of rows: lift, act on each
     parameter word's tensor slots, project."""
-    p, N, U = mod.p, mod.space.dim, mod._u_total
+    p, N = mod.p, mod.space.dim
+    U = mod.ambient // N
     amb = (as_scipy(mod.lift_matrix()) @ x.T).reshape(U, N, -1)
     acted = np.stack([op @ amb[u] for u in range(U)]) % p
     return ((as_scipy(mod.project_matrix()) @ acted.reshape(U * N, -1)) % p).T
 
 
-def stack_by_tiling(mod: ShapeModule, ref) -> sparse.csr_matrix:
-    """ShapeModule._stack as it was first vectorised, on the stacks read
-    one operator below the other: every entry of the tensor-space stack
-    tiled over all m^nletters parameter words before a mask keeps those
-    that lift and project.  Returned transposed, as the engine stores it."""
-    mod.lift_matrix()
-    ops = as_scipy(mod.space.matrix(ref)).T.tocoo()
-    N = mod.space.dim
-    block, slot = np.divmod(ops.row, N)
-    words = np.arange(mod._u_total)[:, None] * N
-    src = mod._lifted[(words + ops.col).reshape(-1)]
-    dst = (words + slot).reshape(-1)
-    row = mod._projected[dst]
-    keep = (src >= 0) & (row >= 0)
-    mat = sparse.csr_matrix(
-        ((np.tile(ops.data, mod._u_total) * mod._sign[dst])[keep],
-         ((np.tile(block, mod._u_total) * mod.dim + row)[keep], src[keep])),
-        shape=(ops.shape[0] // N * mod.dim, mod.dim))
-    mat.data %= mod.p
-    mat.eliminate_zeros()
-    return mat.T
+def stack_by_tiling(mod: ModuleRep, ops) -> sparse.csr_matrix:
+    """The module's stack of the tensor-space stack `ops`, by scipy
+    products: each operator of ops, read one below the other, tiled over
+    all U parameter words as kron(1_U, A_k), between the public bridge
+    matrices.  Returned transposed, as the engine stores it."""
+    N, dim = mod.space.dim, mod.dim
+    lift, proj = as_scipy(mod.lift_matrix()), as_scipy(mod.project_matrix())
+    tiles = sparse.identity(mod.ambient // N, dtype=np.int64, format="csr")
+    below = as_scipy(ops).T.tocsr()
+    blocks = [proj @ sparse.kron(tiles, below[k * N: (k + 1) * N]) @ lift
+              for k in range(ops.shape[1] // N)]
+    mat = sparse.vstack(blocks or [sparse.csr_matrix((0, dim), dtype=np.int64)])
+    return mat.tocsr().T
 
 
 def koszul_terms(p, q, m):
@@ -116,20 +113,28 @@ def koszul_terms(p, q, m):
 @pytest.mark.parametrize("p,q,m", [(2, 2, 1), (2, 2, 2), (3, 3, 1), (3, 3, 2),
                                    (2, 4, 1), (2, 4, 2), (5, 5, 1), (5, 5, 2)])
 def test_generator_stack_matches_tiling_reference(p, q, m):
-    """Lifting first and expanding each lifted index by its column of the
-    stack gives the tiled-and-masked stack entry for entry."""
+    """Gathering the space's rows at the lifted slots and P^T's rows at
+    their images gives the tiled scipy product entry for entry."""
     for mod in koszul_terms(p, q, m):
-        assert_same(mod._stack(("gens",)), stack_by_tiling(mod, ("gens",)))
+        assert_same(mod.stack_matrix(("gens",)),
+                    stack_by_tiling(mod, mod.space.matrix(("gens",))))
 
 
 @pytest.mark.parametrize("text", ["param(S(2),2)", "param(G(2),2)",
                                   "param(L(2)*I,2)"])
 def test_word_stacks_match_tiling_reference(text):
+    """The words and the dual's words: each operator of the dual is the
+    transpose of the base's flipped one, read off the space's blockwise
+    transposed stack."""
     mod = evaluate(text, 2)
+    dual = DualModule(mod)
     for comp in compositions(mod.D, mod.n):
-        for ref in (("words", comp), ("words", comp, "all"),
-                    ("flip", ("words", comp))):
-            assert_same(mod._stack(ref), stack_by_tiling(mod, ref))
+        for ref in (("words", comp), ("words", comp, "all")):
+            assert_same(mod.stack_matrix(ref),
+                        stack_by_tiling(mod, mod.space.matrix(ref)))
+            flipped = space_stack(mod.space, flip_ref(ref))
+            assert_same(block_transpose(dual.stack_matrix(ref), dual.dim),
+                        stack_by_tiling(mod, flipped))
 
 
 def act(mod, ref, x):
@@ -170,9 +175,10 @@ def test_stacked_action_on_a_parameter_module():
 
 
 def test_stacked_action_through_dual_and_submodule():
-    """The dual applies the base's transposed flipped stack, a submodule
-    its parent's stack at its pivots, a tensor product its factors'
-    stacks: each agrees with one word at a time."""
+    """A dual, a submodule and a tensor product, each acting through its
+    bridges, agree one word at a time with each kind's own rule: the
+    base's transposed flipped xi, the parent's action read at the
+    pivots, the orbit split across the factors."""
     p = 2
     base = evaluate("param(S(2)*I,2)", p)
     sub = SubmoduleModule(base, weight_space(base, (2, 1, 0))[:3])
@@ -191,6 +197,70 @@ def test_stacked_action_through_dual_and_submodule():
     for k, key in enumerate(word_keys(p, dual.n, (2, 1))):
         want = apply_by_bridge(base, xi_matrix(base.space, flip_key(key)), eye)
         assert (got[k] == want.T).all()
+
+
+# -- the bridges: every stack is P A_k L ---------------------------------------
+
+
+def reference_bridge(mod):
+    """Dense (L, P) by each kind's rule: a shape's own bridges, checked
+    against loop references in test_functors; a dual's base's (P^T,
+    L^T), since on tensor space the flip of an operator is its
+    transpose; a submodule's parent's L lifting its rows and P read at
+    its pivots; and a tensor product's factors' pairs joined slot by
+    slot, ambient (u1, e1) and (u2, e2) landing at (u1 U2 + u2, e1 N2 + e2)."""
+    if isinstance(mod, ShapeModule):
+        return mod.lift_matrix().toarray(), mod.project_matrix().toarray()
+    if isinstance(mod, DualModule):
+        lift, proj = reference_bridge(mod.base)
+        return proj.T, lift.T
+    if isinstance(mod, SubmoduleModule):
+        lift, proj = reference_bridge(mod.parent)
+        return fp.matmul(lift, mod.rows.T, mod.p), proj[list(mod.pivots)]
+    (l1, p1), (l2, p2) = reference_bridge(mod.left), reference_bridge(mod.right)
+    N1, N2 = mod.left.space.dim, mod.right.space.dim
+    U1, U2 = l1.shape[0] // N1, l2.shape[0] // N2
+    lift = np.einsum("aei,bfj->abefij", l1.reshape(U1, N1, -1),
+                     l2.reshape(U2, N2, -1)).reshape(mod.ambient, mod.dim)
+    proj = np.einsum("iae,jbf->ijabef", p1.reshape(-1, U1, N1),
+                     p2.reshape(-1, U2, N2)).reshape(mod.dim, mod.ambient)
+    return lift % mod.p, proj % mod.p
+
+
+# shapes (one with parameters), duals, submodules (schur, the nested
+# simple) and tensor products, nested through one another
+BRIDGE_CASES = [(3, "S(2)*L(1)"), (2, "param(S(2),2)"), (3, "dual(S(3))"),
+                (3, "schur(2,1)"), (3, "simple(2,1)"), (2, "weyl(2,1)"),
+                (3, "dual(param(G(2)*I,2))"), (2, "dual(dual(schur(2,2)))"),
+                (3, "param(S(2),2)*simple(1)"), (3, "dual(simple(2,1)*I)"),
+                (2, "weyl(2,1)*param(L(1),2)")]
+
+
+@pytest.mark.parametrize("p, text", BRIDGE_CASES)
+def test_every_stack_is_project_act_lift(p, text):
+    """P L = 1, the bridges follow each kind's rule, and the stack of the
+    generators, of a div, of the words at dominant weights and of every
+    word is, block by block, the transposed dense P (1_U (x) A_k) L."""
+    mod = evaluate(text, p)
+    lift, proj = mod.lift_matrix(), mod.project_matrix()
+    assert lift.shape == proj.T.shape == (mod.ambient, mod.dim)
+    assert (fp.matmul(proj.toarray(), lift.toarray(), p)
+            == np.eye(mod.dim, dtype=np.int64)).all()
+    want_lift, want_proj = reference_bridge(mod)
+    assert (lift.toarray() == want_lift).all() and (proj.toarray() == want_proj).all()
+    N = mod.space.dim
+    top = comp_of_partition((mod.D - 1, 1), mod.n)
+    for ref in [("gens",), ("div", 1, 0, 1), ("words", top),
+                ("words", top[::-1], "all")]:
+        ops = as_scipy(mod.space.matrix(ref))
+        stack = mod.stack_matrix(ref).toarray()
+        assert stack.shape == (mod.dim, ops.shape[1] // N * mod.dim)
+        for k in range(ops.shape[1] // N):
+            A = ops[:, k * N: (k + 1) * N].T
+            acted = np.concatenate([A @ want_lift[u * N: (u + 1) * N]
+                                    for u in range(mod.ambient // N)])
+            want = fp.matmul(want_proj, acted % p, p)
+            assert (stack[:, k * mod.dim: (k + 1) * mod.dim] == want.T).all(), (ref, k)
 
 
 # -- one memo per module: every stack is a canonical CSR, built once ----------
@@ -302,9 +372,9 @@ TENSOR_PAIRS = [(2, "S(2)", "dual(G(2))"), (2, "simple(2)", "L(2)"),
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_tensor_stack_split_matches_per_xi_reference(data):
-    """Words at any composition, dominant-only or every one, their flips,
-    and the generators: the stack split equals the per-xi split entry for
-    entry, on the tensor product and through its dual."""
+    """Words at any composition, dominant-only or every one, and the
+    generators: the stack equals the per-xi split entry for entry, on the
+    tensor product, and flipped and transposed through its dual."""
     p, left, right = data.draw(st.sampled_from(TENSOR_PAIRS), label="pair")
     n = 4
     mod = TensorModule(evaluate(left, p, n=n), evaluate(right, p, n=n))
@@ -314,18 +384,16 @@ def test_tensor_stack_split_matches_per_xi_reference(data):
     else:
         comp = data.draw(st.sampled_from(compositions(mod.D, n)), label="comp")
         ref = ("words", comp) if kind == "words" else ("words", comp, "all")
-    if data.draw(st.booleans(), label="flip"):
-        ref = ("flip", ref)
     got = mod.stack_matrix(ref)
     blocks = split_reference(mod, ref)
     none = [np.zeros((mod.dim, 0), dtype=np.int64)]
     want = np.concatenate(none + [block.T for block in blocks], axis=1)
     assert got.shape == want.shape
     assert (dense(got) == want).all()
-    # the dual acts through the flipped stack of the tensor product, each
-    # of its operators the transpose of one of these
-    dual = DualModule(mod).stack_matrix(flip_ref(ref))
-    assert (dense(dual) == np.concatenate(none + blocks, axis=1)).all()
+    # each operator of the dual is the transpose of the flipped one
+    dual = DualModule(mod).stack_matrix(ref)
+    flipped = split_reference(mod, flip_ref(ref))
+    assert (dense(dual) == np.concatenate(none + flipped, axis=1)).all()
 
 
 def words_by_full_kron(mod: TensorModule, ref) -> sparse.csr_matrix:
@@ -333,7 +401,8 @@ def words_by_full_kron(mod: TensorModule, ref) -> sparse.csr_matrix:
     read one operator below the other: for each c1, the whole Kronecker
     product of the factors' stacks of every word, then the rows of each
     pair (t1, t2) whose merged t is not dominant dropped.  Returned
-    transposed, as the engine stores it."""
+    transposed, as the engine stores it.  A flipped ref takes the
+    factors' flipped stacks."""
     flipped = ref[0] == "flip"
     base = ref[1] if flipped else ref
     orient = flip_ref if flipped else (lambda r: r)
@@ -355,8 +424,8 @@ def words_by_full_kron(mod: TensorModule, ref) -> sparse.csr_matrix:
         merged = np.where(every | (np.diff(content, axis=1) <= 0).all(axis=1),
                           gamma_index(comp, n, both), -1)
         kron = sparse.kron(
-            as_scipy(mod.left.stack_matrix(orient(("words", c1, "all")))).T,
-            as_scipy(mod.right.stack_matrix(orient(("words", c2, "all")))).T,
+            as_scipy(module_stack(mod.left, orient(("words", c1, "all")))).T,
+            as_scipy(module_stack(mod.right, orient(("words", c2, "all")))).T,
             format="coo")
         k1, i1 = np.divmod(kron.row // (T2 * d2), d1)
         k2, i2 = np.divmod(kron.row % (T2 * d2), d2)
@@ -373,14 +442,14 @@ def words_by_full_kron(mod: TensorModule, ref) -> sparse.csr_matrix:
 
 @pytest.mark.parametrize("p, left, right", TENSOR_PAIRS)
 def test_tensor_word_stack_matches_full_kron_reference(p, left, right):
-    """Moving the blocks of the Kronecker product of the factors' stacks
-    gives the stack scipy's Kronecker product gives once the other rows
-    are dropped."""
+    """The tensor product's word stacks, and its dual's flipped and
+    transposed, are the stacks scipy's Kronecker product of the factors'
+    stacks of every word gives once the other rows are dropped."""
     mod = TensorModule(evaluate(left, p, n=4), evaluate(right, p, n=4))
     for comp in compositions(mod.D, mod.n):
         for base in (("words", comp), ("words", comp, "all")):
             for ref in (base, ("flip", base)):
-                assert_same(mod.stack_matrix(ref), words_by_full_kron(mod, ref))
+                assert_same(module_stack(mod, ref), words_by_full_kron(mod, ref))
 
 
 # -- Ext assembly against the per-coefficient loop ----------------------------

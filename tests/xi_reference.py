@@ -13,6 +13,14 @@ arrangement at a time, as the engine once did, and `xi_by_splitting`
 and `div_by_splitting` act on a tensor product one operator at a time
 through the splittings of its orbit across the factors, as TensorModule
 once did.
+
+The flip xi_{I,J} -> xi_{J,I} is kept here as the engine once stacked
+it, as the independent rule a Kuhn dual is checked against: `flip_ref`
+names a flipped stack, `space_stack` builds one on tensor space by
+transposing each block of the stack (`block_transpose`), and
+`module_stack` reads a module's flipped stack off its dual.
+`gamma_letters` lays out the basis of Gamma^c, for the tensor product's
+word split as it was first written.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -20,7 +28,8 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 from scipy import sparse
 
-from spfext.modules import TensorModule
+from spfext import fp
+from spfext.modules import DualModule, TensorModule
 
 
 def distinct_permutations(items: tuple):
@@ -81,6 +90,58 @@ def weight_key(comp):
 
 def flip_key(key):
     return tuple(sorted((b, a) for a, b in key))
+
+
+def flip_ref(ref):
+    """The ref of the flipped stack: a div moves the other way, and a
+    stack of gens or words is named ("flip", ref)."""
+    kind = ref[0]
+    if kind == "div":
+        _, a, b, r = ref
+        return ("div", b, a, r)
+    if kind == "flip":
+        return ref[1]
+    if kind in ("gens", "words"):
+        return ("flip", ref)
+    raise ValueError(f"unknown operator ref {ref!r}")
+
+
+def block_transpose(stack, dim: int):
+    """Each (dim x dim) block of a stack, side by side, transposed."""
+    row, col, data = stack.coo()
+    block, within = np.divmod(col, dim)
+    return fp.CSR.from_coo(within, block * dim + row, data, stack.shape, stack.p)
+
+
+def space_stack(ts, ref):
+    """The stack of ref on tensor space, flipped refs included: on
+    E^(x)D the flip of an operator is its transpose, so the flipped
+    stack holds each block transposed."""
+    if ref[0] == "flip":
+        return block_transpose(ts.matrix(ref[1]), ts.dim)
+    return ts.matrix(ref)
+
+
+def module_stack(mod, ref):
+    """The stack of ref on a module, flipped refs included: the dual's
+    operator at ref is the transposed flipped operator, so the flipped
+    stack holds each block of the dual's stack transposed."""
+    if ref[0] == "flip":
+        return block_transpose(DualModule(mod).stack_matrix(ref[1]), mod.dim)
+    return mod.stack_matrix(ref)
+
+
+def gamma_letters(comp, n: int) -> np.ndarray:
+    """The basis of Gamma^comp in basis order, as a (T, |comp|) letter
+    array: block a, the letters word t pairs with letter a, holds comp[a]
+    places, sorted."""
+    blocks = []
+    for part in comp:
+        basis = list(combinations_with_replacement(range(n), part))
+        blocks.append(np.array(basis, dtype=np.int64).reshape(len(basis), part))
+    digits = np.unravel_index(np.arange(np.prod([len(b) for b in blocks])),
+                              [len(b) for b in blocks])
+    return np.concatenate([b[d] for b, d in zip(blocks, digits)], axis=1)
 
 
 def xi_matrix(ts, key) -> sparse.csr_matrix:
