@@ -113,20 +113,20 @@ def resolution_from_payload(payload: dict):
     source's degree, and each block's shape against the dominant weight
     groups of its source and target stage; a mismatch raises ValueError."""
     from .functors import evaluate
-    from .homology import Resolution, Stage, dominant_groups
+    from .homology import Resolution, Stage, gamma_summand
 
     ctx = payload["context"]
     p, n = ctx["p"], ctx["n"]
     module = evaluate(ctx["expression"], p)
-    stages = [Stage([_stage_label(text, module.D, n) for text in parts], p, n)
-              for parts in payload["stages"]]
+    stages = [Stage([gamma_summand(p, n, _stage_label(text, module.D, n))
+                     for text in parts]) for parts in payload["stages"]]
     if len(stages) != ctx["depth"] + 1:
         raise ValueError(f"cache entry has {len(stages)} stages, its depth "
                          f"{ctx['depth']} needs {ctx['depth'] + 1}")
     if len(payload["diffs"]) != len(stages):
         raise ValueError("cache entry has not one differential per stage")
     diffs = []
-    rows_groups = dominant_groups(module.content_groups())
+    rows_groups = Stage([(ctx["expression"], module, None)]).groups
     for stage, stage_diff in zip(stages, payload["diffs"]):
         diff = {_comp_parse(comp): decode_matrix(block, p)
                 for comp, block in stage_diff.items()}

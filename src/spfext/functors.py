@@ -249,11 +249,17 @@ def to_shape(node: Node, p: int) -> tuple[tuple[Block, ...], int] | None:
     return None
 
 
+def is_integer(x) -> bool:
+    """A Python int but no bool: numpy's integers would not serialize."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_field(p: int, i: int = 1) -> None:
-    """Refuse a characteristic that is not prime or a twist order below 1."""
-    if p < 2 or any(p % f == 0 for f in range(2, isqrt(p) + 1)):
+    """Refuse a characteristic that is not prime or a twist order below 1,
+    and any p or i that is not an integer."""
+    if not is_integer(p) or p < 2 or any(p % f == 0 for f in range(2, isqrt(p) + 1)):
         raise SemanticError(f"p = {p} is not prime")
-    if i < 1:
+    if not is_integer(i) or i < 1:
         raise SemanticError("i must be a positive integer")
 
 

@@ -30,19 +30,21 @@ every natural map, so a complex of these modules is exact iff it is
 exact at every dominant weight (Morita truncation to eSe with e the sum
 of the xi_lam, lam a partition: Green, LNM 830, 3; Donkin, J. Algebra
 104, 1986).  The rank and d o d = 0 checks on dominant blocks are
-therefore still a proof of exactness.
+therefore still a proof of exactness.  So every level a resolution
+reads, its source included, is a Stage: a direct sum of module
+summands, each kept at its rows of dominant weight.
 
 Ext groups are the cohomology of Hom(P_*, N), whose terms are weight
 spaces of N at partitions.  Each block of a differential, between the
-summands of partition mu and those of lam, is one product of two
-halves: the differential's coefficients on the words of Gamma^lam of
-weight mu, which depend on the resolution alone and are gathered once
-per resolution (`coefficient_blocks`), times the stacked action of those
-words on N_lam read at N_mu, the target's half.  The same stacked words,
-("words", lam), give the Yoneda maps: one `yoneda_operator` per level
-and weight, cut from the stack once and applied to every vector picked
-there.  A stack's row j holds the images of basis vector j (see fp), so
-each of these cuts is a row slice of one stack and a take of columns.
+summands named mu and lam, is one product of two halves: the
+differential's coefficients on the words of Gamma^lam of weight mu,
+gathered once per resolution (`coefficient_blocks`), times the stacked
+action of those words on N_lam read at N_mu, the target's half.  The
+same stacked words, ("words", lam), give the Yoneda maps: one
+`yoneda_operator` per stage and weight, cut once from each summand
+module's stack and applied to every vector picked there.  A stack's row
+j holds the images of basis vector j (see fp), so each cut is a row
+slice of one stack, read at the columns it needs.
 """
 
 from __future__ import annotations
@@ -58,117 +60,107 @@ from . import fp, young
 from .errors import (AdmissibilityError, DegreeMismatchError, SemanticError,
                      SpfextError, UnsupportedExpressionError)
 from .functors import (Atom, Dual, Ident, Node, Param, Tensor, Twist, as_node,
-                       canon, check_field, degree, evaluate, shape_module)
+                       canon, check_field, degree, evaluate, is_integer,
+                       shape_module)
 from .modules import ModuleRep, ShapeModule, hom_space
-from .tensorspace import comp_of_partition, get_space, is_dominant
+from .tensorspace import comp_of_partition, is_dominant
 
 
 def gamma_shape(p: int, n: int, lam: tuple[int, ...]) -> ShapeModule:
     return shape_module(p, n, tuple(("G", part, 0) for part in lam), 1)
 
 
-def generator_index(shape: ShapeModule, lam: tuple[int, ...]) -> int:
-    return shape.basis_index(tuple((b,) * part for b, part in enumerate(lam)))
-
-
-# -- dominant weights ---------------------------------------------------------
-
-
-def dominant_groups(groups: dict[tuple[int, ...], np.ndarray]
-                    ) -> dict[tuple[int, ...], np.ndarray]:
-    """The weight groups at dominant weights (parts never increasing), the
-    only weights a resolution keeps."""
-    return {c: ix for c, ix in groups.items() if is_dominant(c)}
-
-
-@cache
-def gamma_layout(p: int, n: int, lam: tuple[int, ...]
-                 ) -> tuple[np.ndarray, dict[tuple[int, ...], np.ndarray]]:
-    """The dominant rows of Gamma^lam, ascending, and each dominant
-    weight's positions among them.  Basis vector t of Gamma^lam is also
-    word t, so the rows are the words that land in a dominant weight."""
-    groups = dominant_groups(gamma_shape(p, n, lam).content_groups())
-    rows = np.sort(np.concatenate(list(groups.values())))
-    positions = {c: np.searchsorted(rows, ix) for c, ix in groups.items()}
-    for arr in (rows, *positions.values()):
-        arr.setflags(write=False)  # shared by every caller of the memo
-    return rows, positions
+@cache  # the cache loader asks for one per summand of every stage
+def gamma_summand(p: int, n: int, lam: tuple[int, ...]) -> tuple:
+    """Gamma^lam as a stage summand, generated by its weight-lam word."""
+    shape = gamma_shape(p, n, lam)
+    return lam, shape, shape.basis_index(tuple((b,) * k for b, k in enumerate(lam)))
 
 
 # -- resolution data ----------------------------------------------------------
 
 
+@cache
+def dominant_layout(module: ModuleRep) -> tuple[np.ndarray, dict, np.ndarray]:
+    """The rows of a module at dominant weights (parts never increasing),
+    ascending, each dominant weight's positions among them, and the weight
+    of every basis vector as one integer.  The rows are the coordinates a
+    stage keeps of a summand; on Gamma^lam, basis vector t is also word t,
+    so they are the words of ("words", lam), in order."""
+    rows = np.flatnonzero((np.diff(module.contents, axis=1) <= 0).all(axis=1))
+    positions = {c: rows.searchsorted(ix)
+                 for c, ix in module.content_groups().items() if is_dominant(c)}
+    # contents lie in [0, D], so base D + 1 keys them one to one
+    weights = module.contents @ (module.D + 1) ** np.arange(module.n)
+    for arr in (rows, weights, *positions.values()):
+        arr.setflags(write=False)  # shared by every caller of the memo
+    return rows, positions, weights
+
+
 class Stage:
-    """A direct sum of Gamma^lam summands, kept at its dominant rows.
+    """A direct sum of (name, module, generator) summands, whose
+    coordinates are each summand's dominant rows (dominant_layout) in
+    turn: dim counts only those, and groups maps each dominant weight to
+    its coordinates.  summands lists the names; blocks maps each name to
+    the module and generator its summands share, and their offsets.  A
+    Gamma^lam summand is named by lam (gamma_summand); the stage that
+    stage 0 resolves is the source alone, with no generator."""
 
-    summands lists each summand's partition.  The coordinates of a stage
-    are the dominant rows of each summand in turn, so dim counts only
-    those.  groups maps each dominant weight to its coordinates.
-    """
-
-    def __init__(self, partitions: list[tuple[int, ...]], p: int, n: int):
-        self.p = p
-        self.n = n
-        self.summands = list(partitions)
-        groups: dict[tuple[int, ...], list[np.ndarray]] = {}
-        offsets: dict[tuple[int, ...], list[int]] = {}
-        offset = 0
-        for lam in self.summands:
-            rows, local_groups = gamma_layout(p, n, lam)
-            for c, local in local_groups.items():
+    def __init__(self, summands: list[tuple]):
+        self.summands = [name for name, _, _ in summands]
+        groups, blocks, offset = {}, {}, 0
+        for name, module, gen in summands:
+            rows, positions, _ = dominant_layout(module)
+            for c, local in positions.items():
                 groups.setdefault(c, []).append(local + offset)
-            offsets.setdefault(lam, []).append(offset)
+            blocks.setdefault(name, (module, gen, []))[2].append(offset)
             offset += rows.size
         self.dim = offset
         self.groups = {c: np.concatenate(parts) for c, parts in groups.items()}
-        # per partition: the common shape and dominant rows, and each offset
-        self.blocks = {lam: (gamma_shape(p, n, lam), gamma_layout(p, n, lam)[0],
-                             np.array(offs, dtype=np.int64))
-                       for lam, offs in offsets.items()}
+        self.blocks = {name: (module, gen, np.array(offs, dtype=np.int64))
+                       for name, (module, gen, offs) in blocks.items()}
 
 
 # -- weight spaces and Yoneda ------------------------------------------------
 
 
-def yoneda_operator(level: ModuleRep | Stage, comp: tuple[int, ...],
-                    dominant: bool = False):
-    """The Yoneda maps Gamma^comp -> level, as v -> images: for v a
+def yoneda_operator(stage: Stage, comp: tuple[int, ...]):
+    """The Yoneda maps Gamma^comp -> stage, as v -> images: for v a
     weight-comp vector, the map sending the canonical generator to v,
-    whose column k is the k-th word of Gamma^comp applied to v, over
-    every word (the whole map) or, with `dominant`, over the dominant ones
-    in gamma_layout order, as `resolve` asks.
+    whose column k is the k-th dominant word of Gamma^comp applied to v.
 
-    The words act as one stacked operator, ("words", comp), and the
-    operator is cut from it once, so every v it is applied to costs one
-    product.  On a module, v lies in the weight space of comp, so the cut
-    is the stack's rows there.  On a resolution stage, whose rows are its
-    dominant coordinates, the summands of one partition share a shape,
-    and its stack at the dominant rows, cut to the words' dominant
-    columns, serves them all in one product.
+    The words act on each summand module as one stacked operator,
+    ("words", comp), cut once at the module's rows of weight comp, so one
+    product per summand name serves every v.  A word lands at the rows of
+    its own weight, which is dominant; an entry anywhere else escapes the
+    weight grading and raises SpfextError.
     """
-    ref = ("words", tuple(comp)) if dominant else ("words", tuple(comp), "all")
-    if not isinstance(level, Stage):
-        idxs = level.weight_indices(comp)
-        rows = level.stack_matrix(ref)[idxs]
-        def apply(v):
-            v = np.asarray(v, dtype=np.int64).reshape(-1)
-            return (v[None, idxs] @ rows).reshape(-1, level.dim).T
-        return apply
-    space = get_space(level.p, level.n, sum(comp))
-    T = space.matrix(ref).shape[1] // space.dim
-    cuts = []
-    for shape, rows, offsets in level.blocks.values():
-        coords = offsets[None, :] + np.arange(rows.size)[:, None]
-        keep = (np.arange(T)[:, None] * shape.dim + rows).reshape(-1)
-        cuts.append((coords, shape.stack_matrix(ref)[rows].take_cols(keep)))
+    comp = tuple(comp)
+    T, cuts = 0, []
+    for module, _, offsets in stage.blocks.values():
+        rows, positions, weights = dominant_layout(module)
+        gamma = gamma_shape(module.p, module.n, tuple(c for c in comp if c))
+        words, _, word_weights = dominant_layout(gamma)
+        T = words.size
+        at = positions.get(comp)
+        if at is None:
+            continue  # v is zero on these summands
+        stack = module.stack_matrix(("words", comp))[rows[at]]
+        word, image = np.divmod(stack.indices, module.dim)
+        if (weights[image] != word_weights[words[word]]).any():
+            raise SpfextError("image escapes the weight grading")
+        # every image is a dominant row, so entries stay sorted at word * R + row
+        cut = fp.CSR(stack.indptr, word * rows.size + rows.searchsorted(image),
+                     stack.data, (at.size, T * rows.size), module.p)
+        cuts.append((offsets[None, :] + at[:, None],
+                     offsets[None, :] + np.arange(rows.size)[:, None], cut))
 
     def apply(v):
         v = np.asarray(v, dtype=np.int64).reshape(-1)
-        out = fp.zeros(level.dim, T)
-        for coords, cut in cuts:
-            images = v[coords].T @ cut
-            out[coords] = images.reshape(-1, T, coords.shape[0]).transpose(
-                2, 0, 1)
+        out = fp.zeros(stage.dim, T)
+        for src, dst, cut in cuts:
+            images = v[src].T @ cut  # per copy, T blocks of its dominant rows
+            out[dst] = images.reshape(-1, T, dst.shape[0]).transpose(2, 0, 1)
         return out
     return apply
 
@@ -183,19 +175,19 @@ def weight_space(module: ModuleRep, comp: tuple[int, ...]) -> np.ndarray:
 def hom_from_gamma(comp: tuple[int, ...], module: ModuleRep):
     """dim Hom(Gamma^comp, M) plus the realization of weight vectors:
     realize(v) is the equivariant matrix Gamma^comp(E) -> M sending the
-    canonical generator to v (see yoneda_operator).  realize raises
-    ValueError unless v is a weight-comp vector of M."""
+    canonical generator to v: v @ the stack of every word at M_comp.
+    realize raises ValueError unless v is a weight-comp vector of M."""
     comp = comp_of_partition(comp, module.n)
     if sum(comp) != module.D:
         raise SemanticError(f"{comp} does not sum to the degree {module.D}")
     idxs = module.weight_indices(comp)
-    yoneda = yoneda_operator(module, comp)
+    rows = module.stack_matrix(("words", comp, "all"))[idxs]
 
     def realize(v):
         v = np.asarray(v, dtype=np.int64).reshape(-1)
         if v.size != module.dim or (np.delete(v, idxs) % module.p).any():
             raise ValueError(f"v is no vector of weight {comp} in the module")
-        return yoneda(v)
+        return (v[None, idxs] @ rows).reshape(-1, module.dim).T
 
     return idxs.size, realize
 
@@ -225,6 +217,11 @@ class Resolution:
         return self._coefficients.setdefault(s, coefficient_blocks(self, s))
 
 
+def check_depth(depth) -> None:
+    if not is_integer(depth) or depth < 0:
+        raise SemanticError("depth must be a nonnegative integer")
+
+
 def _shape_source(module: ModuleRep) -> ShapeModule:
     if not isinstance(module, ShapeModule):
         raise UnsupportedExpressionError(
@@ -252,8 +249,7 @@ def resolve(module: ShapeModule, depth: int,
     coordinates' test presumes.
     """
     _shape_source(module)
-    if depth < 0:
-        raise SemanticError("depth must be nonnegative")
+    check_depth(depth)
     p, n = module.p, module.n
     sweep_parts = young.partitions_of(module.D, max_parts=n)
     if sweep == "reversed":
@@ -263,14 +259,13 @@ def resolve(module: ShapeModule, depth: int,
 
     res = Resolution(source=module.expression(), p=p, n=n, module=module,
                      stages=[], diffs=[], depth=depth, sweep=sweep)
-    prev: ShapeModule | Stage = module
-    groups = dominant_groups(module.content_groups())
+    prev = Stage([(res.source, module, None)])
+    groups = prev.groups
     # the kernel of the zero map out of each weight space: all of it
-    kernels = {c: fp.kernel(fp.zeros(0, len(ix)), p)
-               for c, ix in groups.items() if len(ix)}
+    kernels = {c: fp.kernel(fp.zeros(0, ix.size), p) for c, ix in groups.items()}
 
     for s in range(depth + 1):
-        gens: list[tuple[int, ...]] = []
+        gens: list[tuple] = []
         # per weight of prev: the differential's columns picked so far,
         # whose span is the submodule generated so far
         columns: dict[tuple[int, ...], list[np.ndarray]] = {}
@@ -280,7 +275,8 @@ def resolve(module: ShapeModule, depth: int,
             if kern is None:
                 continue
             idxs = groups[comp]
-            _, local_groups = gamma_layout(p, n, lam)
+            summand = gamma_summand(p, n, lam)
+            local_groups = dominant_layout(summand[1])[1]
             # the span at comp, in the kernel's free coordinates, is read
             # only now, so it is reduced once, and each pick extends it by
             # its own block there, which holds v
@@ -297,22 +293,20 @@ def resolve(module: ShapeModule, depth: int,
                 if i == kern.free.size:
                     break
                 if yoneda is None:
-                    yoneda = yoneda_operator(prev, comp, dominant=True)
+                    yoneda = yoneda_operator(prev, comp)
                 v = np.zeros(prev.dim, dtype=np.int64)
                 v[idxs] = kern.rows([i])[0]
                 images = yoneda(v)
-                gens.append(lam)
+                gens.append(summand)
+                # the words of a weight prev lacks have no images there
                 for c, local in local_groups.items():
-                    tgt_ix = groups.get(c)
-                    if tgt_ix is None:
-                        if images[:, local].any():
-                            raise SpfextError("image escapes the weight grading")
-                        continue
-                    columns.setdefault(c, []).append(images[tgt_ix[:, None], local])
+                    if c in groups:
+                        columns.setdefault(c, []).append(
+                            images[groups[c][:, None], local])
                 fresh = columns[comp][-1:]
                 i += 1
 
-        stage = Stage(gens, p, n)
+        stage = Stage(gens)
         diff = {c: np.concatenate(columns[c], axis=1) if c in groups
                 else fp.zeros(0, ix.size) for c, ix in stage.groups.items()}
         # one elimination per block: its kernel feeds the next stage, and
@@ -327,11 +321,10 @@ def resolve(module: ShapeModule, depth: int,
                 raise SpfextError(
                     f"stage {s}: block {comp} spans rank {rank} "
                     f"but the kernel there has dimension {want}")
-            if s > 0:
-                up = res.diffs[s - 1].get(comp)
-                if up is not None and up.size and block.size:
-                    if fp.matmul(up, block, p).any():
-                        raise SpfextError(f"d o d != 0 in block {comp}")
+            up = res.diffs[s - 1].get(comp) if s else None
+            if up is not None and up.size and block.size and fp.matmul(
+                    up, block, p).any():
+                raise SpfextError(f"d o d != 0 in block {comp}")
         for comp in kernels:
             if comp not in diff:
                 raise SpfextError(f"stage {s} misses kernel block {comp}")
@@ -340,9 +333,8 @@ def resolve(module: ShapeModule, depth: int,
         res.diffs.append(diff)
         if stage.dim == 0:
             # kernel was zero; the resolution is complete
-            for _ in range(s + 1, depth + 1):
-                res.stages.append(Stage([], p, n))
-                res.diffs.append({})
+            res.stages += [Stage([]) for _ in range(s, depth)]
+            res.diffs += [{} for _ in range(s, depth)]
             break
         kernels = {c: k for c, k in next_kernels.items() if k.free.size}
         prev, groups = stage, stage.groups
@@ -378,6 +370,7 @@ def resolve_expression(expr, p: int, depth: int, sweep: str = "dominance",
     one entry; the resolution's source is the shape's own expression.
     """
     module = _shape_source(evaluate(as_node(expr), p))
+    check_depth(depth)  # before the memo, where True would find depth 1
     key = (p, module.n, module.blocks, module.m, depth, sweep)
     with _RES_LOCK:
         res, write = _RES_CACHE.get(key), False
@@ -426,23 +419,23 @@ class ExtTable:
 
 def coefficient_blocks(res: Resolution, s: int) -> list[tuple]:
     """The half of ext_dims that reads the resolution alone, at stage s:
-    one (mu, lam, local, G, n_mu, n_lam) per partition mu of stage s+1 and
-    lam of stage s whose G has a nonzero.  local lists the dominant rows
-    (words) of Gamma^lam of weight mu, and row i * n_lam + j of G is the
-    i-th mu summand's differential column read there in the j-th lam one."""
-    p, n = res.p, res.n
+    one (mu, lam, local, G, n_mu, n_lam) per summand name mu of stage s+1
+    and lam of stage s whose G has a nonzero.  local lists the dominant
+    rows (words) of lam's module at the weight c of mu's generator, and
+    row i * n_lam + j of G is the i-th mu summand's differential column
+    read there in the j-th lam one."""
     stage, upper = res.stages[s], res.stages[s + 1]
     out = []
-    for mu, (shape, rows, gens_at) in upper.blocks.items():
-        c = comp_of_partition(mu, n)
+    for mu, (module, gen, gens_at) in upper.blocks.items():
+        c = tuple(module.contents[gen].tolist())
         block = res.diffs[s + 1].get(c)
         group = stage.groups.get(c)
         if block is None or not block.size or group is None:
             continue
-        gen = int(np.searchsorted(rows, generator_index(shape, mu)))
+        gen = int(np.searchsorted(dominant_layout(module)[0], gen))
         cols = block[:, np.searchsorted(upper.groups[c], gens_at + gen)]
-        for lam, (_, _, offs) in stage.blocks.items():
-            local = gamma_layout(p, n, lam)[1].get(c)
+        for lam, (summand, _, offs) in stage.blocks.items():
+            local = dominant_layout(summand)[1].get(c)
             if local is None:
                 continue
             pos = np.searchsorted(group, offs[:, None] + local[None, :])
@@ -456,22 +449,22 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
     """Graded dimensions of Ext^s for s < depth, from Hom(P_*, N).
 
     Hom(Gamma^lam, N) is N_lam, so the term of degree s is the sum of N_lam
-    over the summands of stage s, and delta^s sends a map to its
-    composite with the differential.  Rows and columns are grouped by
-    partition, which changes no rank.  For the summands of partition mu
-    in stage s+1 and of lam in stage s, the block is one product G @ W:
-    G, from res.coefficients, is the resolution's half, and W, the
-    target's, is the rows of N_lam's basis in the target's word stack,
-    read at G's words and at N_mu's basis.
+    over the summands of stage s, lam the weight of each one's generator,
+    and delta^s sends a map to its composite with the differential.  Rows
+    and columns are grouped by summand name, which changes no rank.  For
+    the summands of name mu in stage s+1 and lam in stage s, the block is
+    one product G @ W: G, from res.coefficients, is the resolution's half,
+    and W, the target's, is the rows of N_lam's basis in the target's word
+    stack, read at G's words and at N_mu's basis.
     """
-    p, n = res.p, res.n
-    comp = {lam: comp_of_partition(lam, n)
-            for stage in res.stages for lam in stage.blocks}
+    p = res.p
+    comp = {lam: tuple(module.contents[gen].tolist()) for stage in res.stages
+            for lam, (module, gen, _) in stage.blocks.items()}
     pivots = {lam: target.weight_indices(c) for lam, c in comp.items()}
     wdim = {lam: ix.size for lam, ix in pivots.items()}
     rows: dict[tuple[int, ...], fp.CSR] = {}  # the word stack at N_lam's basis
     words: dict[tuple, np.ndarray] = {}  # W of (mu, lam)
-    starts = []  # per stage: each partition's first row, and the total
+    starts = []  # per stage: each name's first row, and the total
     for stage in res.stages:
         sizes = {lam: offs.size * wdim[lam]
                  for lam, (_, _, offs) in stage.blocks.items()}

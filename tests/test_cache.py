@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -177,6 +178,35 @@ def test_ext_dims_leaves_the_cache_file_byte_identical(tmp_path):
     again = ca.ResolutionCache(tmp_path / "again").store(res)
     assert again.read_bytes() == before
     clear_resolution_memo()
+
+
+# sha256 of the file that stores twist(I,1)*twist(I,1) in each context: a
+# change to how stages are built, stored or loaded must keep these bytes
+PINNED_FILES = {
+    (2, 5, "dominance"):
+        "04c259b1a2bc5eac75b08948261fc64a02dfc86a431a288a26ca0048c58c29ea",
+    (2, 5, "reversed"):
+        "20bb4e09cac037ff4f8a2faa39212c97aecf7bac28a58f2fab0ae742b8f3fd62",
+    (3, 2, "dominance"):
+        "dc2031683721549283790b10ef9eda3742116ac776ef996f59cc5ca37652c173",
+    (3, 2, "reversed"):
+        "3516adb71e16952da9677e14246fabb24c8aa3b873e1ae0bb44159d43a094d9d",
+}
+
+
+@pytest.mark.parametrize("p,depth,sweep", sorted(PINNED_FILES))
+def test_stored_file_bytes_are_pinned(tmp_path, p, depth, sweep):
+    """A fresh resolution stores the pinned bytes, and so does the one the
+    cache loader rebuilds from them."""
+    res = homology.resolve(evaluate("twist(I,1)*twist(I,1)", p), depth,
+                           sweep=sweep)
+    path = ca.ResolutionCache(tmp_path / "cold").store(res)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_FILES[p, depth, sweep]
+    loaded = ca.ResolutionCache(tmp_path / "cold").load(res.source, p, res.n,
+                                                        depth, sweep)
+    assert loaded is not None and loaded is not res
+    assert ca.ResolutionCache(tmp_path / "warm").store(loaded).read_bytes() == data
 
 
 def test_env_override(monkeypatch, tmp_path):

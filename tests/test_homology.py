@@ -7,7 +7,7 @@ from spfext.errors import (AdmissibilityError, DegreeMismatchError,
 from spfext.functors import evaluate
 from spfext.homology import (duality_check, end_dimension, ext, gamma_shape,
                              hom_from_gamma, hom_pairing_check, kr_cohomology,
-                             resolve_expression, weight_space)
+                             resolve, resolve_expression, weight_space)
 from spfext.modules import (DualModule, SubmoduleModule, TensorModule,
                             check_equivariance)
 from spfext.tensorspace import compositions
@@ -246,6 +246,18 @@ def test_library_refuses_bad_field_and_twist():
         resolve_expression("I*I", 4, 2)
     with pytest.raises(SemanticError):
         evaluate("I*I", 1)
+    # a p, i or depth that is no Python int, a bool included
+    for p, i in ((2.0, 1), (True, 1), (np.int64(2), 1), (2, 1.5), (2, 1.0),
+                 (2, True)):
+        with pytest.raises(SemanticError):
+            ext("I*I", "S(2)", p, i=i)
+    for depth in (2.5, 2.0, True, np.int64(1), -1):
+        with pytest.raises(SemanticError):
+            ext("I*I", "S(2)", 2, depth=depth)
+        with pytest.raises(SemanticError):
+            resolve_expression("I*I", 2, depth)
+        with pytest.raises(SemanticError):
+            resolve(evaluate("I*I", 2), depth)
 
 
 def test_checks_refuse_bad_field_and_twist_first():
@@ -291,26 +303,30 @@ def test_generator_selection_pinned():
 
 
 def test_yoneda_operator_carries_generator_to_v():
-    from spfext.homology import (comp_of_partition, gamma_shape,
-                                 generator_index, yoneda_operator)
+    """A module's Yoneda map, over every word, and a stage's, over the
+    dominant words, send the generating word to v."""
+    from spfext.homology import (comp_of_partition, dominant_layout,
+                                 gamma_summand, yoneda_operator)
     res = resolve_expression("twist(I,1)*twist(I,1)", 2, 5)
+    for text, lam in (("twist(I,1)*twist(I,1)", (2, 2)),
+                      ("param(twist(G(1),1),2)", (2,)), ("dual(S(2))", (1, 1))):
+        module = evaluate(text, 2)
+        v = weight_space(module, comp_of_partition(lam, module.n))[-1]
+        images = hom_from_gamma(lam, module)[1](v)
+        _, shape, gen = gamma_summand(2, module.n, lam)
+        assert images.shape == (module.dim, shape.dim)
+        assert (images[:, gen] == v).all()
     stage = res.stages[0]
-    cases = [(evaluate("twist(I,1)*twist(I,1)", 2), (2, 2)),
-             (evaluate("param(twist(G(1),1),2)", 2), (2,)),
-             (evaluate("dual(S(2))", 2), (1, 1)),
-             (stage, (2, 2)), (stage, (2, 1, 1))]
-    for level, lam in cases:
-        comp = comp_of_partition(lam, level.n)
-        if isinstance(level, type(stage)):
-            v = np.zeros(level.dim, dtype=np.int64)
-            idxs = level.groups[comp]
-            v[idxs] = np.arange(1, idxs.size + 1) % 2
-        else:
-            v = weight_space(level, comp)[-1]
-        images = yoneda_operator(level, comp)(v)
-        shape = gamma_shape(2, level.n, lam)
-        assert images.shape == (level.dim, shape.dim)
-        assert (images[:, generator_index(shape, lam)] == v).all()
+    for lam in ((2, 2), (2, 1, 1)):
+        comp = comp_of_partition(lam, res.n)
+        v = np.zeros(stage.dim, dtype=np.int64)
+        idxs = stage.groups[comp]
+        v[idxs] = np.arange(1, idxs.size + 1) % 2
+        images = yoneda_operator(stage, comp)(v)
+        _, shape, gen = gamma_summand(2, res.n, lam)
+        words = dominant_layout(shape)[0]
+        assert images.shape == (stage.dim, words.size)
+        assert (images[:, np.searchsorted(words, gen)] == v).all()
 
 
 def test_duality_check_reads_disk_cache(tmp_path, monkeypatch):

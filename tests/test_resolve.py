@@ -11,9 +11,10 @@ against is the same matrix, and the generators and blocks must agree
 byte for byte.
 
 `yoneda_images_by_loop` is the Yoneda map as it was before the operator
-was cut once per stage and weight: on a stage it re-cuts each
-partition's stacked action at every call and applies it to v padded out
-to the whole shape.
+was cut once per stage and weight: it re-cuts each summand name's
+stacked action at every call, at all of its module's rows and at the
+dominant rows of every word, and applies it to v padded out to the
+whole module.
 """
 
 import numpy as np
@@ -22,10 +23,10 @@ import pytest
 from spfext import fp, young
 from spfext.errors import SpfextError
 from spfext.functors import evaluate
-from spfext.homology import (Stage, comp_of_partition, dominant_groups,
-                             gamma_layout, resolve, resolve_expression,
-                             yoneda_operator)
-from spfext.tensorspace import get_space
+from spfext.homology import (Stage, comp_of_partition, dominant_layout,
+                             gamma_summand, hom_from_gamma, resolve,
+                             resolve_expression, yoneda_operator)
+from spfext.modules import ModuleRep
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -39,8 +40,8 @@ def resolve_by_span_per_pick(module, depth, sweep):
     sweep_parts = young.partitions_of(module.D, max_parts=n)
     if sweep == "reversed":
         sweep_parts = sweep_parts[::-1]
-    prev = module
-    groups = dominant_groups(module.content_groups())
+    prev = Stage([(module.expression(), module, None)])
+    groups = prev.groups
     kernel_blocks = {c: np.eye(len(ix), dtype=np.int64) for c, ix in groups.items()
                      if len(ix)}
     stages, diffs = [], []
@@ -58,9 +59,10 @@ def resolve_by_span_per_pick(module, depth, sweep):
                     continue
                 v = np.zeros(prev.dim, dtype=np.int64)
                 v[idxs] = row
-                images = yoneda_operator(prev, comp, dominant=True)(v)
-                gens.append(lam)
-                for c, local in gamma_layout(p, n, lam)[1].items():
+                images = yoneda_operator(prev, comp)(v)
+                summand = gamma_summand(p, n, lam)
+                gens.append(summand)
+                for c, local in dominant_layout(summand[1])[1].items():
                     if c not in groups:
                         assert not images[:, local].any()
                         continue
@@ -69,13 +71,13 @@ def resolve_by_span_per_pick(module, depth, sweep):
                     if block.any():
                         old, _ = span.get(c, (fp.zeros(0, groups[c].size), []))
                         span[c] = fp.basis_rows(np.concatenate([old, block.T]), p)
-        stage = Stage(gens, p, n)
+        stage = Stage(gens)
         diff = {c: np.concatenate(columns[c], axis=1) if c in groups
                 else fp.zeros(0, ix.size) for c, ix in stage.groups.items()}
         for comp, block in diff.items():
             want = kernel_blocks.get(comp, fp.zeros(0, 0)).shape[0]
             assert fp.rank(block, p) == want
-        stages.append(gens)
+        stages.append(stage.summands)
         diffs.append(diff)
         if stage.dim == 0:
             stages.extend([] for _ in range(s + 1, depth + 1))
@@ -120,20 +122,24 @@ def test_resolve_matches_span_per_pick_reference_on_random_sources(data):
         assert_matches_reference(module, degree + 1, sweep)
 
 
-def yoneda_images_by_loop(level, comp, v, dominant=False):
+def yoneda_images_by_loop(level, comp, v):
+    """The images of v under every word on a module, or under the
+    dominant words on a stage."""
     v = np.asarray(v, dtype=np.int64).reshape(-1)
-    ref = ("words", tuple(comp)) if dominant else ("words", tuple(comp), "all")
     if not isinstance(level, Stage):
-        return (v[None] @ level.stack_matrix(ref)).reshape(-1, level.dim).T
-    space = get_space(level.p, level.n, sum(comp))
-    T = space.matrix(ref).shape[1] // space.dim
-    out = fp.zeros(level.dim, T)
-    for shape, rows, offsets in level.blocks.values():
+        stack = level.stack_matrix(("words", tuple(comp), "all"))
+        return (v[None] @ stack).reshape(-1, level.dim).T
+    out = None
+    for module, _, offsets in level.blocks.values():
+        rows = dominant_layout(module)[0]
+        stack = module.stack_matrix(("words", tuple(comp)))
+        T = stack.shape[1] // module.dim
+        out = fp.zeros(level.dim, T) if out is None else out
         coords = offsets[None, :] + np.arange(rows.size)[:, None]
-        x = np.zeros((offsets.size, shape.dim), dtype=np.int64)
+        x = np.zeros((offsets.size, module.dim), dtype=np.int64)
         x[:, rows] = v[coords].T
-        keep = (np.arange(T)[:, None] * shape.dim + rows).reshape(-1)
-        images = x @ shape.stack_matrix(ref).take_cols(keep)
+        keep = (np.arange(T)[:, None] * module.dim + rows).reshape(-1)
+        images = x @ stack.take_cols(keep)
         out[coords] = images.reshape(-1, T, rows.size).transpose(2, 0, 1)
     return out
 
@@ -141,30 +147,31 @@ def yoneda_images_by_loop(level, comp, v, dominant=False):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_yoneda_operator_matches_per_pick_reference(data):
-    """On a source module and on the stages of its resolution, at every
-    weight a stage keeps, with every word or the dominant ones, one
-    operator applied to several vectors agrees byte for byte with the
-    reference applied to each."""
+    """On a source module, with every word, and on the source's stage and
+    the stages of its resolution, with the dominant words, at every weight
+    a stage keeps, one operator applied to several vectors agrees byte for
+    byte with the reference applied to each."""
     p = data.draw(st.sampled_from((2, 3)), label="p")
     degree = data.draw(st.integers(1, 4), label="degree")
     src = data.draw(fragment(p, degree), label="source")
     res = resolve_expression(src, p, 2)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    levels = [res.module] + [stage for stage in res.stages if stage.dim]
-    for level in levels:
-        groups = (dominant_groups(level.content_groups())
-                  if level is res.module else level.groups)
-        for comp, idxs in groups.items():
-            for dominant in (False, True):
-                yoneda = yoneda_operator(level, comp, dominant=dominant)
-                for _ in range(2):
-                    v = np.zeros(level.dim, dtype=np.int64)
-                    v[idxs] = rng.integers(0, p, idxs.size)
-                    got = yoneda(v)
-                    want = yoneda_images_by_loop(level, comp, v, dominant)
-                    assert got.dtype == want.dtype
-                    assert got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
+    module = res.module
+    source = Stage([(res.source, module, None)])
+    cases = [(module, comp, module.weight_indices(comp),
+              hom_from_gamma(comp, module)[1]) for comp in source.groups]
+    cases += [(stage, comp, idxs, yoneda_operator(stage, comp))
+              for stage in [source, *res.stages] if stage.dim
+              for comp, idxs in stage.groups.items()]
+    for level, comp, idxs, yoneda in cases:
+        for _ in range(2):
+            v = np.zeros(level.dim, dtype=np.int64)
+            v[idxs] = rng.integers(0, p, idxs.size)
+            got = yoneda(v)
+            want = yoneda_images_by_loop(level, comp, v)
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 # -- fault injection: each check must fire on a broken resolution --------------
@@ -189,6 +196,34 @@ def test_exactness_check_fires_on_a_lost_kernel_vector(monkeypatch):
     monkeypatch.setattr(fp, "kernel", lossy)
     with pytest.raises(SpfextError, match="spans rank"):
         resolve(evaluate("twist(I,1)*twist(I,1)", 2), 3)
+
+
+@pytest.mark.parametrize("dominant", [False, True])
+@pytest.mark.parametrize("stage", [0, 1])
+def test_grading_check_fires_on_a_misgraded_word(monkeypatch, stage, dominant):
+    """One entry of each word stack moved, within its word's block, to a
+    basis vector of another weight, dominant or not: on the source, whose
+    stacks stage 0 reads, or on every Gamma^lam, whose stacks the later
+    stages read.  The image escapes the weight grading."""
+    module = evaluate("twist(I,1)*twist(I,1)", 2)
+    real = ModuleRep.stack_matrix
+
+    def misgraded(self, ref):
+        stack = real(self, ref)
+        if (self is module) != (stage == 0) or ref[0] != "words" or len(ref) > 2:
+            return stack
+        row, col, data = stack.coo()
+        k = np.flatnonzero((self.contents[row] == ref[1]).all(axis=1))[0]
+        image = col[k] % self.dim
+        other = (self.contents != self.contents[image]).any(axis=1)
+        at = (np.diff(self.contents, axis=1) <= 0).all(axis=1) == dominant
+        col = col.copy()
+        col[k] += np.flatnonzero(other & at)[0] - image
+        return fp.CSR.from_coo(row, col, data, stack.shape, stack.p)
+
+    monkeypatch.setattr(ModuleRep, "stack_matrix", misgraded)
+    with pytest.raises(SpfextError, match="image escapes the weight grading"):
+        resolve(module, 2)
 
 
 def test_complex_check_fires_on_a_wrong_kernel(monkeypatch):

@@ -26,9 +26,8 @@ from scipy import sparse
 from csr_reference import as_scipy, assert_canonical, assert_same
 from spfext import fp
 from spfext.functors import evaluate, shape_module
-from spfext.homology import (comp_of_partition, ext, ext_dims, gamma_layout,
-                             gamma_shape, generator_index, resolve_expression,
-                             weight_space)
+from spfext.homology import (comp_of_partition, dominant_layout, ext, ext_dims,
+                             gamma_shape, resolve_expression, weight_space)
 from spfext.modules import (DualModule, ModuleRep, ShapeModule, SubmoduleModule,
                             TensorModule)
 from spfext.tensorspace import compositions, gamma_index, get_space, is_dominant
@@ -46,7 +45,7 @@ def word_keys(p, n, lam, every=False):
     """The xi key of each word of Gamma^lam, at dominant weights unless
     `every`."""
     shape = gamma_shape(p, n, lam)
-    words = range(shape.dim) if every else gamma_layout(p, n, lam)[0]
+    words = range(shape.dim) if every else dominant_layout(shape)[0]
     return [word_key(lam, basis_tuple(shape, int(t))) for t in words]
 
 
@@ -460,8 +459,9 @@ def summand_layout(stage):
     of its first dominant row, and its dominant rows, ascending."""
     out, offset = [], 0
     for lam in stage.summands:
-        rows, _ = gamma_layout(stage.p, stage.n, lam)
-        out.append((lam, gamma_shape(stage.p, stage.n, lam), offset, rows))
+        shape = stage.blocks[lam][0]
+        rows = dominant_layout(shape)[0]
+        out.append((lam, shape, offset, rows))
         offset += rows.size
     return out
 
@@ -490,7 +490,9 @@ def ext_dims_by_loop(res, target):
             group = stage_s.groups.get(mu)
             if wmu == 0 or block is None or block.size == 0 or group is None:
                 continue
-            e_idx = generator_index(shape_j, part_j)
+            # the generator: the word with letter b repeated part_j[b] times
+            e_idx = shape_j.basis_index(tuple((b,) * part
+                                              for b, part in enumerate(part_j)))
             coord = offset_j + int(np.searchsorted(rows_j, e_idx))
             gvec = block[:, int(np.searchsorted(stage_next.groups[mu], coord))]
             for k, (part_k, shape_k, offset_k, rows_k) in enumerate(
