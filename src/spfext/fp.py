@@ -20,12 +20,16 @@ No operation writes into an operand, since stacks are shared.  All
 elimination routines pivot deterministically (leftmost nonzero column,
 topmost row) so echelon forms are reproducible across runs and platforms.
 
-Row reduction works in the narrowest storage that holds every
-intermediate value exactly: booleans updated by XOR at p = 2, int16
-while (p - 1)^2 + p < 2^15, int64 otherwise.  Each pivot updates only
-the columns from its own rightwards, since the pivot row is zero left of
-it.  The input is brought into storage with one copy, and an all-zero
-input returns at once; whatever the storage, the result is int64.
+Row reduction brings its input into storage with one copy, an all-zero
+input returns at once, and the result is int64.  At an odd p the
+storage is int16 while (p - 1)^2 + p < 2^15, else int64, and each pivot
+column updates only the columns from its own rightwards.  At p = 2 the
+storage is bytes and the rows go in blocks: one float64 product clears
+a block at the pivots found so far, its rows are packed into Python ints
+(bit c for column c) and eliminated by XOR, and one more product clears
+its new pivots from the earlier rows (M4RI packing, Albrecht, Bard and
+Hart, ACM TOMS 37(1), 2010; FFLAS-FFPACK updates, Dumas, Giorgi and
+Pernet, ACM TOMS 35(3), 2008).
 
 A right null space is kept in the form one elimination of the reversed
 columns leaves it (Kernel): its free columns, its pivot columns, and the
@@ -36,9 +40,16 @@ materializes the basis where one is wanted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
+
+
+# Every prime p below this has (p - 1)^2 < 2^32, so any int64 sum of
+# fewer than 2^31 products of entries is exact: fp.matmul's integer path,
+# the int64 storage of row reduction and the CSR products rely on it.
+PRIME_BOUND = 2**16
 
 
 def distinct(a: np.ndarray) -> np.ndarray:
@@ -70,13 +81,118 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _storage(p: int):
-    """The narrowest dtype row reduction at p can work in: entries stay
-    in [0, p), and an update forms at most (p - 1)^2 in magnitude."""
-    if p == 2:
-        return np.bool_
+    """The narrowest dtype row reduction at an odd p can work in: entries
+    stay in [0, p), and an update forms at most (p - 1)^2 in magnitude."""
     if (p - 1) * (p - 1) + p < 2**15:
         return np.int16
     return np.int64
+
+
+# Rows at p = 2 are eliminated this many at a time.  Of 64, 128 and 256,
+# 256 was the fastest on the degree-4 tables' inputs and the widest
+# seeded block, and within 25 % of the fastest on the others (BENCH_27).
+ROW_BLOCK = 256
+
+
+def _pack(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 uint8 matrix as an int whose bit c is column c.
+    numpy hands a row over as one fixed-width bytes item without its
+    trailing zero bytes, which are the row's high bytes here, so the
+    value is unchanged."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    items = packed.view(f"S{packed.shape[1]}").ravel().tolist()
+    return list(map(int.from_bytes, items, repeat("little")))
+
+
+def _unpack(rows: list[int], n: int) -> np.ndarray:
+    """The ints as the rows of a 0/1 (len(rows) x n) uint8 matrix."""
+    width = (n + 7) // 8
+    buf = b"".join([row.to_bytes(width, byteorder="little") for row in rows])
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(-1, width),
+                         axis=1, count=n, bitorder="little")
+
+
+def _eliminate_packed(rows: list[int]) -> dict[int, int]:
+    """The RREF of packed rows over F_2, as {pivot column: row}.
+
+    Forward, each row is reduced at the lowest pivot it meets until it
+    meets none, and what is left becomes a pivot row at its lowest bit,
+    so every pivot row is zero left of its pivot.  Then, from the
+    rightmost pivot leftwards, each row is cleared at the pivots right of
+    its own by rows already fully reduced, each of which flips no pivot
+    column but its own."""
+    lead: dict[int, int] = {}
+    mask = 0
+    for x in rows:
+        hit = x & mask
+        while hit:
+            x ^= lead[(hit & -hit).bit_length() - 1]
+            hit = x & mask
+        if x:
+            bit = x & -x
+            lead[bit.bit_length() - 1] = x
+            mask |= bit
+    for c in sorted(lead, reverse=True):
+        x = lead[c]
+        hit = (x & mask) ^ (1 << c)
+        while hit:
+            k = hit.bit_length() - 1
+            x ^= lead[k]
+            hit ^= 1 << k
+        lead[c] = x
+    return lead
+
+
+def _row_reduce_2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """row_reduce at p = 2, ROW_BLOCK rows at a time.  A block is cleared
+    at the pivots found so far by one float64 product with their rows,
+    then eliminated on bit-packed rows, and one more product clears its
+    new pivot columns from the earlier rows.  A row in the span of
+    earlier blocks so costs its share of a product, not one XOR per pivot
+    it meets.
+
+    The earlier rows are not reduced mod 2 after an update, only where a
+    product multiplies by them and at the end.  The updates add at most
+    rank to an entry in all, so no product sums past rank (rank + 1) + 1,
+    below 2^53 and so exact for any matrix that fits in memory."""
+    m, n = a.shape
+    out = zeros(m, n)
+    a = a.astype(np.uint8, order="C")  # wraps mod 2^8, keeping parities
+    a &= 1
+    if not np.count_nonzero(a):
+        return out, []
+    pivots: list[int] = []
+    basis = np.empty((min(m, n), n))  # the pivot rows, in the order found
+    for top in range(0, m, ROW_BLOCK):
+        block = a[top:top + ROW_BLOCK]
+        r = len(pivots)
+        if r:
+            cleared = block[:, pivots].astype(np.float64) @ basis[:r] + block
+            block = np.bitwise_and(cleared.astype(np.int64), 1, casting="unsafe",
+                                   out=np.empty(block.shape, dtype=np.uint8))
+        found = _eliminate_packed(_pack(block))
+        if not found:
+            continue
+        cols = sorted(found)
+        added = _unpack([found[c] for c in cols], n)
+        if top + ROW_BLOCK >= m and not r:
+            # one block and no earlier rows: its RREF is the answer
+            out[:len(cols)] = added
+            return out, cols
+        update = added.astype(np.float64)
+        for start in range(0, r, ROW_BLOCK):
+            rows = basis[start:min(start + ROW_BLOCK, r)]
+            rows += (rows[:, cols].astype(np.int64) & 1).astype(np.float64) @ update
+        basis[r:r + len(cols)] = added
+        pivots += cols
+        if len(pivots) == n:
+            break
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    for start in range(0, len(order), ROW_BLOCK):
+        at = order[start:start + ROW_BLOCK]
+        out[start:start + len(at)] = basis[at]
+    out &= 1
+    return out, [pivots[k] for k in order]
 
 
 def row_reduce(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -87,9 +203,11 @@ def row_reduce(a, p: int) -> tuple[np.ndarray, list[int]]:
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("row_reduce expects a 2-d array")
+    if p == 2:
+        return _row_reduce_2(a)
     a = np.remainder(a, p, out=np.empty(a.shape, dtype=_storage(p)),
                      casting="unsafe")
-    if not a.any():
+    if not np.count_nonzero(a):
         return zeros(*a.shape), []
     m, n = a.shape
     pivots: list[int] = []
@@ -105,16 +223,12 @@ def row_reduce(a, p: int) -> tuple[np.ndarray, list[int]]:
             a[[r, i]] = a[[i, r]]
         other = a[:, c].nonzero()[0]
         other = other[other != r]
-        if p == 2:
-            if other.size:
-                a[other, c:] ^= a[r, c:]
-        else:
-            v = int(a[r, c])
-            if v != 1:
-                a[r, c:] = a[r, c:] * pow(v, -1, p) % p
-            if other.size:
-                a[other, c:] = (a[other, c:]
-                                - a[other, c][:, None] * a[r, c:]) % p
+        v = int(a[r, c])
+        if v != 1:
+            a[r, c:] = a[r, c:] * pow(v, -1, p) % p
+        if other.size:
+            a[other, c:] = (a[other, c:]
+                            - a[other, c][:, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a.astype(np.int64, copy=False), pivots
@@ -162,8 +276,11 @@ def kernel(a, p: int) -> Kernel:
     is_pivot[n - 1 - np.array(rev_pivots, dtype=np.int64)] = True
     free, pivots = (~is_pivot).nonzero()[0], is_pivot.nonzero()[0]
     # reduced row r has its pivot at column n - 1 - rev_pivots[r], so the
-    # rows run down the pivots from the right
-    coef = -reduced[:len(rev_pivots)][::-1, n - 1 - free] % p
+    # rows run down the pivots from the right; the gather is the only
+    # (pivots x free) array made, negated mod p where it stands
+    coef = reduced[:len(rev_pivots)][::-1, n - 1 - free]
+    np.negative(coef, out=coef)
+    coef %= p
     return Kernel(free, pivots, coef)
 
 

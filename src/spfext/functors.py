@@ -255,8 +255,12 @@ def is_integer(x) -> bool:
 
 
 def check_field(p: int, i: int = 1) -> None:
-    """Refuse a characteristic that is not prime or a twist order below 1,
-    and any p or i that is not an integer."""
+    """Refuse a characteristic that is not prime or not below
+    fp.PRIME_BOUND, a twist order below 1, and any p or i that is not an
+    integer.  The bound is tested first, so no trial division runs long."""
+    if is_integer(p) and p >= fp.PRIME_BOUND:
+        raise SemanticError(f"p = {p} is not below {fp.PRIME_BOUND}, the "
+                            f"bound of exact arithmetic over F_p")
     if not is_integer(p) or p < 2 or any(p % f == 0 for f in range(2, isqrt(p) + 1)):
         raise SemanticError(f"p = {p} is not prime")
     if not is_integer(i) or i < 1:

@@ -3,9 +3,11 @@
 Each test prints a single PASS/FAIL line (visible with pytest -s) and
 asserts both the exact expected values and the runtime bound of its
 criterion.  The degree-5 oracle test runs with the rest; the degree-6
-stretch computations are opt-in through SPFEXT_STRETCH=1.
+stretch computations and the seeded elimination blocks over F_2 are
+opt-in through SPFEXT_STRETCH=1.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +17,7 @@ from contextlib import contextmanager
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 import spfext
@@ -25,6 +28,7 @@ from spfext.homology import (duality_check, end_dimension, ext,
 from spfext.suites import (EX35_LAMBDAS, PAIRING_MODULES, THM32_TARGETS,
                            _koszul_exact, chain_homology, koszul_maps)
 from spfext.tensorspace import compositions
+from test_fp import _row_reduce_by_loop
 
 
 @contextmanager
@@ -272,6 +276,18 @@ print(json.dumps({"dims": [stage.dim for stage in res.stages],
 """
 
 
+def _run_alone(script: str, *args: str) -> dict:
+    """The JSON that `script` prints, run in a process of its own with one
+    BLAS thread, so that the CPU time it measures is its own alone."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(
+                   spfext.__file__)), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
 @pytest.mark.skipif(not os.environ.get("SPFEXT_STRETCH"),
                     reason="degree-6 stretch run is opt-in (SPFEXT_STRETCH=1)")
 def test_stretch_degree_six_probe():
@@ -281,18 +297,45 @@ def test_stretch_degree_six_probe():
     machine it took 7.2-7.4 s CPU and peaked at 427 MB.  The bounds are 10
     times 7.4 s and 1.25 times 427 MB: a dense (k x n) kernel per block
     took the peak to 559 MB."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(
-                   spfext.__file__)), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", DEGREE_SIX_PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    probe = json.loads(run.stdout)
+    probe = _run_alone(DEGREE_SIX_PROBE)
     print(f"degree-6 probe: {probe['cpu_s']:.1f} s CPU, "
           f"{probe['peak_mb']:.0f} MB peak")
     assert probe["dims"] == [90, 337, 1272, 3665, 11614]
     assert probe["cpu_s"] < 10 * 7.4
     assert probe["peak_mb"] < 1.25 * 427
+
+
+SEEDED_F2_BLOCK = """
+import hashlib, json, sys, time
+import numpy as np
+from spfext import fp
+shape = tuple(json.loads(sys.argv[1]))
+a = (np.random.default_rng(2027).random(shape) < 0.07).astype(np.int64)
+start = time.process_time()
+got, pivots = fp.row_reduce(a, 2)
+print(json.dumps({"cpu_s": time.process_time() - start, "pivots": pivots,
+                  "sha256": hashlib.sha256(got.tobytes()).hexdigest()}))
+"""
+
+
+@pytest.mark.skipif(not os.environ.get("SPFEXT_STRETCH"),
+                    reason="packed-elimination scale run is opt-in (SPFEXT_STRETCH=1)")
+@pytest.mark.parametrize("shape, bound_s", [((1500, 500), 10 * 0.03),
+                                            ((1000, 3000), 10 * 0.21)])
+def test_stretch_packed_blocks(shape, bound_s):
+    """row_reduce over F_2 on seeded random blocks at 7 % density, tall
+    and wide, each in a process of its own with one BLAS thread: the
+    result equals the column loop's byte for byte.  On a shared 2-core
+    machine it took 0.015-0.03 s and 0.15-0.21 s CPU on them (the column
+    loop 0.03-0.05 s and 0.31-0.39 s); the bounds are 10 times the
+    slowest."""
+    run = _run_alone(SEEDED_F2_BLOCK, json.dumps(shape))
+    a = (np.random.default_rng(2027).random(shape) < 0.07).astype(np.int64)
+    want, want_pivots = _row_reduce_by_loop(a, 2)
+    print(f"{shape}: rank {len(want_pivots)}, {run['cpu_s']:.3f} s CPU")
+    assert run["pivots"] == want_pivots
+    assert run["sha256"] == hashlib.sha256(want.tobytes()).hexdigest()
+    assert run["cpu_s"] < bound_s
 
 
 @pytest.mark.skipif(not os.environ.get("SPFEXT_STRETCH"),

@@ -53,6 +53,15 @@ def test_ext_nonprime(capsys):
     assert code == 3
 
 
+def test_ext_prime_past_the_exact_bound(capsys):
+    """A prime whose products overflow int64 sums is refused as a semantic
+    error, not met by a failed invariant check inside a resolution."""
+    code, out, err = run_cli(capsys, "ext", "--p", "4294967311", "--src",
+                             "I*I*I", "--tgt", "schur(2,1)")
+    assert code == 3
+    assert out == "" and "not below 65536" in err
+
+
 def test_ext_large_degree_guard(capsys):
     code, _, err = run_cli(capsys, "ext", "--p", "2", "--i", "1",
                            "--src", "twist(G(4),1)", "--tgt", "twist(G(4),1)")

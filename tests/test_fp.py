@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,12 +252,41 @@ def fp_matrices(draw, p, max_rows=9, max_cols=10):
     return a
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 193])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_row_reduce_matches_loop_reference(p, data):
-    a = data.draw(fp_matrices(p), label="a")
-    got, pivots = fp.row_reduce(a, p)
+PACKING_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 130]
+PACKING_KINDS = ["tall", "wide", "zero", "low", "full"]
+
+
+def _packing_matrix(rng, cols, kind, density):
+    """A matrix over F_2 of `cols` columns: tall (more rows than columns,
+    up to three row blocks), wide, zero, low-rank or full-rank."""
+    if kind == "tall":
+        rows = cols + int(rng.integers(1, 3 * fp.ROW_BLOCK + 1))
+    elif kind == "wide":
+        rows = int(rng.integers(1, max(cols // 2, 1) + 1))
+    else:
+        rows = int(rng.integers(0, 3 * fp.ROW_BLOCK + 1))
+    if kind in ("tall", "wide"):
+        return (rng.random((rows, cols)) < density).astype(np.int64)
+    if kind == "zero":
+        return fp.zeros(rows, cols)
+    if kind == "low":
+        rank = int(rng.integers(1, 6))
+        return (rng.integers(0, 2, (rows, rank))
+                @ (rng.random((rank, cols)) < density)) % 2
+    # full rank: unit upper-triangular rows beside random columns, in a
+    # random column order, then random sums of those rows, rows shuffled
+    rank = min(rows, cols)
+    a = np.triu(rng.random((rank, rank)) < density, 1).astype(np.int64)
+    a[np.arange(rank), np.arange(rank)] = 1
+    a = np.concatenate([a, rng.random((rank, cols - rank)) < density], axis=1)
+    a = a[:, rng.permutation(cols)]
+    below = (rng.integers(0, 2, (rows - rank, rank)) @ a) % 2
+    return np.concatenate([a, below])[rng.permutation(rows)]
+
+
+def _assert_row_reduce_is_loop(a, p, block):
+    with mock.patch.object(fp, "ROW_BLOCK", block):
+        got, pivots = fp.row_reduce(a, p)
     want, want_pivots = _row_reduce_by_loop(a, p)
     assert got.dtype == np.int64
     assert got.shape == want.shape
@@ -263,10 +294,40 @@ def test_row_reduce_matches_loop_reference(p, data):
     assert pivots == want_pivots
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 193])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_reduce_matches_loop_reference(p, data):
+    """Against the column loop on small matrices at every p, and at p = 2
+    also on a matrix at the packing boundaries, with the packed
+    elimination's row blocks as tall as in use or 1, 2 or 7 rows, so
+    that small matrices cross many blocks."""
+    block = data.draw(st.sampled_from([fp.ROW_BLOCK, 1, 2, 7]), label="block")
+    _assert_row_reduce_is_loop(data.draw(fp_matrices(p), label="a"), p, block)
+    if p == 2:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a = _packing_matrix(rng, data.draw(st.sampled_from(PACKING_WIDTHS)),
+                            data.draw(st.sampled_from(PACKING_KINDS)),
+                            data.draw(st.sampled_from([0.05, 0.5])))
+        _assert_row_reduce_is_loop(a, p, block)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_row_reduce_covers_every_packing_boundary(block):
+    """Every width and kind of _packing_matrix, sparse and dense, once."""
+    rng = np.random.default_rng(27)
+    for cols in PACKING_WIDTHS:
+        for kind in PACKING_KINDS:
+            for density in (0.05, 0.5):
+                a = _packing_matrix(rng, cols, kind, density)
+                _assert_row_reduce_is_loop(a, 2, block or fp.ROW_BLOCK)
+
+
 def test_row_reduce_storage_by_prime():
-    # 193 is the least prime whose products no longer fit int16 storage
-    assert [fp._storage(p) for p in (2, 3, 181, 193)] == [
-        np.bool_, np.int16, np.int16, np.int64]
+    # odd primes only, since p = 2 packs its rows into ints; 193 is the
+    # least prime whose products no longer fit int16 storage
+    assert [fp._storage(p) for p in (3, 181, 193)] == [
+        np.int16, np.int16, np.int64]
 
 
 @pytest.mark.parametrize("p", [2, 3, 193])

@@ -10,7 +10,7 @@ from spfext import fp
 from spfext.errors import (EquivarianceError, ParseError, SemanticError,
                            UnsupportedExpressionError)
 from spfext.functors import (Atom, Dual, Ident, Param, Tensor, Twist, canon,
-                             canonical_map, character, evaluate,
+                             canonical_map, character, check_field, evaluate,
                              frobenius_substitute, kuhn_dual, parse,
                              schur_weyl_simple)
 from spfext.homology import weight_space
@@ -387,6 +387,20 @@ def test_equivariance_check_visits_every_generator():
             want = dense(mod.stack_matrix(ref))
             got = dense(stacked)[:, g * mod.dim: (g + 1) * mod.dim]
             assert (got == want).all(), ref
+
+
+def test_check_field_refuses_primes_past_the_exact_bound():
+    """65521, the largest prime below fp.PRIME_BOUND = 2^16, is a field;
+    65537, the least prime above it, is refused, and so is 2^61 - 1, at
+    once rather than after trial division up to its square root."""
+    assert fp.PRIME_BOUND == 2**16
+    check_field(65521)
+    assert evaluate("I*I", 65521).dim == 4
+    for p in (65537, 2**61 - 1):
+        with pytest.raises(SemanticError, match="not below 65536"):
+            check_field(p)
+        with pytest.raises(SemanticError, match="not below 65536"):
+            evaluate("I", p)
 
 
 def test_equivariance_check_refuses_modules_of_two_categories():
