@@ -24,12 +24,9 @@ Row reduction brings its input into storage with one copy, an all-zero
 input returns at once, and the result is int64.  At an odd p the
 storage is int16 while (p - 1)^2 + p < 2^15, else int64, and each pivot
 column updates only the columns from its own rightwards.  At p = 2 the
-storage is bytes and the rows go in blocks: one float64 product clears
-a block at the pivots found so far, its rows are packed into Python ints
-(bit c for column c) and eliminated by XOR, and one more product clears
-its new pivots from the earlier rows (M4RI packing, Albrecht, Bard and
-Hart, ACM TOMS 37(1), 2010; FFLAS-FFPACK updates, Dumas, Giorgi and
-Pernet, ACM TOMS 35(3), 2008).
+storage is bytes, and each row is then packed into a Python int, bit c
+for column c, so that one XOR adds a whole row (M4RI packing, Albrecht,
+Bard and Hart, ACM TOMS 37(1), 2010).
 
 A right null space is kept in the form one elimination of the reversed
 columns leaves it (Kernel): its free columns, its pivot columns, and the
@@ -88,12 +85,6 @@ def _storage(p: int):
     return np.int64
 
 
-# Rows at p = 2 are eliminated this many at a time.  Of 64, 128 and 256,
-# 256 was the fastest on the degree-4 tables' inputs and the widest
-# seeded block, and within 25 % of the fastest on the others (BENCH_27).
-ROW_BLOCK = 256
-
-
 def _pack(bits: np.ndarray) -> list[int]:
     """Each row of a 0/1 uint8 matrix as an int whose bit c is column c.
     numpy hands a row over as one fixed-width bytes item without its
@@ -112,15 +103,17 @@ def _unpack(rows: list[int], n: int) -> np.ndarray:
                          axis=1, count=n, bitorder="little")
 
 
-def _eliminate_packed(rows: list[int]) -> dict[int, int]:
-    """The RREF of packed rows over F_2, as {pivot column: row}.
+def _eliminate_packed(rows: list[int], n: int) -> dict[int, int]:
+    """The RREF of packed rows of n columns over F_2, as {pivot column:
+    row}.
 
     Forward, each row is reduced at the lowest pivot it meets until it
     meets none, and what is left becomes a pivot row at its lowest bit,
-    so every pivot row is zero left of its pivot.  Then, from the
-    rightmost pivot leftwards, each row is cleared at the pivots right of
-    its own by rows already fully reduced, each of which flips no pivot
-    column but its own."""
+    so every pivot row is zero left of its pivot.  Once n pivots are
+    found every later row is in their span and is not read.  Then, from
+    the rightmost pivot leftwards, each row is cleared at the pivots
+    right of its own by rows already fully reduced, each of which flips
+    no pivot column but its own."""
     lead: dict[int, int] = {}
     mask = 0
     for x in rows:
@@ -132,6 +125,8 @@ def _eliminate_packed(rows: list[int]) -> dict[int, int]:
             bit = x & -x
             lead[bit.bit_length() - 1] = x
             mask |= bit
+            if len(lead) == n:
+                break
     for c in sorted(lead, reverse=True):
         x = lead[c]
         hit = (x & mask) ^ (1 << c)
@@ -144,55 +139,19 @@ def _eliminate_packed(rows: list[int]) -> dict[int, int]:
 
 
 def _row_reduce_2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """row_reduce at p = 2, ROW_BLOCK rows at a time.  A block is cleared
-    at the pivots found so far by one float64 product with their rows,
-    then eliminated on bit-packed rows, and one more product clears its
-    new pivot columns from the earlier rows.  A row in the span of
-    earlier blocks so costs its share of a product, not one XOR per pivot
-    it meets.
-
-    The earlier rows are not reduced mod 2 after an update, only where a
-    product multiplies by them and at the end.  The updates add at most
-    rank to an entry in all, so no product sums past rank (rank + 1) + 1,
-    below 2^53 and so exact for any matrix that fits in memory."""
+    """row_reduce at p = 2, on the rows packed into ints."""
     m, n = a.shape
     out = zeros(m, n)
-    a = a.astype(np.uint8, order="C")  # wraps mod 2^8, keeping parities
-    a &= 1
-    if not np.count_nonzero(a):
+    bits = a.astype(np.uint8, order="C")  # wraps mod 2^8, keeping parities
+    bits &= 1
+    if not np.count_nonzero(bits):
         return out, []
-    pivots: list[int] = []
-    basis = np.empty((min(m, n), n))  # the pivot rows, in the order found
-    for top in range(0, m, ROW_BLOCK):
-        block = a[top:top + ROW_BLOCK]
-        r = len(pivots)
-        if r:
-            cleared = block[:, pivots].astype(np.float64) @ basis[:r] + block
-            block = np.bitwise_and(cleared.astype(np.int64), 1, casting="unsafe",
-                                   out=np.empty(block.shape, dtype=np.uint8))
-        found = _eliminate_packed(_pack(block))
-        if not found:
-            continue
-        cols = sorted(found)
-        added = _unpack([found[c] for c in cols], n)
-        if top + ROW_BLOCK >= m and not r:
-            # one block and no earlier rows: its RREF is the answer
-            out[:len(cols)] = added
-            return out, cols
-        update = added.astype(np.float64)
-        for start in range(0, r, ROW_BLOCK):
-            rows = basis[start:min(start + ROW_BLOCK, r)]
-            rows += (rows[:, cols].astype(np.int64) & 1).astype(np.float64) @ update
-        basis[r:r + len(cols)] = added
-        pivots += cols
-        if len(pivots) == n:
-            break
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    for start in range(0, len(order), ROW_BLOCK):
-        at = order[start:start + ROW_BLOCK]
-        out[start:start + len(at)] = basis[at]
-    out &= 1
-    return out, [pivots[k] for k in order]
+    rows = _pack(bits)
+    del bits  # freed before the unpacked result is made
+    found = _eliminate_packed(rows, n)
+    pivots = sorted(found)
+    out[:len(pivots)] = _unpack([found[c] for c in pivots], n)
+    return out, pivots
 
 
 def row_reduce(a, p: int) -> tuple[np.ndarray, list[int]]:
@@ -207,7 +166,7 @@ def row_reduce(a, p: int) -> tuple[np.ndarray, list[int]]:
         return _row_reduce_2(a)
     a = np.remainder(a, p, out=np.empty(a.shape, dtype=_storage(p)),
                      casting="unsafe")
-    if not np.count_nonzero(a):
+    if not a.any():
         return zeros(*a.shape), []
     m, n = a.shape
     pivots: list[int] = []

@@ -321,13 +321,13 @@ print(json.dumps({"cpu_s": time.process_time() - start, "pivots": pivots,
 @pytest.mark.skipif(not os.environ.get("SPFEXT_STRETCH"),
                     reason="packed-elimination scale run is opt-in (SPFEXT_STRETCH=1)")
 @pytest.mark.parametrize("shape, bound_s", [((1500, 500), 10 * 0.03),
-                                            ((1000, 3000), 10 * 0.21)])
+                                            ((1000, 3000), 10 * 0.13)])
 def test_stretch_packed_blocks(shape, bound_s):
     """row_reduce over F_2 on seeded random blocks at 7 % density, tall
     and wide, each in a process of its own with one BLAS thread: the
     result equals the column loop's byte for byte.  On a shared 2-core
-    machine it took 0.015-0.03 s and 0.15-0.21 s CPU on them (the column
-    loop 0.03-0.05 s and 0.31-0.39 s); the bounds are 10 times the
+    machine it took 0.02-0.03 s and 0.11-0.13 s CPU on them (the column
+    loop 0.03-0.05 s and 0.28-0.39 s); the bounds are 10 times the
     slowest."""
     run = _run_alone(SEEDED_F2_BLOCK, json.dumps(shape))
     a = (np.random.default_rng(2027).random(shape) < 0.07).astype(np.int64)
