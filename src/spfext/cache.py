@@ -7,7 +7,10 @@ stage's partitions and the differential blocks at dominant weights only,
 the blocks a resolution keeps; schema 1 entries held every weight and
 are a miss.  Matrices are stored
 as rows of digit strings, each entry a fixed-width run of len(str(p - 1))
-decimal digits, which round-trip bit exactly and diff cleanly.  Writes
+decimal digits, which round-trip bit exactly and diff cleanly.  A load
+decodes every block of an entry in one pass (decode_matrices), so its
+checks of row width, digits and field run once over the whole entry;
+a block that fails any of them makes the entry a miss.  Writes
 go through a temporary file and a rename so concurrent runs never
 observe torn entries; a load that finds a damaged entry, such as a stage
 label that names no partition of the source's degree, reports a miss.
@@ -19,6 +22,7 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -54,21 +58,39 @@ def encode_matrix(mat: np.ndarray, p: int) -> dict:
     return {"rows": rows, "cols": cols, "data": data}
 
 
-def decode_matrix(payload: dict, p: int) -> np.ndarray:
-    rows, cols = payload["rows"], payload["cols"]
-    place = _place_values(p)
-    lines = payload["data"]
-    if len(lines) != rows or any(len(line) != cols * place.size
-                                 for line in lines):
+def decode_matrices(payloads: list[dict], p: int) -> list[np.ndarray]:
+    """The matrices of encode_matrix payloads, decoded in one pass over
+    all of them: one check of every row's width, one read of every digit,
+    one check that each is a digit, one sum of the digits at their place
+    values and one check that each entry lies in F_p.  Each matrix is
+    then a reshaped slice of the result.  A payload whose row count, row
+    width, digits or entries are wrong raises ValueError."""
+    size = _place_values(p).size
+    shapes = [(payload["rows"], payload["cols"]) for payload in payloads]
+    data = [payload["data"] for payload in payloads]
+    if [len(lines) for lines in data] != [rows for rows, _ in shapes]:
+        raise ValueError("corrupt matrix row count in cache entry")
+    lines = list(chain.from_iterable(data))
+    widths = np.repeat([cols * size for _, cols in shapes],
+                       [rows for rows, _ in shapes])
+    if not np.array_equal(np.fromiter(map(len, lines), np.int64, len(lines)),
+                          widths):
         raise ValueError("corrupt matrix row in cache entry")
     digits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
     digits = digits - np.uint8(ord("0"))  # any other character wraps above 9
     if (digits > 9).any():
         raise ValueError("non-digit character in cache entry")
-    entries = digits.astype(np.int64).reshape(rows, cols, place.size) @ place
+    # Horner's rule over an entry's digits, most significant first: on
+    # (k x 1) blocks a product with the place values takes far longer
+    digits = digits.reshape(-1, size).T
+    entries = digits[0].astype(np.int64)
+    for place in digits[1:]:
+        entries = entries * 10 + place
     if (entries >= p).any():
         raise ValueError(f"cache entry outside F_{p}")
-    return entries
+    ends = list(accumulate(rows * cols for rows, cols in shapes))
+    return [entries[end - rows * cols: end].reshape(rows, cols)
+            for end, (rows, cols) in zip(ends, shapes)]
 
 
 def _comp_parse(text: str) -> tuple[int, ...]:
@@ -118,18 +140,25 @@ def resolution_from_payload(payload: dict):
     ctx = payload["context"]
     p, n = ctx["p"], ctx["n"]
     module = evaluate(ctx["expression"], p)
-    stages = [Stage([gamma_summand(p, n, _stage_label(text, module.D, n))
-                     for text in parts]) for parts in payload["stages"]]
+    summands = {}  # each label, checked once however many stages name it
+    for text in chain.from_iterable(payload["stages"]):
+        if text not in summands:
+            summands[text] = gamma_summand(p, n, _stage_label(text, module.D, n))
+    stages = [Stage([summands[text] for text in parts])
+              for parts in payload["stages"]]
     if len(stages) != ctx["depth"] + 1:
         raise ValueError(f"cache entry has {len(stages)} stages, its depth "
                          f"{ctx['depth']} needs {ctx['depth'] + 1}")
     if len(payload["diffs"]) != len(stages):
         raise ValueError("cache entry has not one differential per stage")
+    comps = [[_comp_parse(comp) for comp in stage_diff]
+             for stage_diff in payload["diffs"]]
+    blocks = iter(decode_matrices([block for stage_diff in payload["diffs"]
+                                   for block in stage_diff.values()], p))
     diffs = []
     rows_groups = Stage([(ctx["expression"], module, None)]).groups
-    for stage, stage_diff in zip(stages, payload["diffs"]):
-        diff = {_comp_parse(comp): decode_matrix(block, p)
-                for comp, block in stage_diff.items()}
+    for stage, stage_comps in zip(stages, comps):
+        diff = {comp: next(blocks) for comp in stage_comps}
         if set(diff) != set(stage.groups):
             raise ValueError("cache entry's blocks miss the stage's weights")
         for comp, block in diff.items():

@@ -39,7 +39,11 @@ spaces of N at partitions.  Each block of a differential, between the
 summands named mu and lam, is one product of two halves: the
 differential's coefficients on the words of Gamma^lam of weight mu,
 gathered once per resolution (`coefficient_blocks`), times the stacked
-action of those words on N_lam read at N_mu, the target's half.  The
+action of those words on N_lam read at N_mu, the target's half, built
+per table: kept on the target, it measured no faster (BENCH_28.json).
+Each table is assembled once per resolution and target module, and
+kept on the resolution (`ext_dims`), so a pair met again, through
+another spelling of the source or a repeated target, is a lookup.  The
 same stacked words, ("words", lam), give the Yoneda maps: one
 `yoneda_operator` per stage and weight, cut once from each summand
 module's stack and applied to every vector picked there.  A stack's row
@@ -52,7 +56,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -108,17 +112,21 @@ class Stage:
 
     def __init__(self, summands: list[tuple]):
         self.summands = [name for name, _, _ in summands]
-        groups, blocks, offset = {}, {}, 0
+        blocks, offset = {}, 0
         for name, module, gen in summands:
-            rows, positions, _ = dominant_layout(module)
-            for c, local in positions.items():
-                groups.setdefault(c, []).append(local + offset)
             blocks.setdefault(name, (module, gen, []))[2].append(offset)
-            offset += rows.size
+            offset += dominant_layout(module)[0].size
         self.dim = offset
-        self.groups = {c: np.concatenate(parts) for c, parts in groups.items()}
         self.blocks = {name: (module, gen, np.array(offs, dtype=np.int64))
                        for name, (module, gen, offs) in blocks.items()}
+        # each name's weights are placed once, at all its offsets; the
+        # summands' coordinates ascend, so sorting restores their order
+        groups = {}
+        for module, _, offs in self.blocks.values():
+            for c, local in dominant_layout(module)[1].items():
+                groups.setdefault(c, []).append((offs[:, None] + local).reshape(-1))
+        self.groups = {c: np.sort(np.concatenate(parts))
+                       for c, parts in groups.items()}
 
 
 # -- weight spaces and Yoneda ------------------------------------------------
@@ -205,6 +213,9 @@ class Resolution:
     # per stage: its coefficient blocks, built on first use and never stored
     _coefficients: dict[int, list] = field(default_factory=dict, init=False,
                                            repr=False, compare=False)
+    # per target module: its Ext dims, kept like the coefficient blocks
+    _ext_dims: dict[ModuleRep, tuple] = field(default_factory=dict, init=False,
+                                              repr=False, compare=False)
 
     def term_partitions(self) -> list[list[tuple[int, ...]]]:
         return [list(st.summands) for st in self.stages]
@@ -446,7 +457,17 @@ def coefficient_blocks(res: Resolution, s: int) -> list[tuple]:
 
 
 def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
-    """Graded dimensions of Ext^s for s < depth, from Hom(P_*, N).
+    """Graded dimensions of Ext^s for s < depth, from Hom(P_*, N): a copy
+    of the dims kept on the resolution for the target, the first stored
+    for it winning, which assemble_ext computes on first use."""
+    hit = res._ext_dims.get(target)
+    if hit is None:
+        hit = res._ext_dims.setdefault(target, tuple(assemble_ext(res, target)))
+    return list(hit)
+
+
+def assemble_ext(res: Resolution, target: ModuleRep) -> list[int]:
+    """The dims of ext_dims, assembled from both halves.
 
     Hom(Gamma^lam, N) is N_lam, so the term of degree s is the sum of N_lam
     over the summands of stage s, lam the weight of each one's generator,
@@ -455,33 +476,41 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
     the summands of name mu in stage s+1 and lam in stage s, the block is
     one product G @ W: G, from res.coefficients, is the resolution's half,
     and W, the target's, is the rows of N_lam's basis in the target's word
-    stack, read at G's words and at N_mu's basis.
+    stack, read at G's words and at N_mu's basis.  One row slice and one
+    column gather per lam read the W of all its pairs.
     """
     p = res.p
     comp = {lam: tuple(module.contents[gen].tolist()) for stage in res.stages
             for lam, (module, gen, _) in stage.blocks.items()}
     pivots = {lam: target.weight_indices(c) for lam, c in comp.items()}
     wdim = {lam: ix.size for lam, ix in pivots.items()}
-    rows: dict[tuple[int, ...], fp.CSR] = {}  # the word stack at N_lam's basis
-    words: dict[tuple, np.ndarray] = {}  # W of (mu, lam)
     starts = []  # per stage: each name's first row, and the total
     for stage in res.stages:
         sizes = {lam: offs.size * wdim[lam]
                  for lam, (_, _, offs) in stage.blocks.items()}
         ends = list(accumulate(sizes.values(), initial=0))
         starts.append((dict(zip(sizes, ends)), ends[-1]))
+    blocks = [[block for block in res.coefficients(s)
+               if wdim[block[0]] and wdim[block[1]]] for s in range(res.depth)]
+    needed: dict[tuple[int, ...], dict] = {}  # per lam: each mu's words
+    for mu, lam, local, *_ in chain.from_iterable(blocks):
+        needed.setdefault(lam, {}).setdefault(mu, local)
+    words: dict[tuple, np.ndarray] = {}  # W of (mu, lam)
+    for lam, by_mu in needed.items():
+        cols = np.concatenate([(local[:, None] * target.dim + pivots[mu]).reshape(-1)
+                               for mu, local in by_mu.items()])
+        order = cols.argsort()  # take_cols reads ascending columns
+        dense = np.empty((wdim[lam], cols.size), dtype=np.int64)
+        dense[:, order] = target.stack_matrix(("words", comp[lam]))[
+            pivots[lam]].take_cols(cols[order]).toarray()
+        ends = accumulate(local.size * wdim[mu] for mu, local in by_mu.items())
+        for (mu, local), end in zip(by_mu.items(), ends):
+            words[mu, lam] = dense[:, end - local.size * wdim[mu]: end].reshape(
+                wdim[lam], local.size, -1).transpose(1, 0, 2).reshape(local.size, -1)
     ranks = []
     for s in range(res.depth):
         delta = fp.zeros(starts[s + 1][1], starts[s][1])
-        for mu, lam, local, G, n_mu, n_lam in res.coefficients(s):
-            if not wdim[mu] or not wdim[lam]:
-                continue
-            if lam not in rows:
-                rows[lam] = target.stack_matrix(("words", comp[lam]))[pivots[lam]]
-            if (mu, lam) not in words:
-                cols = (local[:, None] * target.dim + pivots[mu]).reshape(-1)
-                words[mu, lam] = rows[lam].take_cols(cols).toarray().reshape(
-                    wdim[lam], local.size, -1).transpose(1, 0, 2).reshape(local.size, -1)
+        for mu, lam, _, G, n_mu, n_lam in blocks[s]:
             piece = fp.matmul(G, words[mu, lam], p).reshape(n_mu, n_lam, wdim[lam], -1)
             r0, c0 = starts[s + 1][0][mu], starts[s][0][lam]
             delta[r0: r0 + n_mu * wdim[mu], c0: c0 + n_lam * wdim[lam]] = (

@@ -11,23 +11,139 @@ from spfext.homology import clear_resolution_memo, ext, ext_dims, resolve_expres
 from spfext.functors import evaluate
 
 
+def decode_by_block(payload: dict, p: int) -> np.ndarray:
+    """The reference for cache.decode_matrices: one payload at a time,
+    with a Python length check per row."""
+    rows, cols = payload["rows"], payload["cols"]
+    place = 10 ** np.arange(len(str(p - 1)) - 1, -1, -1, dtype=np.int64)
+    lines = payload["data"]
+    if len(lines) != rows or any(len(line) != cols * place.size
+                                 for line in lines):
+        raise ValueError("corrupt matrix row in cache entry")
+    digits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    digits = digits - np.uint8(ord("0"))
+    if (digits > 9).any():
+        raise ValueError("non-digit character in cache entry")
+    entries = digits.astype(np.int64).reshape(rows, cols, place.size) @ place
+    if (entries >= p).any():
+        raise ValueError(f"cache entry outside F_{p}")
+    return entries
+
+
 def test_matrix_digit_round_trip():
     rng = np.random.default_rng(5)
     for p in (2, 3, 5):
         mat = rng.integers(0, p, size=(7, 11))
         payload = ca.encode_matrix(mat, p)
-        back = ca.decode_matrix(payload, p)
+        (back,) = ca.decode_matrices([payload], p)
         assert (back == mat).all()
+        assert (decode_by_block(payload, p) == mat).all()
 
 
 def test_matrix_round_trip_two_digit_field():
     mat = np.array([[10, 0, 3], [1, 10, 7]], dtype=np.int64)
     payload = ca.encode_matrix(mat, 11)
     assert payload["data"] == ["100003", "011007"]
-    assert (ca.decode_matrix(payload, 11) == mat).all()
+    assert (ca.decode_matrices([payload], 11)[0] == mat).all()
     payload["data"][1] = "01100"
     with pytest.raises(ValueError):
-        ca.decode_matrix(payload, 11)
+        ca.decode_matrices([payload], 11)
+
+
+DECODE_PRIMES = (2, 3, 11, 193)
+
+
+def _random_blocks(p: int, seed: int) -> list[np.ndarray]:
+    """Blocks of an entry: random shapes, with 0-row and 0-column ones
+    among them, and entries over all of F_p, p - 1 included."""
+    rng = np.random.default_rng(seed)
+    shapes = [(0, 3), (4, 0), (0, 0), (1, 1)] + [
+        (rng.integers(2, 9), rng.integers(1, 9)) for _ in range(8)]
+    rng.shuffle(shapes)
+    blocks = [rng.integers(0, p, size=shape) for shape in shapes]
+    next(block for block in blocks if block.size)[0, 0] = p - 1
+    return blocks
+
+
+@pytest.mark.parametrize("p", DECODE_PRIMES)
+def test_decode_matrices_matches_the_per_block_reference(p):
+    for seed in range(5):
+        blocks = _random_blocks(p, seed)
+        payloads = [ca.encode_matrix(block, p) for block in blocks]
+        got = ca.decode_matrices(payloads, p)
+        assert len(got) == len(blocks)
+        for block, payload, back in zip(blocks, payloads, got):
+            want = decode_by_block(payload, p)
+            assert back.dtype == want.dtype == np.int64
+            assert back.shape == want.shape == block.shape
+            assert (back == want).all() and (back == block).all()
+    assert ca.decode_matrices([], p) == []
+
+
+def _row_count(block: dict, p: int) -> None:
+    block["data"].pop()
+
+
+def _row_width(block: dict, p: int) -> None:
+    """One digit moved from the first row to the last: the block and the
+    entry keep their digit counts, so only the row widths tell."""
+    block["data"][0] = block["data"][0][:-1]
+    block["data"][-1] += "0"
+
+
+def _non_digit(block: dict, p: int) -> None:
+    """A letter as the last digit of an entry whose other digits are 0,
+    so that the entry it would give (72) lies in F_p for p = 193."""
+    width = len(str(p - 1))
+    block["data"][0] = "0" * (width - 1) + "x" + block["data"][0][width:]
+
+
+def _outside_the_field(block: dict, p: int) -> None:
+    width = len(str(p - 1))
+    block["data"][0] = str(p) + block["data"][0][width:]
+
+
+CORRUPTIONS = [_row_count, _row_width, _non_digit, _outside_the_field]
+
+
+def _corrupt_at(payloads: list[dict], where: str, corrupt, p: int) -> None:
+    """Corrupt the first, a middle or the last block of two rows or more."""
+    full = [b for b in payloads if b["rows"] > 1 and b["cols"]]
+    assert len(full) >= 3
+    corrupt({"first": full[0], "middle": full[len(full) // 2],
+             "last": full[-1]}[where], p)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("p", DECODE_PRIMES)
+def test_decode_matrices_refuses_what_the_reference_refuses(p, corrupt, where):
+    payloads = [ca.encode_matrix(block, p) for block in _random_blocks(p, 7)]
+    _corrupt_at(payloads, where, corrupt, p)
+    with pytest.raises(ValueError):
+        ca.decode_matrices(payloads, p)
+    assert sum(_refuses(payload, p) for payload in payloads) == 1
+
+
+@pytest.mark.parametrize("p", DECODE_PRIMES)
+def test_decode_matrices_refuses_a_row_moved_to_the_next_block(p):
+    """Row widths and the digit count still agree when a row moves to the
+    next block of equal width; only the blocks' row counts tell."""
+    rng = np.random.default_rng(p)
+    payloads = [ca.encode_matrix(rng.integers(0, p, size=(rows, 4)), p)
+                for rows in (3, 2)]
+    payloads[1]["data"].insert(0, payloads[0]["data"].pop())
+    with pytest.raises(ValueError):
+        ca.decode_matrices(payloads, p)
+    assert _refuses(payloads[0], p) and _refuses(payloads[1], p)
+
+
+def _refuses(payload: dict, p: int) -> bool:
+    try:
+        decode_by_block(payload, p)
+    except ValueError:
+        return True
+    return False
 
 
 def test_cache_key_stability():
@@ -207,6 +323,32 @@ def test_stored_file_bytes_are_pinned(tmp_path, p, depth, sweep):
                                                         depth, sweep)
     assert loaded is not None and loaded is not res
     assert ca.ResolutionCache(tmp_path / "warm").store(loaded).read_bytes() == data
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+def test_damaged_block_of_a_pinned_entry_is_a_miss_and_rewritten(
+        tmp_path, corrupt, where):
+    """Each damage the one-pass decode refuses, in the first, a middle or
+    the last block of a stored entry, makes the entry a miss; the next
+    call resolves again and rewrites the pinned bytes."""
+    p, depth, sweep = 2, 5, "dominance"
+    expr = "twist(I,1)*twist(I,1)"
+    clear_resolution_memo()
+    resolve_expression(expr, p, depth, sweep=sweep, cache_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    _corrupt_at([block for diff in payload["diffs"] for block in diff.values()],
+                where, corrupt, p)
+    path.write_text(ca.stable_json(payload), encoding="utf-8")
+    store = ca.ResolutionCache(tmp_path)
+    assert store.load(expr, p, 4, depth, sweep) is None
+    clear_resolution_memo()
+    resolve_expression(expr, p, depth, sweep=sweep, cache_dir=str(tmp_path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_FILES[p, depth, sweep]
+    assert store.load(expr, p, 4, depth, sweep) is not None
+    clear_resolution_memo()
 
 
 def test_env_override(monkeypatch, tmp_path):

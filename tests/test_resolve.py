@@ -177,6 +177,34 @@ def test_yoneda_operator_matches_per_pick_reference(data):
 # -- fault injection: each check must fire on a broken resolution --------------
 
 
+@pytest.mark.parametrize("p,n,labels", [
+    (2, 4, [(2, 2), (3, 1), (2, 2), (4,), (3, 1)]),
+    (3, 3, [(1, 1, 1), (2, 1), (3,), (2, 1), (1, 1, 1)])])
+def test_stage_places_summands_in_order(p, n, labels):
+    """A stage's coordinates are its summands' dominant rows in the order
+    given, even when copies of one name are not adjacent (as in a cache
+    entry written by hand): each weight's coordinates, placed summand by
+    summand, ascend."""
+    summands = [gamma_summand(p, n, lam) for lam in labels]
+    stage = Stage(summands)
+    groups, offset = {}, 0
+    for _, module, _ in summands:
+        rows, positions, _ = dominant_layout(module)
+        for c, local in positions.items():
+            groups.setdefault(c, []).append(local + offset)
+        offset += rows.size
+    assert stage.dim == offset
+    assert stage.summands == labels
+    assert list(stage.groups) == list(groups)
+    for c, parts in groups.items():
+        assert stage.groups[c].tobytes() == np.concatenate(parts).tobytes(), c
+    starts = np.cumsum([0] + [dominant_layout(m)[0].size for _, m, _ in summands])
+    for name, (module, gen, offs) in stage.blocks.items():
+        at = [k for k, lam in enumerate(labels) if lam == name]
+        assert offs.tolist() == starts[at].tolist()
+        assert (module, gen) == gamma_summand(p, n, name)[1:]
+
+
 def test_exactness_check_fires_on_a_lost_kernel_vector(monkeypatch):
     true_kernel = fp.kernel
 
