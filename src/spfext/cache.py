@@ -66,31 +66,30 @@ def decode_matrices(payloads: list[dict], p: int) -> list[np.ndarray]:
     then a reshaped slice of the result.  A payload whose row count, row
     width, digits or entries are wrong raises ValueError."""
     size = _place_values(p).size
-    shapes = [(payload["rows"], payload["cols"]) for payload in payloads]
+    rows = [payload["rows"] for payload in payloads]
+    cols = [payload["cols"] for payload in payloads]
     data = [payload["data"] for payload in payloads]
-    if [len(lines) for lines in data] != [rows for rows, _ in shapes]:
+    if [len(lines) for lines in data] != rows:
         raise ValueError("corrupt matrix row count in cache entry")
     lines = list(chain.from_iterable(data))
-    widths = np.repeat([cols * size for _, cols in shapes],
-                       [rows for rows, _ in shapes])
     if not np.array_equal(np.fromiter(map(len, lines), np.int64, len(lines)),
-                          widths):
+                          np.repeat(np.multiply(cols, size), rows)):
         raise ValueError("corrupt matrix row in cache entry")
     digits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
     digits = digits - np.uint8(ord("0"))  # any other character wraps above 9
     if (digits > 9).any():
         raise ValueError("non-digit character in cache entry")
-    # Horner's rule over an entry's digits, most significant first: on
-    # (k x 1) blocks a product with the place values takes far longer
+    # Horner's rule, most significant digit first: a product with the
+    # place values is far slower on entries of one digit
     digits = digits.reshape(-1, size).T
     entries = digits[0].astype(np.int64)
     for place in digits[1:]:
         entries = entries * 10 + place
     if (entries >= p).any():
         raise ValueError(f"cache entry outside F_{p}")
-    ends = list(accumulate(rows * cols for rows, cols in shapes))
-    return [entries[end - rows * cols: end].reshape(rows, cols)
-            for end, (rows, cols) in zip(ends, shapes)]
+    ends = accumulate(r * c for r, c in zip(rows, cols))
+    return [entries[end - r * c: end].reshape(r, c)
+            for end, r, c in zip(ends, rows, cols)]
 
 
 def _comp_parse(text: str) -> tuple[int, ...]:
@@ -175,11 +174,12 @@ def resolution_from_payload(payload: dict):
 
 
 class ResolutionCache:
-    """Directory of serialized resolutions, one file per context digest."""
+    """Directory of serialized resolutions, one file per context digest.
+    The directory is made by the first store; a load from a directory
+    that does not exist is a miss."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, context: dict) -> Path:
         return self.directory / f"{cache_key(context)}.json"
@@ -206,6 +206,7 @@ class ResolutionCache:
     def store(self, res) -> Path:
         payload = resolution_payload(res)
         path = self.directory / f"{payload['key']}.json"
+        self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:

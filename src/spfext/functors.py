@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, isqrt, prod
 
 import numpy as np
@@ -170,6 +171,7 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
 
+@cache  # nodes are frozen, so each text's one tree serves every caller
 def parse(text: str) -> Node:
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()

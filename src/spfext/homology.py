@@ -39,16 +39,18 @@ spaces of N at partitions.  Each block of a differential, between the
 summands named mu and lam, is one product of two halves: the
 differential's coefficients on the words of Gamma^lam of weight mu,
 gathered once per resolution (`coefficient_blocks`), times the stacked
-action of those words on N_lam read at N_mu, the target's half, built
-per table: kept on the target, it measured no faster (BENCH_28.json).
-Each table is assembled once per resolution and target module, and
-kept on the resolution (`ext_dims`), so a pair met again, through
-another spelling of the source or a repeated target, is a lookup.  The
-same stacked words, ("words", lam), give the Yoneda maps: one
-`yoneda_operator` per stage and weight, cut once from each summand
-module's stack and applied to every vector picked there.  A stack's row
-j holds the images of basis vector j (see fp), so each cut is a row
-slice of one stack, read at the columns it needs.
+action of those words on N_lam read at N_mu, the target's half, read
+per table with one row slice and one column gather per lam.  Kept on
+the target, that half measured no faster: the two sweeps' resolutions
+of one source share few of them (38 of the 184 that the degree-4 tables
+read, BENCH_28.json).  Each table is assembled once per resolution and
+target module and kept on the resolution (`ext_dims`), so a pair met
+again, through another spelling of the source or a repeated target, is
+a lookup.  The same stacked words, ("words", lam), give the Yoneda
+maps: one `yoneda_operator` per stage and weight, cut once from each
+summand module's stack and applied to every vector picked there.  A
+stack's row j holds the images of basis vector j (see fp), so each cut
+is a row slice of one stack, read at the columns it needs.
 """
 
 from __future__ import annotations
@@ -457,9 +459,9 @@ def coefficient_blocks(res: Resolution, s: int) -> list[tuple]:
 
 
 def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
-    """Graded dimensions of Ext^s for s < depth, from Hom(P_*, N): a copy
-    of the dims kept on the resolution for the target, the first stored
-    for it winning, which assemble_ext computes on first use."""
+    """Graded dimensions of Ext^s for s < depth, from Hom(P_*, N).
+    assemble_ext computes them once per target module; the resolution
+    keeps them (the first stored wins) and each caller gets a copy."""
     hit = res._ext_dims.get(target)
     if hit is None:
         hit = res._ext_dims.setdefault(target, tuple(assemble_ext(res, target)))
@@ -490,10 +492,10 @@ def assemble_ext(res: Resolution, target: ModuleRep) -> list[int]:
                  for lam, (_, _, offs) in stage.blocks.items()}
         ends = list(accumulate(sizes.values(), initial=0))
         starts.append((dict(zip(sizes, ends)), ends[-1]))
-    blocks = [[block for block in res.coefficients(s)
-               if wdim[block[0]] and wdim[block[1]]] for s in range(res.depth)]
+    pairs = [[pair for pair in res.coefficients(s)
+              if wdim[pair[0]] and wdim[pair[1]]] for s in range(res.depth)]
     needed: dict[tuple[int, ...], dict] = {}  # per lam: each mu's words
-    for mu, lam, local, *_ in chain.from_iterable(blocks):
+    for mu, lam, local, *_ in chain.from_iterable(pairs):
         needed.setdefault(lam, {}).setdefault(mu, local)
     words: dict[tuple, np.ndarray] = {}  # W of (mu, lam)
     for lam, by_mu in needed.items():
@@ -510,7 +512,7 @@ def assemble_ext(res: Resolution, target: ModuleRep) -> list[int]:
     ranks = []
     for s in range(res.depth):
         delta = fp.zeros(starts[s + 1][1], starts[s][1])
-        for mu, lam, _, G, n_mu, n_lam in blocks[s]:
+        for mu, lam, _, G, n_mu, n_lam in pairs[s]:
             piece = fp.matmul(G, words[mu, lam], p).reshape(n_mu, n_lam, wdim[lam], -1)
             r0, c0 = starts[s + 1][0][mu], starts[s][0][lam]
             delta[r0: r0 + n_mu * wdim[mu], c0: c0 + n_lam * wdim[lam]] = (

@@ -351,6 +351,21 @@ def test_damaged_block_of_a_pinned_entry_is_a_miss_and_rewritten(
     clear_resolution_memo()
 
 
+def test_the_directory_is_made_by_the_first_store(tmp_path):
+    """A load from a directory that does not exist is a miss and makes
+    nothing; the first store makes the directory, and the entry loads."""
+    clear_resolution_memo()
+    res = resolve_expression("twist(I,1)", 2, 3)
+    store = ca.ResolutionCache(tmp_path / "new" / "dir")
+    assert store.load(res.source, 2, res.n, 3, res.sweep) is None
+    assert not (tmp_path / "new").exists()
+    path = store.store(res)
+    assert path.parent == tmp_path / "new" / "dir" and path.is_file()
+    loaded = store.load(res.source, 2, res.n, 3, res.sweep)
+    assert loaded.term_partitions() == res.term_partitions()
+    clear_resolution_memo()
+
+
 def test_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv(ca.ENV_CACHE_DIR, str(tmp_path / "env"))
     assert ca.default_cache_dir("/elsewhere") == str(tmp_path / "env")

@@ -45,6 +45,16 @@ def test_parse_errors():
             parse(bad)
 
 
+def test_parse_keeps_one_tree_per_text():
+    """A text is parsed once: every later call gets the same frozen tree,
+    while a text that does not parse is refused on every call."""
+    text = "twist(I*I,1)"
+    assert parse(text) is parse(text) == parse(" twist( I * I , 1 ) ")
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            parse("twist(I*I)")
+
+
 def test_degree_arithmetic():
     from spfext.functors import degree
     assert degree(parse("twist(I,1)"), 2) == 2

@@ -1,8 +1,9 @@
 """The in-process memo rule under threads.
 
 Every memo is a plain dict in which the first value stored for a key
-wins, so concurrent callers all get one object per key; the resolution
-memo alone holds a lock, so that each resolution is built once.  The
+wins, so concurrent callers all get one object per key (an Ext table's
+dims are copied out of it); the resolution memo alone holds a lock, so
+that each resolution is built once.  The
 switch interval is cut short so that the threads interleave as often as
 the interpreter allows.
 """
@@ -77,3 +78,15 @@ def test_concurrent_evaluate_shares_one_module(monkeypatch):
             results = _in_threads(lambda: evaluate(expr, 3))
             assert all(r is results[0] for r in results), expr
             assert evaluate(expr, 3) is results[0]
+
+
+def test_concurrent_ext_dims_keep_one_table():
+    """Threads asking one resolution for one table all get its dims, each
+    in a list of its own, and the resolution keeps one entry."""
+    res = homology.resolve(evaluate("twist(I*I,1)", 2), 5)
+    target = evaluate("schur(2,2)", 2)
+    want = homology.assemble_ext(res, target)
+    results = _in_threads(lambda: homology.ext_dims(res, target))
+    assert all(r == want for r in results)
+    assert len({id(r) for r in results}) == THREADS
+    assert list(res._ext_dims) == [target]
