@@ -35,30 +35,25 @@ reads, its source included, is a Stage: a direct sum of module
 summands, each kept at its rows of dominant weight.
 
 Ext groups are the cohomology of Hom(P_*, N), whose terms are weight
-spaces of N at partitions.  Each block of a differential, between the
-summands named mu and lam, is one product of two halves: the
-differential's coefficients on the words of Gamma^lam of weight mu,
-gathered once per resolution (`coefficient_blocks`), times the stacked
-action of those words on N_lam read at N_mu, the target's half, read
-per table with one row slice and one column gather per lam.  Kept on
-the target, that half measured no faster: the two sweeps' resolutions
-of one source share few of them (38 of the 184 that the degree-4 tables
-read, BENCH_28.json).  Each table is assembled once per resolution and
-target module and kept on the resolution (`ext_dims`), so a pair met
-again, through another spelling of the source or a repeated target, is
-a lookup.  The same stacked words, ("words", lam), give the Yoneda
-maps: one `yoneda_operator` per stage and weight, cut once from each
-summand module's stack and applied to every vector picked there.  A
-stack's row j holds the images of basis vector j (see fp), so each cut
-is a row slice of one stack, read at the columns it needs.
+spaces of N at partitions.  Every coboundary of a table comes from one
+join on (lam, word): each nonzero coefficient of the differentials on a
+word of Gamma^lam, gathered once per resolution (`resolution_half`),
+meets each stored entry of the target's word stack at N_lam's basis,
+and one exact sum writes every delta^s (`assemble_ext`).  Each table is
+kept on the resolution per target module (`ext_dims`).  The same stacked
+words, ("words", lam), give the Yoneda maps: one `yoneda_operator` per
+stage and weight, cut once from each summand module's stack and applied
+to every vector picked there.  A stack's row j holds the images of basis
+vector j (see fp), so each cut is a row slice of one stack, read at the
+columns it needs.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -212,22 +207,20 @@ class Resolution:
     diffs: list[dict[tuple[int, ...], np.ndarray]]
     depth: int
     sweep: str
-    # per stage: its coefficient blocks, built on first use and never stored
-    _coefficients: dict[int, list] = field(default_factory=dict, init=False,
-                                           repr=False, compare=False)
-    # per target module: its Ext dims, kept like the coefficient blocks
+    # its half of every Ext table, under None: built once, never stored
+    _half: dict[None, ResolutionHalf] = field(default_factory=dict, init=False,
+                                              repr=False, compare=False)
+    # per target module: its Ext dims, kept like the half
     _ext_dims: dict[ModuleRep, tuple] = field(default_factory=dict, init=False,
                                               repr=False, compare=False)
 
     def term_partitions(self) -> list[list[tuple[int, ...]]]:
         return [list(st.summands) for st in self.stages]
 
-    def coefficients(self, s: int) -> list[tuple]:
-        """coefficient_blocks(self, s); the first list stored for s wins."""
-        hit = self._coefficients.get(s)
-        if hit is not None:
-            return hit
-        return self._coefficients.setdefault(s, coefficient_blocks(self, s))
+    def half(self) -> ResolutionHalf:
+        """resolution_half(self), built once; the first one stored wins."""
+        return (self._half.get(None)
+                or self._half.setdefault(None, resolution_half(self)))
 
 
 def check_depth(depth) -> None:
@@ -430,32 +423,52 @@ class ExtTable:
         }
 
 
-def coefficient_blocks(res: Resolution, s: int) -> list[tuple]:
-    """The half of ext_dims that reads the resolution alone, at stage s:
-    one (mu, lam, local, G, n_mu, n_lam) per summand name mu of stage s+1
-    and lam of stage s whose G has a nonzero.  local lists the dominant
-    rows (words) of lam's module at the weight c of mu's generator, and
-    row i * n_lam + j of G is the i-th mu summand's differential column
-    read there in the j-th lam one."""
-    stage, upper = res.stages[s], res.stages[s + 1]
-    out = []
-    for mu, (module, gen, gens_at) in upper.blocks.items():
-        c = tuple(module.contents[gen].tolist())
-        block = res.diffs[s + 1].get(c)
-        group = stage.groups.get(c)
-        if block is None or not block.size or group is None:
-            continue
-        gen = int(np.searchsorted(dominant_layout(module)[0], gen))
-        cols = block[:, np.searchsorted(upper.groups[c], gens_at + gen)]
-        for lam, (summand, _, offs) in stage.blocks.items():
-            local = dominant_layout(summand)[1].get(c)
-            if local is None:
+ResolutionHalf = namedtuple("ResolutionHalf", "comps first weight layout bounds entries")
+
+
+def resolution_half(res: Resolution) -> ResolutionHalf:
+    """The half of every Ext table that reads res alone, from res.diffs.
+    Summand names are numbered as the stages meet them, comps[k] the weight
+    of name k's generator; its dominant words are keyed first[k], first[k]
+    + 1, ..., and weight holds each key's weight.  Column r of layout is
+    (stage, name, copies), stage s from column bounds[s] to bounds[s + 1].
+    Column r of entries is (s, mu, i, lam, j, key, value): the generator of
+    copy i of mu in stage s + 1 goes to value times word key of copy j of
+    lam in stage s."""
+    ids, comps, weights, layout, bounds = {}, [], [], [], [0]
+    for s, stage in enumerate(res.stages):
+        for name, (module, gen, offs) in stage.blocks.items():
+            if name not in ids:
+                ids[name] = len(comps)
+                comps.append(tuple(module.contents[gen].tolist()))
+                rows, _, weight = dominant_layout(module)
+                weights.append(weight[rows])
+            layout.append((s, ids[name], offs.size))
+        bounds.append(len(layout))
+    first = np.cumsum([0] + [w.size for w in weights])
+    entries = [np.zeros((7, 0), dtype=np.int64)]
+    for s in range(res.depth):
+        stage, upper = res.stages[s], res.stages[s + 1]
+        # each summand of stage s by its first coordinate: its name and copy
+        starts, names, copy = np.array(sorted(
+            (int(at), ids[name], j) for name, (_, _, offs) in stage.blocks.items()
+            for j, at in enumerate(offs)), dtype=np.int64).reshape(-1, 3).T
+        for mu, (module, gen, gens_at) in upper.blocks.items():
+            c = comps[ids[mu]]
+            block = res.diffs[s + 1][c]
+            if not block.size:
                 continue
-            pos = np.searchsorted(group, offs[:, None] + local[None, :])
-            G = cols[pos].transpose(2, 0, 1).reshape(-1, local.size)
-            if G.any():
-                out.append((mu, lam, local, G, gens_at.size, offs.size))
-    return out
+            gen = dominant_layout(module)[0].searchsorted(gen)
+            cols = block[:, upper.groups[c].searchsorted(gens_at + gen)]
+            row, i = cols.nonzero()
+            x = stage.groups[c][row]  # the coordinates of stage s they meet
+            t = starts.searchsorted(x, side="right") - 1
+            entries.append(np.stack((np.full(i.size, s), np.full(i.size, ids[mu]),
+                                     i, names[t], copy[t],
+                                     first[names[t]] + x - starts[t], cols[row, i])))
+    return ResolutionHalf(comps, first, np.concatenate([first[:0]] + weights),
+                          np.array(layout, dtype=np.int64).reshape(-1, 3).T,
+                          np.array(bounds), np.concatenate(entries, axis=1))
 
 
 def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
@@ -469,57 +482,44 @@ def ext_dims(res: Resolution, target: ModuleRep) -> list[int]:
 
 
 def assemble_ext(res: Resolution, target: ModuleRep) -> list[int]:
-    """The dims of ext_dims, assembled from both halves.
-
-    Hom(Gamma^lam, N) is N_lam, so the term of degree s is the sum of N_lam
-    over the summands of stage s, lam the weight of each one's generator,
-    and delta^s sends a map to its composite with the differential.  Rows
-    and columns are grouped by summand name, which changes no rank.  For
-    the summands of name mu in stage s+1 and lam in stage s, the block is
-    one product G @ W: G, from res.coefficients, is the resolution's half,
-    and W, the target's, is the rows of N_lam's basis in the target's word
-    stack, read at G's words and at N_mu's basis.  One row slice and one
-    column gather per lam read the W of all its pairs.
-    """
-    p = res.p
-    comp = {lam: tuple(module.contents[gen].tolist()) for stage in res.stages
-            for lam, (module, gen, _) in stage.blocks.items()}
-    pivots = {lam: target.weight_indices(c) for lam, c in comp.items()}
-    wdim = {lam: ix.size for lam, ix in pivots.items()}
-    starts = []  # per stage: each name's first row, and the total
-    for stage in res.stages:
-        sizes = {lam: offs.size * wdim[lam]
-                 for lam, (_, _, offs) in stage.blocks.items()}
-        ends = list(accumulate(sizes.values(), initial=0))
-        starts.append((dict(zip(sizes, ends)), ends[-1]))
-    pairs = [[pair for pair in res.coefficients(s)
-              if wdim[pair[0]] and wdim[pair[1]]] for s in range(res.depth)]
-    needed: dict[tuple[int, ...], dict] = {}  # per lam: each mu's words
-    for mu, lam, local, *_ in chain.from_iterable(pairs):
-        needed.setdefault(lam, {}).setdefault(mu, local)
-    words: dict[tuple, np.ndarray] = {}  # W of (mu, lam)
-    for lam, by_mu in needed.items():
-        cols = np.concatenate([(local[:, None] * target.dim + pivots[mu]).reshape(-1)
-                               for mu, local in by_mu.items()])
-        order = cols.argsort()  # take_cols reads ascending columns
-        dense = np.empty((wdim[lam], cols.size), dtype=np.int64)
-        dense[:, order] = target.stack_matrix(("words", comp[lam]))[
-            pivots[lam]].take_cols(cols[order]).toarray()
-        ends = accumulate(local.size * wdim[mu] for mu, local in by_mu.items())
-        for (mu, local), end in zip(by_mu.items(), ends):
-            words[mu, lam] = dense[:, end - local.size * wdim[mu]: end].reshape(
-                wdim[lam], local.size, -1).transpose(1, 0, 2).reshape(local.size, -1)
-    ranks = []
-    for s in range(res.depth):
-        delta = fp.zeros(starts[s + 1][1], starts[s][1])
-        for mu, lam, _, G, n_mu, n_lam in pairs[s]:
-            piece = fp.matmul(G, words[mu, lam], p).reshape(n_mu, n_lam, wdim[lam], -1)
-            r0, c0 = starts[s + 1][0][mu], starts[s][0][lam]
-            delta[r0: r0 + n_mu * wdim[mu], c0: c0 + n_lam * wdim[lam]] = (
-                piece.transpose(0, 3, 1, 2).reshape(-1, n_lam * wdim[lam]))
-        ranks.append(fp.rank(delta, p))
-    return [starts[s][1] - ranks[s] - (ranks[s - 1] if s else 0)
-            for s in range(res.depth)]
+    """The dims of ext_dims, from one join of the resolution's half and
+    the target's (see the module docstring).  An image whose weight is not
+    its word's escapes the weight grading and raises SpfextError."""
+    comps, first, word_weight, (stages, names, copies), bounds, entries = res.half()
+    s, mu, i, lam, j, key, value = entries
+    wdim = np.array([target.weight_indices(c).size for c in comps], dtype=np.int64)
+    # delta^s is total[s + 1] x total[s] at off[s], name k of stage s at start[s, k]
+    ends = np.concatenate(([0], (copies * wdim[names]).cumsum()))
+    total = np.diff(ends[bounds])
+    start = np.zeros((total.size, wdim.size), dtype=np.int64)
+    start[stages, names] = ends[:-1] - ends[bounds[stages]]
+    off = np.concatenate(([0], (total[1:] * total[:-1]).cumsum()))
+    # the target's half: each stored entry of the word stack of each lam
+    # with N_mu and N_lam nonzero, at basis vector a of N_lam
+    parts = [(first[:0],) * 4]
+    for k in fp.distinct(lam[(wdim[mu] > 0) & (wdim[lam] > 0)]).tolist():
+        stack = target.stack_matrix(("words", comps[k]))
+        a, col, data = stack[target.weight_indices(comps[k])].coo()
+        parts.append((first[k] + col // target.dim, a, col % target.dim, data))
+    w_key, a, image, data = map(np.concatenate, zip(*parts))
+    weight = target.contents @ (target.D + 1) ** np.arange(target.n)
+    if (weight[image] != word_weight[w_key]).any():
+        raise SpfextError("image escapes the weight grading")
+    by_weight = weight.argsort(kind="stable")  # b: the image's place in its weight
+    b = by_weight.argsort()[image] - weight[by_weight].searchsorted(weight[image])
+    # the join: each entry of one half meets each of the other at its key
+    order = w_key.argsort()
+    lo, hi = (w_key[order].searchsorted(key, side) for side in ("left", "right"))
+    w, g = order[fp._ranges(lo, hi - lo)[0]], np.arange(key.size).repeat(hi - lo)
+    at = (off[s] + (start[s + 1, mu] + i * wdim[mu]) * total[s]
+          + start[s, lam] + j * wdim[lam])
+    # each product is below p: the float64 sum is exact below 2^53 / p terms
+    flat = np.bincount(at[g] + total[s][g] * b[w] + a[w], minlength=off[-1],
+                       weights=value[g] * data[w] % res.p).astype(np.int64) % res.p
+    # each delta^s alone: eliminating their block diagonal is slower at degree 5
+    ranks = [0] + [fp.rank(flat[off[t]: off[t + 1]].reshape(
+        total[t + 1], total[t]), res.p) for t in range(res.depth)]
+    return [int(total[t]) - ranks[t + 1] - ranks[t] for t in range(res.depth)]
 
 
 def default_depth(p: int, i: int, D: int) -> tuple[int, int | None]:

@@ -241,8 +241,8 @@ SPLIT_TARGETS = ["S(4)", "L(4)", "schur(3,1)", "dual(schur(2,2))",
 
 
 def test_loaded_resolution_supports_ext(tmp_path):
-    """A resolution loaded from the disk cache, which builds its own
-    coefficient blocks, gives the fresh resolution's Ext dims."""
+    """A resolution loaded from the disk cache, which builds its own half
+    of the Ext tables, gives the fresh resolution's Ext dims."""
     store = ca.ResolutionCache(tmp_path)
     for source, depth, targets in (("twist(I,1)", 3, ["L(2)"]),
                                    (SPLIT_SOURCE, SPLIT_DEPTH, SPLIT_TARGETS)):
@@ -256,30 +256,37 @@ def test_loaded_resolution_supports_ext(tmp_path):
 
 
 def test_coefficient_blocks_are_built_once_per_resolution(monkeypatch):
+    """The resolution's half of the Ext tables, which holds the nonzeros
+    of its coefficient blocks, is built once per resolution, however many
+    tables read it, and the first half stored is the one kept."""
     built = []
-    real = homology.coefficient_blocks
+    real = homology.resolution_half
 
-    def counted(res, s):
-        built.append((id(res), s))
-        return real(res, s)
+    def counted(res):
+        built.append(id(res))
+        return real(res)
 
-    monkeypatch.setattr(homology, "coefficient_blocks", counted)
+    monkeypatch.setattr(homology, "resolution_half", counted)
     module = evaluate(SPLIT_SOURCE, 2)
     res = homology.resolve(module, SPLIT_DEPTH)
     targets = [evaluate(text, 2) for text in SPLIT_TARGETS]
     first = [ext_dims(res, target) for target in targets]
-    assert built == [(id(res), s) for s in range(res.depth)]
+    assert built == [id(res)]
+    half = res.half()
+    assert res._half == {None: half}
     assert [ext_dims(res, target) for target in targets] == first
+    assert res.half() is half and built == [id(res)]
     # another resolution of the same module builds its own, once
     other = homology.resolve(module, SPLIT_DEPTH, sweep="reversed")
     assert [ext_dims(other, target) for target in targets] == first
-    assert built[res.depth:] == [(id(other), s) for s in range(other.depth)]
+    assert built == [id(res), id(other)]
+    assert other.half() is not half
 
 
 def test_ext_dims_leaves_the_cache_file_byte_identical(tmp_path):
-    """The coefficient blocks an Ext table builds on a resolution stay out
-    of its cache entry: the file, and a store of the same resolution after
-    the tables, match the entry written before them byte for byte."""
+    """The half an Ext table builds on a resolution stays out of its
+    cache entry: the file, and a store of the same resolution after the
+    tables, match the entry written before them byte for byte."""
     clear_resolution_memo()
     ext(SPLIT_SOURCE, SPLIT_TARGETS[0], 2, cache_dir=str(tmp_path))
     (path,) = tmp_path.glob("*.json")
@@ -289,7 +296,7 @@ def test_ext_dims_leaves_the_cache_file_byte_identical(tmp_path):
         ext(SPLIT_SOURCE, text, 2, cache_dir=str(tmp_path))
     res = resolve_expression(SPLIT_SOURCE, 2, SPLIT_DEPTH,
                              cache_dir=str(tmp_path))
-    assert res._coefficients
+    assert res._half
     assert path.read_bytes() == before
     again = ca.ResolutionCache(tmp_path / "again").store(res)
     assert again.read_bytes() == before

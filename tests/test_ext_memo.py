@@ -87,49 +87,18 @@ def test_clear_resolution_memo_forgets_the_tables(assembled):
     assert built[0][1] is built[1][1]
 
 
-def _words_by_pair(res, target) -> list:
-    """The W of each pair that assemble_ext multiplies by, in its order,
-    built pair by pair: the rows of N_lam's basis in the target's word
-    stack, read at the pair's words and at N_mu's basis."""
-    comp = {lam: tuple(module.contents[gen].tolist()) for stage in res.stages
-            for lam, (module, gen, _) in stage.blocks.items()}
-    pivots = {lam: target.weight_indices(c) for lam, c in comp.items()}
-    out = []
-    for s in range(res.depth):
-        for mu, lam, local, *_ in res.coefficients(s):
-            if not pivots[mu].size or not pivots[lam].size:
-                continue
-            rows = target.stack_matrix(("words", comp[lam]))[pivots[lam]]
-            cols = (local[:, None] * target.dim + pivots[mu]).reshape(-1)
-            out.append(rows.take_cols(cols).toarray().reshape(
-                pivots[lam].size, local.size, -1).transpose(1, 0, 2).reshape(
-                    local.size, -1))
-    return out
-
-
-@pytest.mark.parametrize("sweep", SWEEPS)
-def test_the_gathered_words_equal_a_per_pair_build(monkeypatch, sweep):
-    """For every pair of the degree-4 resolution and every target, the W
-    read from one gather per lam equals the W built for that pair alone."""
-    res = resolve(evaluate(SOURCES[0], 2), 5, sweep=sweep)
-    pairs = 0
-    for tgt in TARGETS:
-        target = evaluate(tgt, 2)
-        want_dims = homology.assemble_ext(res, target)  # builds the stacks
-        want = _words_by_pair(res, target)
-        got = []
-        matmul = homology.fp.matmul
-
-        def recorded(a, b, p):
-            got.append(b)
-            return matmul(a, b, p)
-
-        with monkeypatch.context() as patched:
-            patched.setattr(homology.fp, "matmul", recorded)
-            assert homology.assemble_ext(res, target) == want_dims
-        assert len(got) == len(want), tgt
-        pairs += len(want)
-        for w_got, w_want in zip(got, want):
-            assert w_got.shape == w_want.shape, tgt
-            assert (w_got == w_want).all(), tgt
-    assert pairs
+def test_a_target_sharing_no_weight_with_a_summand_name_reads_no_stack(
+        monkeypatch):
+    """L(4) lives at the weight (1, 1, 1, 1) alone, which no summand of
+    this resolution of G(2) (x) S(2) is named by, though its differentials
+    have nonzero coefficients: every term of Hom(P_*, L(4)) is zero, so
+    the table is zero and no word stack is read."""
+    res = resolve(evaluate("G(2)*S(2)", 2), 3)
+    target = evaluate("L(4)", 2)
+    assert res.half().entries.size
+    assert not any(target.weight_indices(c).size for c in res.half().comps)
+    read = []
+    monkeypatch.setattr(type(target), "stack_matrix",
+                        lambda module, ref: read.append(ref))
+    assert ext_dims(res, target) == [0, 0, 0]
+    assert read == []

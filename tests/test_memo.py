@@ -90,3 +90,34 @@ def test_concurrent_ext_dims_keep_one_table():
     assert all(r == want for r in results)
     assert len({id(r) for r in results}) == THREADS
     assert list(res._ext_dims) == [target]
+
+
+def test_concurrent_tables_share_one_half(monkeypatch):
+    """Threads assembling tables of one resolution, each its own target,
+    all read one half of it: the first half stored wins, and each thread
+    gets the dims of the table assembled alone."""
+    real = homology.resolution_half
+    built = []
+
+    def counted(res):
+        half = real(res)
+        built.append(half)
+        return half
+
+    res = homology.resolve(evaluate("twist(I*I,1)", 2), 5)
+    texts = ["S(4)", "L(4)", "G(4)", "schur(2,2)", "schur(3,1)",
+             "simple(2,2)", "dual(S(4))", "dual(schur(3,1))"]
+    targets = [evaluate(text, 2) for text in texts]
+    want = [homology.assemble_ext(homology.resolve(
+        evaluate("twist(I*I,1)", 2), 5), target) for target in targets]
+    monkeypatch.setattr(homology, "resolution_half", counted)
+    fetch = iter(range(THREADS))
+    results = _in_threads(lambda: (k := next(fetch),
+                                   homology.ext_dims(res, targets[k]),
+                                   res.half()))
+    assert all(dims == want[k] for k, dims, _ in results)
+    assert 1 <= len(built) <= THREADS
+    kept = res._half[None]
+    assert list(res._half) == [None] and kept in built
+    assert all(half is kept for _, _, half in results)
+    assert res.half() is kept and len(res._ext_dims) == THREADS
